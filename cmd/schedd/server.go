@@ -111,7 +111,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// statsResponse reports cache effectiveness and error volume.
+// statsResponse reports cache effectiveness and error volume. Hits are
+// answers served from the result cache and Misses the simulations run; a
+// request that joins an identical in-flight simulation counts as neither.
 type statsResponse struct {
 	Hits         int64 `json:"hits"`
 	Misses       int64 `json:"misses"`
@@ -166,7 +168,6 @@ func (s *server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	s.misses.Add(1)
 	resp, err := s.execute(r, sc)
 	if err != nil {
 		s.errors.Add(1)
@@ -233,6 +234,7 @@ func (s *server) execute(r *http.Request, sc *scenario.Scenario) (whatifResponse
 	f := &flight{done: make(chan struct{})}
 	s.inflight[key] = f
 	s.mu.Unlock()
+	s.misses.Add(1)
 
 	defer func() {
 		s.mu.Lock()

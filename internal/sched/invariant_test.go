@@ -46,11 +46,12 @@ func (p *corruptingPolicy) ControlPass(sys *System, now float64) {
 // TestCorruptedPlannedEndReportsNotCrashes is the regression for the
 // relRemove "release schedule lost job" panic: a PlannedEnd corrupted
 // between relAdd and relRemove must surface as an error from Simulate —
-// on the incremental schedules (chunked index and compat slice alike) —
-// and must never take the process down, under every compat mode. The
-// non-incremental modes rebuild the schedule from the run list each
-// consumer, so the corruption is absorbed and the run completes; what the
-// test pins there is the absence of a crash.
+// on the incremental schedules (chunked index and compat slice alike,
+// under classic EASY as under the replanning variants) — and must never
+// take the process down, under every compat mode. The seed-era mode never
+// keeps a schedule (it re-sorts the run list on every pass), so the
+// corruption is absorbed and the run completes; what the test pins there
+// is the absence of a crash.
 func TestCorruptedPlannedEndReportsNotCrashes(t *testing.T) {
 	gears := dvfs.PaperGearSet()
 	cases := []struct {
@@ -66,7 +67,8 @@ func TestCorruptedPlannedEndReportsNotCrashes(t *testing.T) {
 		{"conservative-rebuild-slice", Conservative, 0, Compat{RebuildProfile: true, SliceReleases: true}, true},
 		{"flexible-index", EASY, 4, Compat{}, true},
 		{"conservative-seed", Conservative, 0, SeedCompat(), false},
-		{"easy-lazy-slice", EASY, 0, Compat{}, false},
+		{"easy-index", EASY, 0, Compat{}, true},
+		{"easy-slice", EASY, 0, Compat{SliceReleases: true}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,7 +96,7 @@ func TestCorruptedPlannedEndReportsNotCrashes(t *testing.T) {
 					t.Fatalf("Simulate error = %q, want a release-schedule invariant report", err)
 				}
 			} else if err != nil {
-				t.Fatalf("Simulate returned %v; the rebuilding schedule should absorb the corruption", err)
+				t.Fatalf("Simulate returned %v; the seed-era rebuild should absorb the corruption", err)
 			}
 		})
 	}

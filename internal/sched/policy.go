@@ -20,6 +20,10 @@ import (
 //     head job. feasible(g) reports whether an immediate start at gear g
 //     keeps the head's reservation intact; the policy must only return
 //     gears for which feasible is true. ok=false leaves the job queued.
+//     feasible is valid only during the BackfillGear call: the engine
+//     hands the same function value to every candidate of a pass and
+//     re-targets it between calls, so a policy must not retain it or
+//     call it after returning.
 //
 // Per-pass adjustment of running jobs (the dynamic boost extension,
 // power capping) lives on the PowerController seam, not here: a policy

@@ -7,10 +7,11 @@ import (
 )
 
 // The chunked ordered release index replaces the flat (PlannedEnd, id)-
-// sorted release slice on the replanning hot path. The flat slice costs an
-// O(running) memmove per insert and remove — after PR 5 made the
-// availability profile persistent, those memmoves were the dominant term
-// of conservative/flexible passes. The index keeps the same total order
+// sorted release slice on the scheduler's hot path, under every variant:
+// the replanning passes and classic EASY's blocked-pass shadow sweep. The
+// flat slice costs an O(running) memmove per insert and remove — once the
+// availability profile persisted across passes, those memmoves were the
+// dominant term of conservative/flexible passes. The index keeps the same total order
 // over small sorted chunks: an insert or remove binary-searches the chunk
 // directory, then moves at most one chunk's worth of entries, so the cost
 // is O(log n + C) for chunk capacity C instead of O(n). In-order

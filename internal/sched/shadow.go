@@ -19,7 +19,8 @@ type release struct {
 }
 
 // collectReleases rebuilds the sorted release slice from the live run
-// list into the shared scratch cache and returns it.
+// list into the shared scratch cache and returns it: the one bulk build a
+// dirty schedule gets when its first consumer arrives.
 func (s *System) collectReleases() []release {
 	rels := s.relCache[:0]
 	for _, rs := range s.runList {
@@ -46,14 +47,10 @@ func (s *System) collectReleases() []release {
 }
 
 // sortedReleases returns the live run list's planned releases sorted by
-// (raw planned end, job ID) as a flat slice. Under the slice-backed
-// replanning variants (Compat.SliceReleases) the cache is maintained
-// incrementally and is always current; under classic EASY it is rebuilt
-// here only when a start, completion or gear change invalidated it — a
-// blocked pass (an arrival that starts nothing) reuses the previous sort
-// outright, which is what keeps saturated replays from rebuilding+sorting
-// O(running jobs) state on every event. Index-backed systems consume
-// releaseIndex instead.
+// (raw planned end, job ID) as a flat slice: the Compat.SliceReleases
+// reference schedule. A dirty schedule is rebuilt from the run list; a
+// current one, kept so by relAdd and relRemove, is returned as is.
+// Index-backed systems consume releaseIndex instead.
 //
 // Times are stored unclamped; consumers clamp entries at or before `now`
 // to strictly-after-now on the fly. Clamping maps a prefix of the sorted
@@ -61,6 +58,7 @@ func (s *System) collectReleases() []release {
 // releases as a single group, so the result is identical to the seed-era
 // clamp-then-sort order.
 func (s *System) sortedReleases() []release {
+	s.relUnread = 0
 	if !s.relDirty {
 		return s.relCache
 	}
@@ -70,16 +68,48 @@ func (s *System) sortedReleases() []release {
 }
 
 // releaseIndex returns the chunked ordered release index, rebuilding it
-// from the run list when a consumer arrives before incremental
-// maintenance began (New starts dirty so run lists assembled outside
-// start(), as white-box tests do, are picked up).
+// from the run list when it is dirty: on first use (New starts dirty, so
+// run lists assembled outside start(), as white-box tests do, are picked
+// up too) and after relStale gave up on a mutation burst.
 func (s *System) releaseIndex() *relIndex {
+	s.relUnread = 0
 	if s.relDirty {
 		s.relIdx.load(s.collectReleases())
 		s.relDirty = false
 	}
 	return &s.relIdx
 }
+
+// relStale reports whether a mutation may skip the release schedule
+// because the next reader rebuilds it anyway. That holds while it is
+// dirty, and it becomes dirty once the mutations since the last read
+// exceed a sixteenth of its size plus relChurnSlack. One ordered update
+// costs about what one release adds to a rebuild, so a burst with no
+// reader in between — a power controller re-gearing most running jobs
+// in one pass, a stretch of passes whose queue head always fits — costs
+// at most a sixteenth more than the rebuild its next reader does, while
+// the common case of a few starts and completions between blocked
+// passes stays on ordered updates. The rebuild yields the same
+// (PlannedEnd, id) order, so schedules do not depend on which path a
+// mutation took.
+func (s *System) relStale() bool {
+	if s.relDirty {
+		return true
+	}
+	s.relUnread++
+	n := s.relIdx.len()
+	if !s.relIndexed {
+		n = len(s.relCache)
+	}
+	if s.relUnread > n/16+relChurnSlack {
+		s.relDirty = true
+		return true
+	}
+	return false
+}
+
+// relChurnSlack covers a rebuild's fixed cost in relStale's bound.
+const relChurnSlack = 2
 
 // releaseCount returns the number of live planned releases.
 func (s *System) releaseCount() int {
@@ -115,20 +145,20 @@ func (s *System) appendClampedReleases(buf []profile.Release, now float64) []pro
 	return buf
 }
 
-// relAdd registers a newly started (or re-geared) job's planned release:
-// an ordered insert when the schedule is incrementally maintained, a
-// dirty mark otherwise. A dirty index defers to the next consumer's
-// rebuild from the run list, which will already include this job.
+// relAdd registers a newly started (or re-geared) job's planned release
+// with an ordered insert. While the schedule is dirty (see relStale) the
+// insert is skipped: the next reader's rebuild reads the run list, which
+// will already include this job. A run that never reads the schedule
+// (FCFS, an EASY replay whose heads always fit, the seed-era
+// Compat.ScratchAlloc paths) thus pays one branch per event and never
+// builds it.
 func (s *System) relAdd(rs *RunState) {
-	if !s.relIncremental {
-		s.relDirty = true
+	if s.relStale() {
 		return
 	}
 	r := release{t: rs.PlannedEnd, cpus: rs.Job.Procs, id: rs.Job.ID}
 	if s.relIndexed {
-		if !s.relDirty {
-			s.relIdx.insert(r)
-		}
+		s.relIdx.insert(r)
 		return
 	}
 	i := sort.Search(len(s.relCache), func(k int) bool {
@@ -141,18 +171,18 @@ func (s *System) relAdd(rs *RunState) {
 }
 
 // relRemove drops a finished (or about-to-be-re-geared) job's planned
-// release. rs.PlannedEnd must still hold the value relAdd registered; a
-// release the schedule no longer knows is a scheduler invariant violation
+// release; like relAdd it has nothing to do while the schedule is stale.
+// rs.PlannedEnd must still hold the value relAdd registered; a release
+// the schedule no longer knows is a scheduler invariant violation
 // reported as an error, which callers surface through Simulate's error
 // path via fail.
 func (s *System) relRemove(rs *RunState) error {
-	if !s.relIncremental {
-		s.relDirty = true
+	if s.relStale() {
 		return nil
 	}
 	t, id := rs.PlannedEnd, rs.Job.ID
 	if s.relIndexed {
-		if !s.relDirty && !s.relIdx.remove(t, id) {
+		if !s.relIdx.remove(t, id) {
 			return lostReleaseError(id, t)
 		}
 		return nil

@@ -17,8 +17,9 @@ type runningSpec struct {
 // buildVariantSystem constructs a System mid-simulation like
 // buildRunningSystem, but for any variant/compat combination, so the
 // shadow sweep can be probed over the slice cache, the chunked index and
-// the seed rebuild alike (conservative systems are index-backed; New
-// starts the schedule dirty, so the white-box run list is picked up).
+// the seed rebuild alike (every variant is index-backed unless
+// Compat.SliceReleases is set; New starts the schedule dirty, so the
+// white-box run list is picked up).
 func buildVariantSystem(t *testing.T, total int, variant Variant, compat Compat, running []runningSpec) *System {
 	t.Helper()
 	gears := dvfs.PaperGearSet()
@@ -48,10 +49,10 @@ func buildVariantSystem(t *testing.T, total int, variant Variant, compat Compat,
 }
 
 // TestShadowEdgeCasesPinnedAgainstSeed pins the optimized shadow sweeps —
-// the flat sorted slice (classic EASY) and the chunked release index
-// (replanning variants) — against the seed-era rebuild-clamp-sort
-// reference on the boundary shapes where the clamp and the equal-time
-// grouping interact:
+// the chunked release index (the default under every variant) and the
+// flat sorted slice (Compat.SliceReleases) — against the seed-era
+// rebuild-clamp-sort reference on the boundary shapes where the clamp and
+// the equal-time grouping interact:
 //
 //   - every release at or before now, so the whole schedule clamps onto
 //     one shared instant (math.Nextafter(now, +inf));
@@ -140,7 +141,8 @@ func TestShadowEdgeCasesPinnedAgainstSeed(t *testing.T) {
 				compat  Compat
 				indexed bool
 			}{
-				{"slice", EASY, Compat{}, false},
+				{"easy-index", EASY, Compat{}, true},
+				{"easy-slice-releases", EASY, Compat{SliceReleases: true}, false},
 				{"index", Conservative, Compat{}, true},
 				{"compat-slice-releases", Conservative, Compat{SliceReleases: true}, false},
 			}
@@ -160,8 +162,8 @@ func TestShadowEdgeCasesPinnedAgainstSeed(t *testing.T) {
 					}
 				}
 				// The sweep must not mutate the schedule: a second call
-				// answers identically (the slice path memoizes via
-				// relDirty, the index serves repeated sweeps in place).
+				// answers identically (both schedules are built once, then
+				// serve repeated sweeps in place).
 				gotT2, gotExtra2 := sys.shadow(head, tc.now)
 				if gotT2 != gotT || gotExtra2 != gotExtra {
 					t.Errorf("%s: second sweep diverged: (%v, %d) then (%v, %d)",

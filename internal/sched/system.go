@@ -116,10 +116,10 @@ type Compat struct {
 	// older per-entry rebuild).
 	RebuildProfile bool
 	// SliceReleases maintains the (PlannedEnd, id)-sorted release
-	// schedule of the replanning variants as a flat slice with O(running)
-	// memmove insert/remove (the PR 3–5 path) instead of the chunked
-	// ordered release index. Kept as the differentially-tested reference
-	// and to quantify the index win on its own.
+	// schedule as a flat slice with O(running) memmove insert/remove (the
+	// path the chunked ordered release index replaced) instead of the
+	// index, under every variant. Kept as the differentially-tested
+	// reference and to quantify the index win on its own.
 	SliceReleases bool
 	// FlatReservations keeps the persistent profile's reservation layer
 	// in the flat tier pair (merged slice plus lazily re-sorted pending
@@ -200,21 +200,31 @@ type System struct {
 	invErr     error   // first scheduler invariant violation; aborts the run
 
 	// The release schedule holds the live jobs' planned releases sorted
-	// by (PlannedEnd, job ID). Under the profile-replanning variants
-	// (conservative, flexible EASY) it is maintained incrementally per
-	// start/completion/gear change, because every pass consumes it: the
-	// chunked ordered index relIdx by default (O(log n + chunk) per
-	// mutation), the flat relCache slice with memmove insert/remove under
-	// Compat.SliceReleases (the differential reference). Under classic
-	// EASY the flat slice is rebuilt lazily (relDirty) only when a
-	// blocked pass actually needs the shadow sweep, since most events
-	// mutate the run list without ever consuming the schedule; relCache
-	// doubles as the sort scratch for index bulk loads.
-	relCache       []release
-	relIdx         relIndex
-	relDirty       bool
-	relIncremental bool
-	relIndexed     bool
+	// by (PlannedEnd, job ID): the input to the EASY shadow sweep and to
+	// the replanning profile's bulk loads. Every variant keeps it in the
+	// chunked ordered index relIdx (O(log n + chunk) per start,
+	// completion or gear change); Compat.SliceReleases swaps in the flat
+	// relCache slice with memmove insert/remove as the differential
+	// reference. It starts dirty (relDirty) and the first consumer — a
+	// blocked EASY pass or a replanning pass — builds it from the run
+	// list; relAdd and relRemove maintain it from then on and cost one
+	// branch while it is dirty, so a run that never consults it never
+	// builds it. relUnread counts the mutations since the last read: a
+	// burst of them marks the schedule dirty again (relStale).
+	// relCache doubles as the sort scratch for index bulk loads.
+	relCache   []release
+	relIdx     relIndex
+	relDirty   bool
+	relIndexed bool
+	relUnread  int
+
+	// bf is the backfill feasibility predicate's state, and bfEasy and
+	// bfProfile its method values bound once in New: a backfill scan sets
+	// the candidate's fields and hands the same function value to every
+	// BackfillGear call instead of allocating a closure per candidate.
+	bf        backfillCheck
+	bfEasy    func(dvfs.Gear) bool
+	bfProfile func(dvfs.Gear) bool
 
 	// prof and profRels are per-system scratch reused across replanning
 	// passes: the availability profile and the clamped release schedule
@@ -272,13 +282,16 @@ func New(cfg Config) (*System, error) {
 		cfg:    cfg,
 		engine: sim.NewEngine(),
 		cl:     cl,
-		// Starts dirty so a first consumer rebuilds from the run list even
-		// when it was assembled outside start() (as white-box tests do).
+		// Starts dirty: the first consumer builds the release schedule
+		// from the run list (picking up run lists assembled outside
+		// start(), as white-box tests do), and a run with no consumer
+		// never pays for its upkeep.
 		relDirty: true,
 	}
-	s.relIncremental = !cfg.Compat.ScratchAlloc &&
-		(cfg.Variant == Conservative || (cfg.Variant == EASY && cfg.Reservations > 1))
-	s.relIndexed = s.relIncremental && !cfg.Compat.SliceReleases
+	s.relIndexed = !cfg.Compat.SliceReleases
+	s.bf.s = s
+	s.bfEasy = s.bf.easy
+	s.bfProfile = s.bf.fits
 	_, s.profWiden = cfg.Policy.(EstMonotonePolicy)
 	s.engine.NoPool = cfg.Compat.ScratchAlloc
 	// A gear policy that is also a controller serves both seams: the
@@ -644,7 +657,9 @@ func (s *System) pass(now float64) {
 	// Surviving jobs are filtered into the queue's own backing array
 	// (writes always trail reads), so a pass allocates nothing.
 	head := s.queue[0]
-	shadow, extra := s.shadow(head, now)
+	bf := &s.bf
+	bf.now = now
+	bf.shadow, bf.extra = s.shadow(head, now)
 	free := s.cl.FreeCount()
 	kept := s.queue[:1]
 	if s.cfg.Compat.ScratchAlloc {
@@ -655,17 +670,12 @@ func (s *System) pass(now float64) {
 	for _, j := range s.queue[1:] {
 		started := false
 		if j.Procs <= free {
-			feasible := func(g dvfs.Gear) bool {
-				// The backfill must not delay the reservation: either it
-				// completes (by its kill limit) before the shadow time, or
-				// it fits into the processors the head leaves over.
-				return now+s.reqDur(j, g) <= shadow || j.Procs <= extra
-			}
-			if g, ok := s.cfg.Policy.BackfillGear(j, now, qlen-1, feasible); ok && feasible(g) {
+			bf.j = j
+			if g, ok := s.cfg.Policy.BackfillGear(j, now, qlen-1, s.bfEasy); ok && bf.easy(g) {
 				s.start(j, g, now)
 				free -= j.Procs
-				if now+s.reqDur(j, g) > shadow {
-					extra -= j.Procs
+				if now+s.reqDur(j, g) > bf.shadow {
+					bf.extra -= j.Procs
 				}
 				qlen--
 				started = true
@@ -687,6 +697,36 @@ func (s *System) setQueue(kept []*workload.Job) {
 		s.queue[i] = nil
 	}
 	s.queue = kept
+}
+
+// backfillCheck answers GearPolicy.BackfillGear's feasibility question
+// for the candidate of a backfill scan: may j start now at gear g without
+// disturbing any reservation? The scan sets the fields before each
+// BackfillGear call; System.bfEasy and System.bfProfile are the method
+// values policies receive.
+type backfillCheck struct {
+	s   *System
+	j   *workload.Job
+	now float64
+	// shadow and extra are the EASY head's reservation start and the
+	// processors it leaves over there.
+	shadow float64
+	extra  int
+	// prof is the replanning pass's availability profile.
+	prof *profile.Profile
+}
+
+// easy is the single-reservation check: the backfill must not delay the
+// head, so either it completes (by its kill limit) before the shadow
+// time, or it fits into the processors the head leaves over.
+func (c *backfillCheck) easy(g dvfs.Gear) bool {
+	return c.now+c.s.reqDur(c.j, g) <= c.shadow || c.j.Procs <= c.extra
+}
+
+// fits is the replanning check: the immediate start must fit the
+// availability profile, reservations included.
+func (c *backfillCheck) fits(g dvfs.Gear) bool {
+	return c.prof.CanPlace(c.j.Procs, c.now, c.s.reqDur(c.j, g))
 }
 
 // resvInfo records one retained reservation: the inputs that planned it
@@ -759,6 +799,8 @@ func (s *System) profilePass(now float64, maxRes int) {
 	}
 	qlen := len(s.queue)
 	reserved := resume
+	bf := &s.bf
+	bf.now, bf.prof = now, prof
 	for _, j := range s.queue[resume:] {
 		if reserved < maxRes {
 			// Reservation (or immediate start): the gear decision sees
@@ -791,10 +833,8 @@ func (s *System) profilePass(now float64, maxRes int) {
 			continue
 		}
 		// Beyond the protected prefix: immediate backfill or nothing.
-		feasible := func(g dvfs.Gear) bool {
-			return prof.CanPlace(j.Procs, now, s.reqDur(j, g))
-		}
-		if g, ok := s.cfg.Policy.BackfillGear(j, now, qlen-1, feasible); ok && feasible(g) {
+		bf.j = j
+		if g, ok := s.cfg.Policy.BackfillGear(j, now, qlen-1, s.bfProfile); ok && bf.fits(g) {
 			s.start(j, g, now)
 			qlen--
 			if !incremental {

@@ -94,23 +94,29 @@ func (h *eventHeap) pop() *Event {
 	s[n] = nil
 	s = s[:n]
 	*h = s
-	i := 0
+	s.down(0)
+	return ev
+}
+
+// down sifts the event at i toward the leaves until neither child
+// orders before it.
+func (h eventHeap) down(i int) {
+	n := len(h)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
 		min := l
-		if r := l + 1; r < n && less(s[r], s[l]) {
+		if r := l + 1; r < n && less(h[r], h[l]) {
 			min = r
 		}
-		if !less(s[min], s[i]) {
+		if !less(h[min], h[i]) {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
+		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	return ev
 }
 
 // Engine is the event loop. The zero value is not usable; construct with
@@ -127,6 +133,14 @@ type Engine struct {
 	// maxPending is the high-water mark of pending, the direct measure of
 	// the engine's O(·) memory behavior over a run.
 	maxPending int
+	// dead counts the canceled events still queued. A canceled event
+	// otherwise stays in the heap until its time comes round, so a run
+	// that cancels and reschedules heavily — a power controller
+	// re-gearing most running jobs every pass — would grow the heap by
+	// one entry per cancel. Cancel compacts the queue once the dead
+	// outnumber the live events by more than deadSlack, keeping the heap
+	// O(pending) at O(1) amortized cost per cancel.
+	dead int
 	// pool recycles dispatched events so steady-state simulation allocates
 	// no Event per Schedule. Reused events bump their generation, which
 	// inertly expires any Handle still pointing at them.
@@ -191,7 +205,36 @@ func (e *Engine) Cancel(h Handle) {
 	if h.ev != nil && h.gen == h.ev.gen && !h.ev.canceled && !h.ev.fired {
 		h.ev.canceled = true
 		e.pending--
+		e.dead++
+		if e.dead > e.pending+deadSlack {
+			e.compact()
+		}
 	}
+}
+
+// deadSlack keeps small queues from compacting over a handful of
+// cancels.
+const deadSlack = 64
+
+// compact drops the canceled events from the queue and restores the heap
+// order bottom-up. Dispatch order is unchanged: it follows the unique
+// (T, Kind, seq) key, never the heap's layout.
+func (e *Engine) compact() {
+	q := e.queue
+	live := q[:0]
+	for _, ev := range q {
+		if ev.canceled {
+			e.recycle(ev)
+		} else {
+			live = append(live, ev)
+		}
+	}
+	clear(q[len(live):])
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		live.down(i)
+	}
+	e.queue = live
+	e.dead = 0
 }
 
 // Stop makes Run return after the current event's handler completes. A
@@ -217,6 +260,7 @@ func (e *Engine) Run(handle func(Event)) {
 	for len(e.queue) > 0 && !e.stopped {
 		ev := e.queue.pop()
 		if ev.canceled {
+			e.dead--
 			e.recycle(ev)
 			continue
 		}

@@ -376,3 +376,72 @@ func TestPoolingDoesNotChangeDispatchOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelChurnCompactsQueue drives the controller pattern: handlers
+// that cancel running jobs' end events and reschedule them, many times
+// per dispatch. The queue must stay O(pending) — canceled events are
+// compacted away instead of waiting for their time — and the dispatch
+// sequence must equal a naive reference that keeps only live events and
+// always fires the least (T, Kind, seq) one.
+func TestCancelChurnCompactsQueue(t *testing.T) {
+	for _, noPool := range []bool{false, true} {
+		r := rand.New(rand.NewSource(7))
+		e := NewEngine()
+		e.NoPool = noPool
+		type ref struct {
+			t   Time
+			seq int
+		}
+		live := map[int]ref{} // payload id -> reference key
+		handles := map[int]Handle{}
+		seq := 0
+		schedule := func(id int, at Time) {
+			h, err := e.Schedule(at, EvEnd, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles[id], live[id] = h, ref{at, seq}
+			seq++
+		}
+		for id := 0; id < 200; id++ {
+			schedule(id, Time(1+r.Intn(1000)))
+		}
+		next := 200
+		dispatched := 0
+		e.Run(func(ev Event) {
+			id := ev.Payload.(int)
+			want, ok := live[id]
+			if !ok {
+				t.Fatalf("dispatched event %d, which is not live", id)
+			}
+			for oid, o := range live {
+				if o.t < want.t || (o.t == want.t && o.seq < want.seq) {
+					t.Fatalf("dispatched %d at %v while %d at %v (seq %d) was due first", id, want.t, oid, o.t, o.seq)
+				}
+			}
+			delete(live, id)
+			delete(handles, id)
+			dispatched++
+			// Re-gear: move many live events to new times.
+			for oid, h := range handles {
+				if r.Intn(3) == 0 {
+					e.Cancel(h)
+					schedule(oid, ev.T+Time(r.Intn(500)))
+				}
+			}
+			if dispatched <= 600 {
+				schedule(next, ev.T+Time(1+r.Intn(1000)))
+				next++
+			}
+			if q := len(e.queue); q > 2*e.Len()+deadSlack+1 {
+				t.Fatalf("queue holds %d events for %d live ones", q, e.Len())
+			}
+		})
+		if len(live) != 0 || e.Len() != 0 || len(e.queue) != 0 {
+			t.Fatalf("noPool=%v: %d live, Len %d, queue %d after the run", noPool, len(live), e.Len(), len(e.queue))
+		}
+		if dispatched != 800 {
+			t.Fatalf("noPool=%v: dispatched %d events, want 800", noPool, dispatched)
+		}
+	}
+}
