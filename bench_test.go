@@ -375,8 +375,7 @@ func BenchmarkSweepSerialVsParallel(b *testing.B) {
 // heapSampler rides along as an extra recorder and samples the live heap
 // every sampleEvery scheduling passes, capturing the peak. It lets the
 // large-scale benchmarks verify the streamed-arrival engine keeps memory
-// O(running jobs) where the seed implementation held the whole trace in
-// the event heap.
+// O(running jobs) rather than O(trace).
 type heapSampler struct {
 	every int
 	n     int
@@ -398,146 +397,65 @@ func (h *heapSampler) PassEnd(now float64, queued, busy int) {
 	}
 }
 
-// BenchmarkHotPathSeedVsOptimized replays the Million stress preset
-// through the seed-era scheduler hot path (upfront arrival heap, linear
-// scan completion removal, per-pass allocation) and the optimized one
-// (streamed arrivals, tombstoned run list, pooled events and reused
-// scratch). Both produce byte-identical schedules — the determinism
-// regression in internal/sched proves it — so the ratio is pure
-// implementation speedup. Results are recorded in BENCH_sched.json.
-func BenchmarkHotPathSeedVsOptimized(b *testing.B) {
+// BenchmarkHotPathMillion replays the Million stress preset under EASY
+// through the scheduler hot path (streamed arrivals, tombstoned run list,
+// pooled events and reused scratch). Results are recorded in
+// BENCH_sched.json; cmd/benchgate holds the 1M-job sub-run's allocs/op
+// under a ceiling in CI.
+func BenchmarkHotPathMillion(b *testing.B) {
 	for _, jobs := range []int{100_000, 1_000_000} {
-		for _, mode := range []struct {
-			name   string
-			compat sched.Compat
-		}{
-			{"seed", sched.SeedCompat()},
-			{"optimized", sched.Compat{}},
-		} {
-			b.Run(fmt.Sprintf("jobs=%d/%s", jobs, mode.name), func(b *testing.B) {
-				tr := benchTrace(b, "Million", jobs)
-				b.ReportAllocs()
-				b.ResetTimer()
-				sampler := &heapSampler{every: 4096}
-				peakEvents := 0
-				for i := 0; i < b.N; i++ {
-					out, err := runner.Run(runner.Spec{
-						Trace:          tr,
-						Compat:         mode.compat,
-						ExtraRecorders: []sched.Recorder{sampler},
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if out.Results.Jobs != jobs {
-						b.Fatalf("completed %d jobs, want %d", out.Results.Jobs, jobs)
-					}
-					peakEvents = out.PeakEvents
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			tr := benchTrace(b, "Million", jobs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			sampler := &heapSampler{every: 4096}
+			peakEvents := 0
+			for i := 0; i < b.N; i++ {
+				out, err := runner.Run(runner.Spec{
+					Trace:          tr,
+					ExtraRecorders: []sched.Recorder{sampler},
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
-				b.ReportMetric(float64(sampler.peak)/(1<<20), "peak-heap-MB")
-				b.ReportMetric(float64(peakEvents), "peak-events")
-			})
-		}
-	}
-}
-
-// BenchmarkConservativeMillionPreset replays Million-preset trace
-// segments under conservative backfilling, the variant that replans every
-// queued job against the availability profile each pass. Three modes span
-// the profile's history: the seed path insertion-sorts two deltas per
-// occupancy entry into a flat list — O(n) memmoves per entry, O(n²) per
-// replanning pass over n running jobs — and re-sorts the release list
-// from scratch every pass; the rebuild path (PR 3/4, Compat.RebuildProfile)
-// bulk-loads the incrementally maintained (PlannedEnd, id)-sorted release
-// schedule every pass, still O(running + queued) per pass; the optimized
-// path persists the profile across passes — O(1) base updates per event,
-// retained reservations under the changed-prefix analysis, and the
-// skyline-tree EarliestStart. Results are recorded in BENCH_sched.json;
-// the schedules are byte-identical across modes (internal/sched
-// determinism tests).
-func BenchmarkConservativeMillionPreset(b *testing.B) {
-	for _, jobs := range []int{10_000, 40_000} {
-		for _, mode := range []struct {
-			name   string
-			compat sched.Compat
-		}{
-			{"seed", sched.SeedCompat()},
-			{"rebuild", sched.Compat{RebuildProfile: true}},
-			{"optimized", sched.Compat{}},
-		} {
-			b.Run(fmt.Sprintf("jobs=%d/%s", jobs, mode.name), func(b *testing.B) {
-				tr := benchTrace(b, "Million", jobs)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					out, err := runner.Run(runner.Spec{
-						Trace:   tr,
-						Variant: sched.Conservative,
-						Compat:  mode.compat,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if out.Results.Jobs != jobs {
-						b.Fatalf("completed %d jobs, want %d", out.Results.Jobs, jobs)
-					}
+				if out.Results.Jobs != jobs {
+					b.Fatalf("completed %d jobs, want %d", out.Results.Jobs, jobs)
 				}
-				b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
-			})
-		}
+				peakEvents = out.PeakEvents
+			}
+			b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
+			b.ReportMetric(float64(sampler.peak)/(1<<20), "peak-heap-MB")
+			b.ReportMetric(float64(peakEvents), "peak-events")
+		})
 	}
 }
 
 // BenchmarkConservativeFullMillion replays the FULL Million preset — all
 // one million jobs, streamed so no trace slice exists — under
 // conservative backfilling, the replanning-heavy regime system-scale
-// power-management replays operate in. The modes isolate successive wins
-// on top of PR 5's persistent profile: "memmove" keeps the (PlannedEnd,
-// id)-sorted release cache as a flat slice whose inserts and removes
-// each move O(running jobs) entries (Compat.SliceReleases, the PR 5
-// path); "flatresv" has the chunked release index but keeps the profile
-// on its flat tiers — append-and-resort pending buffer, skyline-tree
-// rebuilds, flat reservation slices (Compat.FlatReservations, the PR 6-8
-// path); "optimized" is the full chunked-index profile — skyline and
-// reservation tiers both chunked, plus the widened changed-prefix
-// analysis. Schedules are byte-identical across the modes
-// (TestCompatModesProduceIdenticalSchedules, the index differential
-// suites). The seed and rebuild modes are deliberately absent: at ~300
-// jobs/s the seed path would need close to an hour per iteration; their
-// ratios stay pinned at 10k/40k jobs by BenchmarkConservativeMillionPreset.
-// Results are recorded in BENCH_sched.json; cmd/benchgate gates 4 and 6
-// hold the optimized/memmove and optimized/flatresv ratios in CI.
+// power-management replays operate in: the persistent profile with
+// chunked skyline and reservation indexes, the chunked release index and
+// the changed-prefix reservation reuse. Results are recorded in
+// BENCH_sched.json; cmd/benchgate holds its allocs/op under a ceiling in
+// CI.
 func BenchmarkConservativeFullMillion(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		compat sched.Compat
-	}{
-		{"memmove", sched.Compat{SliceReleases: true}},
-		{"flatresv", sched.Compat{FlatReservations: true}},
-		{"optimized", sched.Compat{}},
-	} {
-		b.Run(fmt.Sprintf("jobs=%d/%s", wgen.MillionJobs, mode.name), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				src, err := wgen.Stream(wgen.Million())
-				if err != nil {
-					b.Fatal(err)
-				}
-				out, err := runner.Run(runner.Spec{
-					Source:  src,
-					Variant: sched.Conservative,
-					Compat:  mode.compat,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Results.Jobs != wgen.MillionJobs {
-					b.Fatalf("completed %d jobs, want %d", out.Results.Jobs, wgen.MillionJobs)
-				}
+	b.Run(fmt.Sprintf("jobs=%d", wgen.MillionJobs), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			src, err := wgen.Stream(wgen.Million())
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(wgen.MillionJobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
-		})
-	}
+			out, err := runner.Run(runner.Spec{Source: src, Variant: sched.Conservative})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out.Results.Jobs != wgen.MillionJobs {
+				b.Fatalf("completed %d jobs, want %d", out.Results.Jobs, wgen.MillionJobs)
+			}
+		}
+		b.ReportMetric(float64(wgen.MillionJobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
+	})
 }
 
 // BenchmarkControllerMillion measures the power-controller layer's
@@ -547,8 +465,8 @@ func BenchmarkConservativeFullMillion(b *testing.B) {
 // its control law every pass but never actuates (the neutrality tests in
 // internal/altpolicy prove the schedule is byte-identical, and the
 // Results are asserted identical across the modes here). The capped/off
-// jobs/s ratio is therefore pure controller-layer cost; cmd/benchgate
-// gate 5 holds it against BENCH_sched.json in CI.
+// jobs/s ratio is therefore pure controller-layer cost; cmd/benchgate's
+// controller gate holds it against BENCH_sched.json in CI.
 func BenchmarkControllerMillion(b *testing.B) {
 	const jobs = 1_000_000
 	var off *metrics.Results
@@ -585,8 +503,7 @@ func BenchmarkControllerMillion(b *testing.B) {
 
 // BenchmarkConservativeTenMillion replays the full TenMillion preset
 // under conservative backfilling through the streaming pipeline —
-// replanning at the scale PR 4 opened for EASY. Optimized-only: the
-// memmove mode at this length is benchmarked at one million jobs above.
+// replanning at ten times BenchmarkConservativeFullMillion's length.
 func BenchmarkConservativeTenMillion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src, err := wgen.Stream(wgen.TenMillion())

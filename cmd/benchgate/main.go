@@ -1,62 +1,37 @@
-// Command benchgate guards the scheduler hot path's throughput and the
-// streaming pipeline's memory footprint in CI: it parses `go test -bench`
-// output and compares two quantities against the last committed entries
-// of BENCH_sched.json, failing the build on a regression beyond the
-// allowed fraction.
+// Command benchgate guards the scheduler hot path's allocation behavior,
+// the streaming pipeline's memory footprint and the power-controller
+// layer's overhead in CI: it parses `go test -bench` output and compares
+// each gated quantity against the newest committed entry of
+// BENCH_sched.json carrying it, failing the build on a regression beyond
+// the gate's allowance. The gates are the rows of the gates table:
 //
-// Gate 1 — throughput: the Million-preset seed-vs-optimized speedup
-// ratio. The gate is a ratio, not absolute jobs/s, on purpose: both modes
-// run in the same bench invocation on the same host, so dividing them
-// cancels runner hardware out — a slow CI machine scales both numbers
-// down together, while an accidental O(n²) hiding in the optimized pass
-// loop craters only the numerator. Absolute thresholds would instead
-// track whatever hardware CI happens to land on.
+//   - hot-path: allocs/op of the EASY Million replay
+//     (BenchmarkHotPathMillion, 1M jobs). A deterministic replay's
+//     allocation count is host-independent, so the absolute number is a
+//     stable ceiling: per-job allocations creeping back into the streamed,
+//     pooled pass loop show up as a multiple of the baseline.
+//   - heap: the streamed Million replay's peak-heap-MB high-water
+//     (BenchmarkStreamingMillionHeap). An O(trace) slice sneaking back
+//     into the streaming path shows up as a ~5x jump.
+//   - replanning: allocs/op of the conservative FULL-Million replay
+//     (BenchmarkConservativeFullMillion), which exercises the persistent
+//     profile, its chunked skyline and reservation indexes and the chunked
+//     release index; chunk recycling or scratch reuse breaking there shows
+//     up as allocations.
+//   - controller: the EASY Million capped/off throughput ratio
+//     (BenchmarkControllerMillion). The capped mode runs the PI power-cap
+//     controller at CapFrac=1, where it meters and decides every pass but
+//     never actuates, so the ratio isolates the controller layer's
+//     observe/decide cost. Both sub-runs come from one invocation on one
+//     host, so the ratio cancels runner hardware out.
 //
-// Gate 2 — memory: the streamed Million replay's peak-heap-MB high-water
-// (BenchmarkStreamingMillionHeap). Unlike wall clock, the allocation
-// pattern of a deterministic replay is essentially host-independent, so
-// this gate compares the absolute megabytes: an O(trace) slice sneaking
-// back into the streaming path shows up as a ~5x jump, far beyond the
-// regression allowance.
-//
-// Gate 3 — replanning: the conservative-backfilling Million-preset
-// seed-vs-optimized speedup ratio (BenchmarkConservativeMillionPreset).
-// Conservative replans every queued job against the availability profile
-// each pass, so this ratio holds the incremental-replanning win — the
-// persistent profile, the changed-prefix reservation reuse and the
-// skyline-tree EarliestStart — the same way gate 1 holds the hot-path
-// win: as a same-host ratio that cancels runner hardware out.
-//
-// Gate 4 — release index: the conservative FULL-Million-preset
-// memmove-vs-optimized speedup ratio (BenchmarkConservativeFullMillion).
-// The baseline mode here is Compat.SliceReleases — the PR 5 flat release
-// cache whose O(running) memmove insert/remove dominated replanning
-// passes once the profile persisted — because the seed path is infeasible
-// at one million jobs (close to an hour per run). The ratio holds the
-// chunked ordered release index's win at system scale.
-//
-// Gate 5 — controller overhead: the EASY Million-preset capped-vs-off
-// throughput ratio (BenchmarkControllerMillion). The capped mode runs the
-// PI power-cap controller at CapFrac=1, where it meters and decides every
-// pass but never actuates, so the schedule is byte-identical and the
-// ratio isolates the power-controller layer's observe/decide cost. Like
-// the other ratios it cancels runner hardware out; a drop means the
-// controller hot path (O(1) metering, the control law, the gear-ceiling
-// walk) grew beyond its allowance.
-//
-// Gate 6 — reservation tier: the conservative FULL-Million-preset
-// flatresv-vs-optimized speedup ratio, from the same
-// BenchmarkConservativeFullMillion invocation gate 4 reads. The baseline
-// mode is Compat.FlatReservations — the PR 6-8 flat profile tiers
-// (pending buffer + skyline tree + flat reservation slices) — so the
-// ratio isolates exactly what the chunked skyline and reservation
-// indexes bought, independently of the release-index win gate 4 holds.
-//
-// Every gate disables via an empty benchmark name.
+// Wall-clock regressions of the replay paths are the repo benchmark's job
+// (BENCHMARK.json: dvfs-queue, thunder-conservative), which compares
+// repeated runs against the parent commit on one host.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'HotPathSeedVsOptimized|StreamingMillionHeap|ConservativeMillionPreset|ConservativeFullMillion|ControllerMillion' -benchtime 1x . | tee bench.out
+//	go test -run '^$' -bench 'HotPathMillion|StreamingMillionHeap|ConservativeFullMillion|ControllerMillion' -benchtime 1x . | tee bench.out
 //	go run ./cmd/benchgate -bench bench.out
 package main
 
@@ -71,135 +46,68 @@ import (
 	"strings"
 )
 
-// benchFile mirrors the subset of BENCH_sched.json the gates need.
+// gate is one guarded quantity. A ceiling gate holds the sub-run's
+// metric at most allowance above its baseline; a ratio gate (base set)
+// holds the optMode/baseMode jobs/s ratio at most allowance below the
+// baseline ratio.
+type gate struct {
+	label     string
+	benchmark string
+	jobs      int
+	// mode is the sub-run under benchmark/jobs=N (empty for none); for a
+	// ratio gate, the numerator mode.
+	mode string
+	// unit is the bench-output metric a ceiling gate reads and field the
+	// BENCH_sched.json row field holding its baseline.
+	unit, field string
+	// base is a ratio gate's denominator mode.
+	base      string
+	allowance float64
+}
+
+// gates is the table run evaluates, in order.
+var gates = []gate{
+	{label: "hot-path", benchmark: "BenchmarkHotPathMillion", jobs: 1_000_000,
+		unit: "allocs/op", field: "allocs_per_op", allowance: 0.20},
+	{label: "heap", benchmark: "BenchmarkStreamingMillionHeap", jobs: 1_000_000, mode: "streamed",
+		unit: "peak-heap-MB", field: "peak_heap_mb", allowance: 0.20},
+	{label: "replanning", benchmark: "BenchmarkConservativeFullMillion", jobs: 1_000_000,
+		unit: "allocs/op", field: "allocs_per_op", allowance: 0.20},
+	{label: "controller", benchmark: "BenchmarkControllerMillion", jobs: 1_000_000, mode: "capped",
+		base: "off", allowance: 0.20},
+}
+
+// benchFile mirrors the subset of BENCH_sched.json the gates need; each
+// result row stays a generic object so a gate can name the field it
+// reads.
 type benchFile struct {
 	Entries []struct {
-		PR        int    `json:"pr"`
-		Benchmark string `json:"benchmark"`
-		Results   []struct {
-			Jobs       int     `json:"jobs"`
-			Mode       string  `json:"mode"`
-			JobsPerS   float64 `json:"jobs_per_s"`
-			PeakHeapMB float64 `json:"peak_heap_mb"`
-		} `json:"results"`
+		Benchmark string           `json:"benchmark"`
+		Results   []map[string]any `json:"results"`
 	} `json:"entries"`
 }
 
-// config carries every gate's knobs; each gate disables via an empty
-// benchmark name.
-type config struct {
-	benchPath, basePath string
-
-	benchmark  string // gate 1
-	jobs       int
-	maxRegress float64
-
-	heapBench  string // gate 2
-	heapGrowth float64
-
-	consBench   string // gate 3
-	consJobs    int
-	consRegress float64
-
-	idxBench   string // gate 4
-	idxJobs    int
-	idxRegress float64
-
-	ctrlBench   string // gate 5
-	ctrlJobs    int
-	ctrlRegress float64
-
-	resvBench   string // gate 6
-	resvJobs    int
-	resvRegress float64
-}
-
-func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
-	var cfg config
-	fs.StringVar(&cfg.benchPath, "bench", "bench.out", "go test -bench output to scan")
-	fs.StringVar(&cfg.basePath, "baseline", "BENCH_sched.json", "committed performance trajectory")
-	fs.StringVar(&cfg.benchmark, "benchmark", "BenchmarkHotPathSeedVsOptimized", "throughput benchmark to gate on (empty disables the throughput gate)")
-	fs.IntVar(&cfg.jobs, "jobs", 1_000_000, "Million-preset job count of the gated sub-runs")
-	fs.Float64Var(&cfg.maxRegress, "max-regress", 0.20, "maximum allowed fractional drop of the optimized/seed speedup")
-	fs.StringVar(&cfg.heapBench, "heap-benchmark", "BenchmarkStreamingMillionHeap", "streaming peak-heap benchmark to gate on (empty disables the heap gate)")
-	fs.Float64Var(&cfg.heapGrowth, "heap-max-growth", 0.20, "maximum allowed fractional growth of the streamed peak heap")
-	fs.StringVar(&cfg.consBench, "cons-benchmark", "BenchmarkConservativeMillionPreset", "replanning benchmark to gate on (empty disables the replanning gate)")
-	fs.IntVar(&cfg.consJobs, "cons-jobs", 40_000, "Million-preset job count of the gated replanning sub-runs")
-	fs.Float64Var(&cfg.consRegress, "cons-max-regress", 0.20, "maximum allowed fractional drop of the replanning optimized/seed speedup")
-	fs.StringVar(&cfg.idxBench, "relindex-benchmark", "BenchmarkConservativeFullMillion", "release-index benchmark to gate on (empty disables the release-index gate)")
-	fs.IntVar(&cfg.idxJobs, "relindex-jobs", 1_000_000, "job count of the gated full-preset replanning sub-runs")
-	fs.Float64Var(&cfg.idxRegress, "relindex-max-regress", 0.20, "maximum allowed fractional drop of the optimized/memmove speedup")
-	fs.StringVar(&cfg.ctrlBench, "ctrl-benchmark", "BenchmarkControllerMillion", "controller-overhead benchmark to gate on (empty disables the controller gate)")
-	fs.IntVar(&cfg.ctrlJobs, "ctrl-jobs", 1_000_000, "Million-preset job count of the gated controller sub-runs")
-	fs.Float64Var(&cfg.ctrlRegress, "ctrl-max-regress", 0.20, "maximum allowed fractional drop of the capped/off throughput ratio")
-	fs.StringVar(&cfg.resvBench, "resv-benchmark", "BenchmarkConservativeFullMillion", "reservation-tier benchmark to gate on (empty disables the reservation-tier gate)")
-	fs.IntVar(&cfg.resvJobs, "resv-jobs", 1_000_000, "job count of the gated reservation-tier sub-runs")
-	fs.Float64Var(&cfg.resvRegress, "resv-max-regress", 0.20, "maximum allowed fractional drop of the optimized/flatresv speedup")
-	if err := fs.Parse(args); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
-}
-
 func main() {
-	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
-	if err != nil {
-		os.Exit(2)
-	}
-	if err := run(cfg, os.Stdout); err != nil {
+	benchPath := flag.String("bench", "bench.out", "go test -bench output to scan")
+	basePath := flag.String("baseline", "BENCH_sched.json", "committed performance trajectory")
+	flag.Parse()
+	if err := run(gates, *benchPath, *basePath, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
 }
 
-// run evaluates every enabled gate in order and returns the first
-// violation or read error.
-func run(cfg config, out io.Writer) error {
-	if cfg.benchmark != "" {
-		if err := gateRatio(out, "hot-path", cfg.benchPath, cfg.basePath, cfg.benchmark, cfg.jobs, cfg.maxRegress, "seed", "optimized"); err != nil {
-			return err
+// run evaluates every gate in order and returns the first violation or
+// read error.
+func run(gs []gate, benchPath, basePath string, out io.Writer) error {
+	for _, g := range gs {
+		var err error
+		if g.base != "" {
+			err = gateRatio(out, g, benchPath, basePath)
+		} else {
+			err = gateCeiling(out, g, benchPath, basePath)
 		}
-	}
-
-	if cfg.heapBench != "" {
-		baseHeap, err := baselineHeapMB(cfg.basePath, cfg.heapBench, cfg.jobs, "streamed")
 		if err != nil {
-			return err
-		}
-		target := fmt.Sprintf("%s/jobs=%d/streamed", cfg.heapBench, cfg.jobs)
-		heap, err := measuredMetric(cfg.benchPath, target, "peak-heap-MB")
-		if err != nil {
-			return err
-		}
-		ceiling := baseHeap * (1 + cfg.heapGrowth)
-		fmt.Fprintf(out, "benchgate: streamed peak heap %.1f MB; baseline %.1f MB, ceiling %.1f MB\n",
-			heap, baseHeap, ceiling)
-		if heap > ceiling {
-			return fmt.Errorf("streamed peak heap grew %.1f%% (> %.0f%% allowed): %.1f MB > %.1f MB",
-				100*(heap/baseHeap-1), 100*cfg.heapGrowth, heap, ceiling)
-		}
-	}
-
-	if cfg.consBench != "" {
-		if err := gateRatio(out, "replanning", cfg.benchPath, cfg.basePath, cfg.consBench, cfg.consJobs, cfg.consRegress, "seed", "optimized"); err != nil {
-			return err
-		}
-	}
-
-	if cfg.idxBench != "" {
-		if err := gateRatio(out, "release-index", cfg.benchPath, cfg.basePath, cfg.idxBench, cfg.idxJobs, cfg.idxRegress, "memmove", "optimized"); err != nil {
-			return err
-		}
-	}
-
-	if cfg.ctrlBench != "" {
-		if err := gateRatio(out, "controller", cfg.benchPath, cfg.basePath, cfg.ctrlBench, cfg.ctrlJobs, cfg.ctrlRegress, "off", "capped"); err != nil {
-			return err
-		}
-	}
-
-	if cfg.resvBench != "" {
-		if err := gateRatio(out, "reservation-tier", cfg.benchPath, cfg.basePath, cfg.resvBench, cfg.resvJobs, cfg.resvRegress, "flatresv", "optimized"); err != nil {
 			return err
 		}
 	}
@@ -207,74 +115,72 @@ func run(cfg config, out io.Writer) error {
 	return nil
 }
 
-// gateRatio holds one optMode/baseMode speedup ratio against the newest
-// committed baseline of the given benchmark, returning an error when it
-// drops beyond the allowed fraction. Both sub-runs come from the same
-// bench invocation on the same host, so the ratio cancels runner
-// hardware out.
-func gateRatio(out io.Writer, label, benchPath, basePath, benchmark string, jobs int, maxRegress float64, baseMode, optMode string) error {
-	base, err := baselineRatio(basePath, benchmark, jobs, baseMode, optMode)
+// subRun names a gate's sub-run in the bench output.
+func (g gate) subRun(mode string) string {
+	s := fmt.Sprintf("%s/jobs=%d", g.benchmark, g.jobs)
+	if mode != "" {
+		s += "/" + mode
+	}
+	return s
+}
+
+// gateCeiling holds the measured metric at most allowance above the
+// newest committed baseline row.
+func gateCeiling(out io.Writer, g gate, benchPath, basePath string) error {
+	base, err := baselineValue(basePath, g.benchmark, g.jobs, g.mode, g.field)
 	if err != nil {
 		return err
 	}
-	prefix := fmt.Sprintf("%s/jobs=%d/", benchmark, jobs)
-	ref, err := measuredMetric(benchPath, prefix+baseMode, "jobs/s")
+	v, err := measuredMetric(benchPath, g.subRun(g.mode), g.unit)
 	if err != nil {
 		return err
 	}
-	opt, err := measuredMetric(benchPath, prefix+optMode, "jobs/s")
-	if err != nil {
-		return err
-	}
-	ratio := opt / ref
-	floor := base * (1 - maxRegress)
-	fmt.Fprintf(out, "benchgate: %s %s/%s speedup %.2fx (%s %.0f, %s %.0f jobs/s); baseline %.2fx, floor %.2fx\n",
-		label, optMode, baseMode, ratio, optMode, opt, baseMode, ref, base, floor)
-	if ratio < floor {
-		return fmt.Errorf("%s speedup regressed %.1f%% (> %.0f%% allowed): %.2fx < %.2fx",
-			label, 100*(1-ratio/base), 100*maxRegress, ratio, floor)
+	ceiling := base * (1 + g.allowance)
+	fmt.Fprintf(out, "benchgate: %s %.1f %s; baseline %.1f, ceiling %.1f\n", g.label, v, g.unit, base, ceiling)
+	if v > ceiling {
+		return fmt.Errorf("%s grew %.1f%% (> %.0f%% allowed): %.1f %s > %.1f",
+			g.label, 100*(v/base-1), 100*g.allowance, v, g.unit, ceiling)
 	}
 	return nil
 }
 
-// baselineRatio returns optMode/baseMode jobs/s from the newest
-// BENCH_sched.json entry of the benchmark carrying both rows at the
-// given job count.
-func baselineRatio(path, benchmark string, jobs int, baseMode, optMode string) (float64, error) {
-	raw, err := os.ReadFile(path)
+// gateRatio holds the optMode/baseMode jobs/s ratio at most allowance
+// below the newest committed baseline ratio. Both sub-runs come from the
+// same bench invocation on the same host, so the ratio cancels runner
+// hardware out.
+func gateRatio(out io.Writer, g gate, benchPath, basePath string) error {
+	ref, err := baselineValue(basePath, g.benchmark, g.jobs, g.base, "jobs_per_s")
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var bf benchFile
-	if err := json.Unmarshal(raw, &bf); err != nil {
-		return 0, fmt.Errorf("%s: %w", path, err)
+	opt, err := baselineValue(basePath, g.benchmark, g.jobs, g.mode, "jobs_per_s")
+	if err != nil {
+		return err
 	}
-	for i := len(bf.Entries) - 1; i >= 0; i-- {
-		if bf.Entries[i].Benchmark != benchmark {
-			continue
-		}
-		var ref, opt float64
-		for _, r := range bf.Entries[i].Results {
-			if r.Jobs != jobs {
-				continue
-			}
-			switch r.Mode {
-			case baseMode:
-				ref = r.JobsPerS
-			case optMode:
-				opt = r.JobsPerS
-			}
-		}
-		if ref > 0 && opt > 0 {
-			return opt / ref, nil
-		}
+	base := opt / ref
+	mRef, err := measuredMetric(benchPath, g.subRun(g.base), "jobs/s")
+	if err != nil {
+		return err
 	}
-	return 0, fmt.Errorf("%s: no %s entry with %s+%s rows at jobs=%d", path, benchmark, baseMode, optMode, jobs)
+	mOpt, err := measuredMetric(benchPath, g.subRun(g.mode), "jobs/s")
+	if err != nil {
+		return err
+	}
+	ratio := mOpt / mRef
+	floor := base * (1 - g.allowance)
+	fmt.Fprintf(out, "benchgate: %s %s/%s ratio %.2fx (%s %.0f, %s %.0f jobs/s); baseline %.2fx, floor %.2fx\n",
+		g.label, g.mode, g.base, ratio, g.mode, mOpt, g.base, mRef, base, floor)
+	if ratio < floor {
+		return fmt.Errorf("%s ratio regressed %.1f%% (> %.0f%% allowed): %.2fx < %.2fx",
+			g.label, 100*(1-ratio/base), 100*g.allowance, ratio, floor)
+	}
+	return nil
 }
 
-// baselineHeapMB returns the peak_heap_mb of the newest BENCH_sched.json
-// entry of the benchmark carrying a row at the given job count and mode.
-func baselineHeapMB(path, benchmark string, jobs int, mode string) (float64, error) {
+// baselineValue returns the given field of the newest BENCH_sched.json
+// entry of the benchmark carrying a positive value for it in a row at
+// the given job count and mode (a row without a mode matches "").
+func baselineValue(path, benchmark string, jobs int, mode, field string) (float64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
@@ -287,18 +193,23 @@ func baselineHeapMB(path, benchmark string, jobs int, mode string) (float64, err
 		if bf.Entries[i].Benchmark != benchmark {
 			continue
 		}
-		for _, r := range bf.Entries[i].Results {
-			if r.Jobs == jobs && r.Mode == mode && r.PeakHeapMB > 0 {
-				return r.PeakHeapMB, nil
+		for _, row := range bf.Entries[i].Results {
+			rj, _ := row["jobs"].(float64)
+			rm, _ := row["mode"].(string)
+			v, _ := row[field].(float64)
+			if rj == float64(jobs) && rm == mode && v > 0 {
+				return v, nil
 			}
 		}
 	}
-	return 0, fmt.Errorf("%s: no %s entry with a %s peak_heap_mb row at jobs=%d", path, benchmark, mode, jobs)
+	return 0, fmt.Errorf("%s: no %s entry with a %s row at jobs=%d mode=%q", path, benchmark, field, jobs, mode)
 }
 
 // measuredMetric scans go-test bench output for the target sub-run and
 // returns the value reported with the given unit. Benchmark lines read:
 // Name-P  N  <value> <unit>  <value> <unit> ...
+// The target must match the name up to the -P suffix, so a sub-run is
+// never mistaken for a deeper one it prefixes.
 func measuredMetric(path, target, unit string) (float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -309,7 +220,7 @@ func measuredMetric(path, target, unit string) (float64, error) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
-		if len(fields) < 2 || !strings.HasPrefix(fields[0], target) {
+		if len(fields) < 2 || !matchesSubRun(fields[0], target) {
 			continue
 		}
 		for i := 2; i < len(fields)-1; i++ {
@@ -327,4 +238,18 @@ func measuredMetric(path, target, unit string) (float64, error) {
 		return 0, err
 	}
 	return 0, fmt.Errorf("%s: no bench line matching %s", path, target)
+}
+
+// matchesSubRun reports whether a bench line's name is target, optionally
+// followed by go test's -GOMAXPROCS suffix.
+func matchesSubRun(name, target string) bool {
+	rest, ok := strings.CutPrefix(name, target)
+	if !ok {
+		return false
+	}
+	if rest == "" {
+		return true
+	}
+	_, err := strconv.Atoi(strings.TrimPrefix(rest, "-"))
+	return strings.HasPrefix(rest, "-") && err == nil
 }

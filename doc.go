@@ -70,12 +70,12 @@
 //
 // The scheduler hot path is built for multi-million-job workloads (the
 // wgen Million and TenMillion presets; BENCH_sched.json tracks the
-// trajectory and CI's cmd/benchgate fails the build when any of the
-// gated speedup ratios — EASY optimized/seed, conservative
-// optimized/seed, conservative full-preset optimized/memmove and
-// optimized/flatresv, the power-controller capped/off overhead — drops
-// more than 20%, or the streamed replay's peak heap grows more than
-// 20%, against it). For digging into a regression, cmd/bsldsim takes
+// trajectory and CI's cmd/benchgate fails the build when the allocs/op
+// of the EASY Million or the conservative full-Million replay, or the
+// streamed replay's peak heap, grows more than 20%, or the
+// power-controller capped/off throughput ratio drops more than 20%,
+// against it; wall-clock regressions are the repo benchmark's job,
+// BENCHMARK.json). For digging into a regression, cmd/bsldsim takes
 // -cpuprofile/-memprofile and writes pprof profiles of a whole run
 // (bench_test.go's benchmarks equally accept go test's own -cpuprofile).
 // Nine properties keep the path fast and flat in memory:
@@ -117,16 +117,16 @@
 //     folds Results online and holds no per-job records. A 1M-job EASY
 //     replay runs at ~1.3M jobs/s with ~0.12 allocations per job.
 //   - Log-time availability profile: internal/profile keeps its usage
-//     deltas in a prefix-summed sorted tier plus a deferred-merge
-//     pending tier (binary-searched point queries, append-only Add),
-//     and bulk-loads the scheduler's incrementally maintained release
-//     skyline in one pass — conservative backfilling's replanning is no
-//     longer quadratic in profile size.
+//     deltas in chunked ordered indexes (point queries and edits cost a
+//     directory search plus one chunk), and bulk-loads the scheduler's
+//     incrementally maintained release schedule in one pass —
+//     conservative backfilling's replanning is not quadratic in profile
+//     size.
 //   - Persistent replanning profile: the conservative/flexible variants
 //     no longer rebuild the profile each pass. The base skyline persists
 //     across passes (job starts, completions and gear switches apply
-//     O(1) occupancy/credit deltas; expired and cancelling pairs fold
-//     away during merges), reservations placed in earlier passes are
+//     occupancy/credit deltas; cancelling pairs annihilate on contact and
+//     expired history folds behind the pass horizon), reservations placed in earlier passes are
 //     retained and reused verbatim up to the first queue position whose
 //     replan could differ (the changed-prefix invariant: an untouched
 //     base, the same job at the same position, planning inputs still in
@@ -144,14 +144,12 @@
 //     bulk loads — lives in a directory of sorted bounded chunks
 //     (internal/sched/relindex.go) instead of one flat slice, so each
 //     start, completion and gear switch costs a binary search plus a
-//     single-chunk memmove rather than an O(running) shift. The slice
-//     path survives behind Compat.SliceReleases as the differential
-//     reference (sorted-slice oracle suite, FuzzReleaseIndex, pinned
-//     shadow edge cases), and a release-schedule inconsistency now
-//     surfaces as an error from Simulate instead of a panic.
-//     Conservative backfilling over the flat profile tiers ran the FULL
-//     Million preset at 72k jobs/s, 2.3x over the memmove path
-//     (BENCH_sched.json).
+//     single-chunk memmove rather than an O(running) shift. A
+//     sorted-slice oracle suite and FuzzReleaseIndex pin it, and a
+//     release-schedule inconsistency surfaces as an error from Simulate
+//     instead of a panic. Conservative backfilling over the flat profile
+//     tiers of the time ran the FULL Million preset at 72k jobs/s, 2.3x
+//     over the memmove slice it replaced (BENCH_sched.json).
 //   - Blocked EASY passes on the index: classic EASY keeps the same
 //     release index as the replanning variants. Its first blocked pass
 //     (a queue head that cannot start) builds the index from the run
@@ -187,19 +185,22 @@
 //     replanning loop's ascending EarliestStart calls re-enter the sweep
 //     at the previous cursor — reservation-tier changes never invalidate
 //     it (the overlay re-seeks per query), only base mutations and folds
-//     bump the version. The flat tiers (pending buffer + skyline tree +
-//     sorted reservation slices) survive behind Compat.FlatReservations
-//     as the differential reference, pinned by a pairwise quick suite,
-//     FuzzReservationTier and the compat fixtures. Conservative
-//     backfilling runs the FULL Million preset at 218k jobs/s (2.8x
-//     over the flat tiers) and the TenMillion preset at 195k jobs/s —
-//     near-flat scaling to ten million jobs (BENCH_sched.json).
+//     bump the version. A flat sorted-slice oracle in the profile tests
+//     and FuzzReservationTier pin them. Conservative backfilling runs the
+//     FULL Million preset at 218k jobs/s (2.8x over the flat tiers these
+//     replaced) and the TenMillion preset at 195k jobs/s — near-flat
+//     scaling to ten million jobs (BENCH_sched.json).
 //
-// The seed-era implementations remain available behind sched.Compat /
-// sched.SeedCompat() purely as a benchmark reference; determinism
-// regressions assert both paths produce identical schedules under every
-// base policy and queue order, and TestGoldenArtifactCSVs pins every
-// paper table and figure byte-for-byte against testdata/golden.
+// Each layer has exactly one implementation. The differential oracle is
+// a test-only reference simulator in internal/sched (reference_test.go):
+// a linear-scan event list, free-CPU counts, an EASY shadow that
+// re-sorts the releases every pass and a conservative/flexible pass that
+// replans every reservation from scratch. The production scheduler must
+// match it start and end time of every job across every variant, queue
+// order, gear policy and re-gearing controller (the differential suite
+// and FuzzScheduleMatchesReference), metamorphic tests in internal/runner check relations that need no
+// second implementation, and TestGoldenArtifactCSVs pins every paper
+// table and figure byte-for-byte against testdata/golden.
 //
 // # Static analysis
 //

@@ -1,7 +1,12 @@
 package altpolicy
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dvfs"
@@ -48,6 +53,23 @@ func (a *schedAudit) equal(b *schedAudit) bool {
 		}
 	}
 	return true
+}
+
+// digest folds the schedule into a SHA-256 over the jobs in ID order:
+// each job's start and end times as exact float bits, with the gear at
+// both endpoints.
+func (a *schedAudit) digest() string {
+	ids := make([]int, 0, len(a.starts))
+	for id := range a.starts {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	h := sha256.New()
+	for _, id := range ids {
+		fmt.Fprintf(h, "%d %x %x %v %v\n", id, math.Float64bits(a.starts[id]),
+			math.Float64bits(a.ends[id]), a.startGear[id], a.endGear[id])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // denseTrace generates a bursty synthetic trace that keeps the machine
@@ -337,35 +359,24 @@ func TestPowerCapCloneIsUnbound(t *testing.T) {
 }
 
 // The utilization-driven policy re-homed onto the controller seam must
-// reproduce its pre-refactor schedules: seed-era scheduler compat and
-// the optimized path agree byte-for-byte.
+// reproduce its pre-refactor schedules. The digests were recorded from a
+// scheduler build that also carried the seed-era implementation, where
+// both produced exactly these schedules.
 func TestUtilizationDrivenSeamCompat(t *testing.T) {
+	want := map[int64]string{
+		1: "321ff50234d84f1fc0cb6d67a4839bde967eee2e771a7281496653de0fa5648b",
+		2: "3b5424a1b88f3a51045c32ab8b12e80cd4a048e920cef8c5a5411288addbb121",
+		3: "dd0967fdfd200d374f6dbf82791deae34e1931fa9de1253d6e18b60e2de13353",
+	}
 	gears := dvfs.PaperGearSet()
 	for seed := int64(1); seed <= 3; seed++ {
-		tr := denseTrace(seed, 32, 250)
-		audits := make(map[string]*schedAudit)
-		for name, compat := range map[string]sched.Compat{"opt": {}, "seed": sched.SeedCompat()} {
-			pol, err := NewUtilizationDriven(gears, 0.3, 0.9)
-			if err != nil {
-				t.Fatal(err)
-			}
-			audit := newSchedAudit()
-			sys, err := sched.New(sched.Config{
-				CPUs: tr.CPUs, Gears: gears,
-				TimeModel: dvfs.NewTimeModel(0.5, gears),
-				Policy:    pol, Variant: sched.EASY,
-				Recorder: audit, Compat: compat,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.Simulate(tr); err != nil {
-				t.Fatal(err)
-			}
-			audits[name] = audit
+		pol, err := NewUtilizationDriven(gears, 0.3, 0.9)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !audits["opt"].equal(audits["seed"]) {
-			t.Errorf("seed %d: utilization-driven schedules diverge across compat modes", seed)
+		audit := runWith(t, denseTrace(seed, 32, 250), sched.EASY, pol, nil)
+		if got := audit.digest(); got != want[seed] {
+			t.Errorf("seed %d: utilization-driven schedule digest %s, want %s", seed, got, want[seed])
 		}
 	}
 }

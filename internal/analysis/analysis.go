@@ -1,7 +1,7 @@
 // Package analysis implements reprovet, the repo's custom static-analysis
 // suite: compiler-grade checks for the correctness contracts that the
-// runtime verification spine (compat modes, differential suites, golden
-// tables) cannot see because they are conventions between packages, not
+// runtime verification spine (the reference simulator, differential
+// suites, golden tables) cannot see because they are conventions between packages, not
 // behaviors of one run.
 //
 // Four analyzers (see All):

@@ -7,8 +7,8 @@ import (
 
 // CorePackages is the deterministic core: every path through these
 // packages must schedule byte-identically across runs, hosts and
-// worker counts — the property the whole verification spine (compat
-// modes, golden tables, differential suites) asserts. Determinism
+// worker counts — the property the whole verification spine (reference
+// simulator, golden tables, differential suites) asserts. Determinism
 // flags the constructs that silently break it.
 var CorePackages = []string{
 	"repro/internal/sched",

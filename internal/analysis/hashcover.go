@@ -139,7 +139,7 @@ func findStruct(pass *Pass, name string) *structDecl {
 
 // specFields lists the named fields of the struct. Every field is
 // checked regardless of JSON visibility: the json:"-" escape hatches
-// (pre-resolved objects, compat modes) decide results just as much as
+// (pre-resolved objects such as GearPolicy) decide results just as much as
 // the wire-format fields and need a declared hash status too.
 func specFields(st *ast.StructType) []specField {
 	var out []specField

@@ -15,22 +15,21 @@ type incJob struct {
 
 // TestQuickIncrementalMatchesFreshOracle is the differential regression
 // for the persistent profile: it drives thousands of mixed passes —
-// completions (Vacate credits), starts (Occupy), reservation placements
-// and changed-prefix truncations — through one incremental profile and,
-// every pass, asserts that UsedAt and EarliestStart answer exactly like a
-// profile rebuilt from scratch out of the live occupancies and the
-// reservation journal. Every EarliestStart is also evaluated twice, with
-// the indexed sweep (chunk-skipping by default, skyline-tree descent in
-// flat compat mode) and with the linear merge sweep, which must agree to
-// the bit. Both incremental tier layouts are driven. Integer times force
-// equal-timestamp collisions, the fold/flush/truncate paths all trigger
-// at these sizes.
+// completions (Vacate credits), starts (Add), reservation placements and
+// changed-prefix truncations — through one profile and, every pass,
+// asserts that UsedAt and EarliestStart answer exactly like the flat
+// sorted-slice oracle rebuilt from scratch out of the live occupancies
+// and the reservation journal. Every EarliestStart is also evaluated with
+// the linear merge sweep over the materialized chunked tiers, which must
+// agree with the chunk-skipping sweep to the bit. Integer times force
+// equal-timestamp collisions; the fold and truncate paths all trigger at
+// these sizes.
 func TestQuickIncrementalMatchesFreshOracle(t *testing.T) {
 	passes := 1500
 	if testing.Short() {
 		passes = 200
 	}
-	f := func(seed int64, flat bool) bool {
+	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		total := 8 + r.Intn(56)
 		now := float64(r.Intn(10))
@@ -38,33 +37,28 @@ func TestQuickIncrementalMatchesFreshOracle(t *testing.T) {
 		var running []incJob
 		var resvs []Entry // mirrors the profile's reservation journal
 		p := New(total)
-		p.FlatReservations(flat)
 
-		startEpoch := func() {
-			rels := make([]Release, len(running))
-			for i, j := range running {
-				rels[i] = Release{Time: j.end, CPUs: j.cpus}
-			}
-			sortReleases(rels)
-			p.StartEpoch(total, now, rels)
-			resvs = resvs[:0]
-		}
 		// Seed the epoch with a few running jobs.
 		for i := 0; i < r.Intn(8); i++ {
 			running = append(running, incJob{cpus: 1 + r.Intn(total/2), end: now + float64(1+r.Intn(200))})
 		}
-		startEpoch()
+		rels := make([]Release, len(running))
+		for i, j := range running {
+			rels[i] = Release{Time: j.end, CPUs: j.cpus}
+		}
+		sortReleases(rels)
+		p.LoadReleases(total, now, rels)
+		p.BeginPass(now)
 
-		oracle := New(total)
 		check := func() bool {
 			// Fresh oracle: live occupancies clipped to [now, ∞) plus the
-			// journaled reservations, loaded into a plain profile.
-			oracle.Reset(total)
+			// journaled reservations.
+			oracle := &flatTiers{total: total}
 			for _, j := range running {
-				oracle.Add(Entry{Start: now, End: j.end, CPUs: j.cpus})
+				oracle.add(Entry{Start: now, End: j.end, CPUs: j.cpus})
 			}
 			for _, e := range resvs {
-				oracle.Add(e)
+				oracle.addReservation(e)
 			}
 			probes := []float64{now, now + 0.5, now + float64(r.Intn(300))}
 			for _, j := range running {
@@ -82,8 +76,8 @@ func TestQuickIncrementalMatchesFreshOracle(t *testing.T) {
 				if q < now {
 					continue
 				}
-				if p.UsedAt(q) != oracle.UsedAt(q) {
-					t.Logf("seed %d: UsedAt(%v) = %d, oracle %d", seed, q, p.UsedAt(q), oracle.UsedAt(q))
+				if p.UsedAt(q) != oracle.usedAt(q) {
+					t.Logf("seed %d: UsedAt(%v) = %d, oracle %d", seed, q, p.UsedAt(q), oracle.usedAt(q))
 					return false
 				}
 			}
@@ -94,19 +88,15 @@ func TestQuickIncrementalMatchesFreshOracle(t *testing.T) {
 				if trial%2 == 1 {
 					from = now + float64(r.Intn(150))
 				}
-				want := oracle.EarliestStart(cpus, dur, from)
+				want := oracle.earliestStart(cpus, dur, from)
 				got := p.EarliestStart(cpus, dur, from)
-				p.noTree = true
-				lin := p.EarliestStart(cpus, dur, from)
-				p.noTree = false
+				lin := linearEarliest(p, cpus, dur, from)
 				if got != want || lin != want {
-					t.Logf("seed %d flat=%v: EarliestStart(%d, %v, %v) indexed=%v linear=%v oracle=%v (main=%d pend=%d dex=%d resv=%d+%d ridx=%d)",
-						seed, flat, cpus, dur, from, got, lin, want,
-						len(p.deltas), len(p.pending)-p.pendLo, p.dex.len(),
-						len(p.resv), len(p.resvPend), p.ridx.len())
+					t.Logf("seed %d: EarliestStart(%d, %v, %v) indexed=%v linear=%v oracle=%v (dex=%d ridx=%d)",
+						seed, cpus, dur, from, got, lin, want, p.dex.len(), p.ridx.len())
 					return false
 				}
-				if p.CanPlace(cpus, from, dur) != oracle.CanPlace(cpus, from, dur) {
+				if p.CanPlace(cpus, from, dur) != oracle.canPlace(cpus, from, dur) {
 					t.Logf("seed %d: CanPlace(%d, %v, %v) diverged", seed, cpus, from, dur)
 					return false
 				}
@@ -117,9 +107,7 @@ func TestQuickIncrementalMatchesFreshOracle(t *testing.T) {
 		for pass := 0; pass < passes; pass++ {
 			now += float64(r.Intn(4))
 			if r.Intn(40) == 0 {
-				// Long idle gap: the whole base expires behind the horizon
-				// (the regression that caught the flush fold aliasing the
-				// merge buffer needed an emptied main tier).
+				// Long idle gap: the whole base expires behind the horizon.
 				now += 500
 			}
 			p.BeginPass(now)
@@ -133,7 +121,7 @@ func TestQuickIncrementalMatchesFreshOracle(t *testing.T) {
 				}
 			case 3, 4, 5, 6: // start: new occupancy from now
 				j := incJob{cpus: 1 + r.Intn(total/2), end: now + float64(1+r.Intn(200))}
-				p.Occupy(j.cpus, now, j.end)
+				p.Add(Entry{Start: now, End: j.end, CPUs: j.cpus})
 				running = append(running, j)
 			case 7, 8: // reservation placed at (or past) its earliest start
 				cpus := 1 + r.Intn(total)
@@ -166,11 +154,10 @@ func TestQuickIncrementalMatchesFreshOracle(t *testing.T) {
 	}
 }
 
-// TestQuickSkylineTreeMatchesLinearSweep pins the tree descent to the
-// linear reference on epochs large enough that the tree is always active,
-// with overlays from all three small tiers in play. The skyline tree
-// only serves the flat compat path now, so that is what it drives.
-func TestQuickSkylineTreeMatchesLinearSweep(t *testing.T) {
+// TestQuickSkylineIndexMatchesLinearSweep pins the chunk-skipping sweep
+// to the linear reference on epochs large enough that the skyline index
+// spans many chunks, with reservations overlaid.
+func TestQuickSkylineIndexMatchesLinearSweep(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		total := 256 + r.Intn(1024)
@@ -182,10 +169,9 @@ func TestQuickSkylineTreeMatchesLinearSweep(t *testing.T) {
 		}
 		sortReleases(rels)
 		p := New(total)
-		p.FlatReservations(true)
-		p.StartEpoch(total, now, rels)
-		if p.tree.len() == 0 {
-			t.Log("tree not built on a large epoch")
+		p.LoadReleases(total, now, rels)
+		if len(p.dex.chunks) < 2 {
+			t.Log("skyline index fits one chunk on a large epoch")
 			return false
 		}
 		for step := 0; step < 60; step++ {
@@ -193,7 +179,7 @@ func TestQuickSkylineTreeMatchesLinearSweep(t *testing.T) {
 			p.BeginPass(now)
 			switch r.Intn(3) {
 			case 0:
-				p.Occupy(1+r.Intn(32), now, now+float64(1+r.Intn(800)))
+				p.Add(Entry{Start: now, End: now + float64(1+r.Intn(800)), CPUs: 1 + r.Intn(32)})
 			case 1:
 				st := now + float64(r.Intn(500))
 				p.AddReservation(Entry{Start: st, End: st + float64(1+r.Intn(300)), CPUs: 1 + r.Intn(64)})
@@ -202,13 +188,11 @@ func TestQuickSkylineTreeMatchesLinearSweep(t *testing.T) {
 			cpus := 1 + r.Intn(total)
 			dur := float64(r.Intn(600))
 			from := now + float64(r.Intn(100))
-			tree := p.EarliestStart(cpus, dur, from)
-			p.noTree = true
-			lin := p.EarliestStart(cpus, dur, from)
-			p.noTree = false
-			if tree != lin {
-				t.Logf("seed %d step %d: EarliestStart(%d, %v, %v) tree=%v linear=%v",
-					seed, step, cpus, dur, from, tree, lin)
+			got := p.EarliestStart(cpus, dur, from)
+			lin := linearEarliest(p, cpus, dur, from)
+			if got != lin {
+				t.Logf("seed %d step %d: EarliestStart(%d, %v, %v) indexed=%v linear=%v",
+					seed, step, cpus, dur, from, got, lin)
 				return false
 			}
 		}
@@ -221,26 +205,24 @@ func TestQuickSkylineTreeMatchesLinearSweep(t *testing.T) {
 
 // The persistent profile's live delta count must track the running and
 // planned set, not the history: after thousands of start/complete cycles
-// at a bounded running-set size, the base tiers stay bounded too. The
-// flat compat tier folds expired history and credit pairs during merges;
-// the chunked skyline index cancels credit pairs on contact, so it is
-// held to a tighter bound (one delta per distinct live end, plus slack
-// for same-pass stragglers ahead of a fold).
+// at a bounded running-set size, the base skyline stays bounded too. The
+// chunked skyline index cancels credit pairs on contact, so it holds one
+// delta per distinct live end, plus slack for same-pass stragglers ahead
+// of a fold.
 func TestIncrementalBaseStaysBounded(t *testing.T) {
-	run := func(t *testing.T, flat bool, bound int) {
+	t.Run("indexed", func(t *testing.T) {
 		const total = 1 << 12
 		r := rand.New(rand.NewSource(5))
 		p := New(total)
-		p.FlatReservations(flat)
 		now := 0.0
-		p.StartEpoch(total, now, nil)
+		p.LoadReleases(total, now, nil)
 		var running []incJob
 		for pass := 0; pass < 20000; pass++ {
 			now += 1
 			p.BeginPass(now)
 			if len(running) < 64 && r.Intn(3) > 0 {
 				j := incJob{cpus: 1 + r.Intn(32), end: now + float64(1+r.Intn(400))}
-				p.Occupy(j.cpus, now, j.end)
+				p.Add(Entry{Start: now, End: j.end, CPUs: j.cpus})
 				running = append(running, j)
 			} else if len(running) > 0 {
 				i := r.Intn(len(running))
@@ -248,15 +230,13 @@ func TestIncrementalBaseStaysBounded(t *testing.T) {
 				p.Vacate(j.cpus, now, j.end)
 				running = append(running[:i], running[i+1:]...)
 			}
-			p.UsedAt(now) // exercise fold/flush
+			p.UsedAt(now) // exercise the fold
 		}
 		// Planned ends reach at most 400 ticks ahead and the running set
 		// is capped at 64 jobs, so the live footprint must stay in the
 		// hundreds even though 20k mutations flowed through.
-		if n := p.BaseDeltas(); n > bound {
+		if n := p.BaseDeltas(); n > 64+16 {
 			t.Fatalf("base deltas grew to %d after 20k bounded-churn passes", n)
 		}
-	}
-	t.Run("indexed", func(t *testing.T) { run(t, false, 64+16) })
-	t.Run("flat", func(t *testing.T) { run(t, true, 4*64+2*incPendingFlush) })
+	})
 }

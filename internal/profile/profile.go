@@ -4,43 +4,31 @@
 // job against it, and tests use it as an independent oracle for the EASY
 // shadow-time computation.
 //
-// The profile keeps its usage deltas in two tiers: a time-sorted main
-// list with prefix-summed usage, and a small append-only pending buffer
-// that is sorted on demand and merged into the main list once it grows
-// past a fraction of it. Add is therefore an O(1) append (the seed-era
-// implementation insertion-sorted every delta, turning a replanning pass
-// over n entries into O(n²) memmoves), point queries binary-search the
-// prefix sums, and the skyline sweeps of EarliestStart walk the sorted
-// tiers with a single merge cursor. LoadReleases bulk-loads an
-// already-sorted release schedule — the scheduler maintains one
-// incrementally across passes — in one pass with no sorting at all.
-//
-// On top of that the profile has a persistent ("incremental") mode for
-// schedulers that replan every pass: StartEpoch loads the base skyline
-// once, Occupy/Vacate then mutate it (a completion is a negative
+// The profile is persistent: a scheduler that replans every pass keeps
+// one profile alive across passes instead of rebuilding it. LoadReleases
+// bulk-loads the running jobs' release schedule into the base skyline,
+// Add and Vacate then mutate it in place (a completion is a negative
 // "credit" entry cancelling the tail of the planned occupancy), and
 // reservations live in a separate journaled layer that
 // TruncateReservations can roll back to any pass prefix — the
 // changed-prefix contract the scheduler's replanning uses to reuse
-// untouched reservations verbatim. Queries in this mode overlay base and
-// reservation tiers; for times at or after the latest BeginPass they
-// answer exactly like a profile rebuilt from scratch. In the default
-// incremental path both tiers are chunked ordered indexes (skydex.go for
-// the base, resvindex.go for reservations): mutations are local chunk
-// edits, equal-time credit/occupancy pairs cancel on contact, expired
-// chunks fold behind the horizon in O(1), and the EarliestStart sweep
-// skips whole chunks per feasibility transition via per-chunk prefix
-// extrema. The pre-index machinery — append-only pending tier with
-// periodic merge, max/min-augmented skyline tree, flat reservation
-// slices — survives behind FlatReservations as the differentially-tested
-// reference. Either way the live delta count tracks the running and
-// planned jobs, not the history of the run.
+// untouched reservations verbatim.
+//
+// Both layers are chunked ordered indexes: skydex.go holds the base
+// skyline and resvindex.go the reservations. Mutations are local chunk
+// edits, and equal-time credit/occupancy pairs cancel on contact.
+// BeginPass advances a query horizon: base deltas at or behind it are
+// indistinguishable to every valid query and fold into one offset, so
+// expired chunks drop in O(1) and the live delta count tracks the running
+// and planned jobs, not the history of the run. A fresh profile's horizon
+// is −Inf, so a profile that never sees BeginPass answers queries at any
+// time. The EarliestStart sweep skips whole skyline chunks per
+// feasibility transition via per-chunk prefix extrema.
 package profile
 
 import (
 	"math"
 	"slices"
-	"sort"
 )
 
 // Entry is one occupancy interval: cpus processors are busy during
@@ -63,123 +51,69 @@ type delta struct {
 	d int
 }
 
-// incPendingFlush caps the live pending tier in incremental mode. It is
-// deliberately tighter than the shared-tier threshold: every query scans
-// the live pending tier linearly, and in incremental mode queries run on
-// every scheduling pass, so a small bound keeps the per-pass overlay walk
-// short while the fold/merge cost stays O(1) amortized per mutation.
-const incPendingFlush = 192
-
 // Profile is a set of occupancy entries on a machine of Total processors.
 type Profile struct {
 	Total    int
 	nentries int
 
-	deltas []delta // time-sorted main tier
-	prefix []int   // prefix[i] = usage after applying deltas[:i+1]
+	// horizon is the latest BeginPass time (−Inf until the first one);
+	// base deltas at or before it fold into pendBase.
+	horizon  float64
+	pendBase int
 
-	pending       []delta // recent Adds, sorted lazily at query time
-	pendingSorted bool
-	pendLo        int // pending[:pendLo] has been folded into pendBase
-	pendBase      int // usage sum of folded pending deltas (incremental)
+	dex skyDex // base skyline: running-job occupancies and credits
 
-	scratch []delta // merge buffer reused across flushes
+	// Reservation layer: the chunked ordered index ridx holds the deltas,
+	// resvLog the placement-order journal TruncateReservations cuts.
+	ridx    resvIndex
+	resvLog []Entry
 
-	// Incremental (persistent) mode: StartEpoch loads the base skyline,
-	// Occupy/Vacate mutate it, and reservations live in their own
-	// journaled layer so the scheduler can roll back exactly the suffix a
-	// pass replans.
-	inc     bool
-	horizon float64 // latest BeginPass time; deltas at or before it fold
-
-	// Reservation layer. The default structure is the chunked ordered
-	// index ridx (O(log n + chunk) add/remove, directory-walk prefix
-	// sums); the flat tier pair below survives behind FlatReservations as
-	// the differentially-tested reference.
-	ridx     resvIndex
-	flatResv bool
-
-	resv           []delta // flat mode: sorted reservation tier
-	resvPrefix     []int
-	resvPend       []delta // flat mode: recent reservations, sorted lazily
-	resvPendSorted bool
-	resvLog        []Entry // placement-order reservation journal
-	resvMain       int     // flat mode: resvLog[:resvMain] is folded into resv
+	scratch []delta // bulk-load and prefix-rebuild buffer
 
 	// truncWork counts journal entries reprocessed by
 	// TruncateReservations (suffix removals and prefix rebuilds) — the
 	// cost bound the truncate regression tests assert on.
 	truncWork int
 
-	// dex is the default incremental base tier: the chunked skyline index
-	// Occupy/Vacate edit in place (skydex.go). Exactly one of dex and the
-	// pending/deltas machinery above is live in incremental mode,
-	// selected by flatResv.
-	dex skyDex
-
-	// Query-entry memo (default incremental path): consecutive
-	// EarliestStart queries of a replanning pass share `from` over an
-	// unchanged base — only reservations move between them — so the base
-	// entry position and usage at `from` are cached under a version
-	// counter bumped by every base mutation and horizon fold.
-	// Reservation-tier changes (AddReservation, TruncateReservations)
-	// never touch it: reservations re-seek on every query.
+	// Query-entry memo: consecutive EarliestStart queries of a replanning
+	// pass share `from` over an unchanged base — only reservations move
+	// between them — so the base entry position and usage at `from` are
+	// cached under a version counter bumped by every base mutation and
+	// horizon fold. Reservation-tier changes (AddReservation,
+	// TruncateReservations) never touch it: reservations re-seek on every
+	// query.
 	ver      int     // base version; bumped on every dex mutation or fold
 	memoVer  int     // ver the memo was taken at; -1 when invalid
 	memoFrom float64 // NaN when invalid
 	memoCi   int     // dex chunk of the first delta with t > memoFrom
 	memoK    int     // in-chunk offset of that delta
 	memoP    int     // base usage at memoFrom
-
-	tree skyTree
-	// noTree disables the skyline-tree sweep (differential tests compare
-	// the tree descent against the linear reference).
-	noTree bool
 }
 
 // New returns an empty profile for a machine of total processors.
 func New(total int) *Profile {
-	return &Profile{Total: total, pendingSorted: true, resvPendSorted: true,
-		memoVer: -1, memoFrom: math.NaN()}
+	p := &Profile{}
+	p.reset(total)
+	return p
 }
 
-// FlatReservations selects the legacy flat reservation tier pair (merged
-// slice + lazily sorted pending slice) instead of the chunked ordered
-// reservation index — the differentially-tested reference wired to
-// sched.Compat.FlatReservations. It must be set before any reservations
-// are journaled and survives Reset.
-func (p *Profile) FlatReservations(on bool) { p.flatResv = on }
-
-// Reset empties the profile for a machine of total processors, retaining
-// the storage capacity of previous use. It lets a scheduler replan every
-// pass without reallocating the profile storage. Reset leaves incremental
-// mode; StartEpoch re-enters it.
-func (p *Profile) Reset(total int) {
+// reset empties the profile for a machine of total processors, retaining
+// the storage capacity of previous use, with the horizon back at −Inf.
+func (p *Profile) reset(total int) {
 	p.Total = total
 	p.nentries = 0
-	p.deltas = p.deltas[:0]
-	p.prefix = p.prefix[:0]
-	p.pending = p.pending[:0]
-	p.pendingSorted = true
-	p.pendLo = 0
-	p.pendBase = 0
-	p.inc = false
 	p.horizon = math.Inf(-1)
-	p.resv = p.resv[:0]
-	p.resvPrefix = p.resvPrefix[:0]
-	p.resvPend = p.resvPend[:0]
-	p.resvPendSorted = true
-	p.resvLog = p.resvLog[:0]
-	p.resvMain = 0
-	p.ridx.reset()
+	p.pendBase = 0
 	p.dex.reset()
+	p.ridx.reset()
+	p.resvLog = p.resvLog[:0]
+	p.ver++
 	p.memoVer = -1
 	p.memoFrom = math.NaN()
-	p.tree.drop()
 }
 
-// Add inserts an occupancy interval. Entries with non-positive duration or
-// zero cpus are ignored.
+// Add records an occupancy interval in the base skyline — a job start.
+// Entries with non-positive duration or zero cpus are ignored.
 func (p *Profile) Add(e Entry) {
 	if e.End <= e.Start || e.CPUs <= 0 {
 		return
@@ -188,25 +122,25 @@ func (p *Profile) Add(e Entry) {
 	p.basePush(e.Start, e.End, e.CPUs)
 }
 
-// basePush records the delta pair of a (possibly negative) base usage
-// interval. The default incremental path edits the chunked skyline index
-// in place — deltas at or behind the horizon fold into the pending-base
-// offset, equal-time credit/occupancy pairs cancel on contact — while
-// the flat compat path and the non-incremental profile keep the O(1)
-// append sorted lazily at query time (bulk rebuilds push thousands of
-// entries between queries, where per-push insertion would be quadratic).
-func (p *Profile) basePush(start, end float64, d int) {
-	if p.inc && !p.flatResv {
-		p.ver++
-		p.dexPush(start, d)
-		p.dexPush(end, -d)
+// Vacate cancels a previously recorded occupancy over [start, end): the
+// processors of a job that completed (or switched gears) before its
+// planned end are handed back by a negative "credit" entry. start must be
+// at or before the current pass time and end must be the exact End the
+// occupancy was recorded with, so the base step function over the queried
+// future matches a fresh rebuild.
+func (p *Profile) Vacate(cpus int, start, end float64) {
+	if end <= start || cpus <= 0 {
 		return
 	}
-	if n := len(p.pending); n > p.pendLo && start < p.pending[n-1].t {
-		p.pendingSorted = false
-	}
-	// end > start, so the second append never breaks sortedness on its own.
-	p.pending = append(p.pending, delta{t: start, d: d}, delta{t: end, d: -d})
+	p.basePush(start, end, -cpus)
+}
+
+// basePush records the delta pair of a (possibly negative) base usage
+// interval in the skyline index.
+func (p *Profile) basePush(start, end float64, d int) {
+	p.ver++
+	p.dexPush(start, d)
+	p.dexPush(end, -d)
 }
 
 // dexPush records one base delta in the chunked skyline index. A delta
@@ -221,82 +155,37 @@ func (p *Profile) dexPush(t float64, d int) {
 }
 
 // LoadReleases resets the profile to a machine of total processors and
-// bulk-loads a running-job release schedule: Σ rels.CPUs processors are
-// busy from now on, dropping by r.CPUs at each r.Time. rels must be
-// sorted ascending by Time with every Time > now; the slice is not
-// retained. One release corresponds to one occupancy entry [now, r.Time).
+// bulk-loads a running-job release schedule as its base skyline: Σ
+// rels.CPUs processors are busy from now on, dropping by r.CPUs at each
+// r.Time. rels must be sorted ascending by Time with every Time > now;
+// the slice is not retained. One release corresponds to one occupancy
+// entry [now, r.Time). The horizon restarts at −Inf; a scheduler opening
+// an epoch calls BeginPass(now) next.
 func (p *Profile) LoadReleases(total int, now float64, rels []Release) {
-	p.Reset(total)
+	p.reset(total)
+	ds := p.scratch[:0]
 	used := 0
 	for _, r := range rels {
 		used += r.CPUs
 	}
-	if used > 0 {
-		p.deltas = append(p.deltas, delta{t: now, d: used})
-		p.prefix = append(p.prefix, used)
-	}
-	run := used
+	ds = append(ds, delta{t: now, d: used})
 	for _, r := range rels {
-		p.deltas = append(p.deltas, delta{t: r.Time, d: -r.CPUs})
-		run -= r.CPUs
-		p.prefix = append(p.prefix, run)
+		ds = append(ds, delta{t: r.Time, d: -r.CPUs})
 	}
-	p.nentries += len(rels)
+	p.dex.load(ds)
+	p.scratch = ds[:0]
+	p.nentries = len(rels)
 }
 
-// StartEpoch enters incremental mode: the base skyline is bulk-loaded
-// from the release schedule exactly like LoadReleases, and the profile
-// then persists across scheduling passes — Occupy/Vacate keep the base
-// current and AddReservation/TruncateReservations manage the journaled
-// reservation layer. Queries are exact for times at or after the latest
-// BeginPass.
-func (p *Profile) StartEpoch(total int, now float64, rels []Release) {
-	p.LoadReleases(total, now, rels)
-	p.inc = true
-	p.horizon = now
-	if p.flatResv {
-		p.tree.build(p.prefix)
-		return
-	}
-	// Default path: move the freshly built (sorted, equal-time-merged)
-	// skyline into the chunked index and run from it.
-	p.dex.load(p.deltas)
-	p.deltas = p.deltas[:0]
-	p.prefix = p.prefix[:0]
-	p.ver++
-}
-
-// BeginPass advances the query horizon to the current pass time. Deltas
-// at or before the horizon may be folded together during merges (they are
-// indistinguishable to queries at or after it), which is what keeps the
-// live delta count proportional to the running and planned jobs.
-// now must be nondecreasing across passes.
+// BeginPass advances the query horizon to the current pass time: queries
+// are exact for times at or after the latest BeginPass, and base deltas
+// at or before it fold away, which is what keeps the live delta count
+// proportional to the running and planned jobs. now must be
+// nondecreasing across passes.
 func (p *Profile) BeginPass(now float64) {
-	if p.inc && now > p.horizon {
+	if now > p.horizon {
 		p.horizon = now
 	}
-}
-
-// Occupy records cpus processors becoming busy during [start, end) — a
-// job start in incremental mode. O(1) amortized.
-func (p *Profile) Occupy(cpus int, start, end float64) {
-	if end <= start || cpus <= 0 {
-		return
-	}
-	p.basePush(start, end, cpus)
-}
-
-// Vacate cancels a previously recorded occupancy over [start, end): the
-// processors of a job that completed (or switched gears) before its
-// planned end are handed back by a negative "credit" entry. start must be
-// at or before the current pass time and end must be the exact End the
-// occupancy was recorded with, so the base step function over the queried
-// future matches a fresh rebuild. O(1) amortized.
-func (p *Profile) Vacate(cpus int, start, end float64) {
-	if end <= start || cpus <= 0 {
-		return
-	}
-	p.basePush(start, end, -cpus)
 }
 
 // AddReservation appends a planned-job reservation to the journaled
@@ -309,13 +198,6 @@ func (p *Profile) AddReservation(e Entry) {
 		return
 	}
 	p.nentries++
-	if p.flatResv {
-		if n := len(p.resvPend); n > 0 && e.Start < p.resvPend[n-1].t {
-			p.resvPendSorted = false
-		}
-		p.resvPend = append(p.resvPend, delta{t: e.Start, d: e.CPUs}, delta{t: e.End, d: -e.CPUs})
-		return
-	}
 	p.ridx.insert(delta{t: e.Start, d: e.CPUs})
 	p.ridx.insert(delta{t: e.End, d: -e.CPUs})
 }
@@ -327,13 +209,10 @@ func (p *Profile) Reservations() int { return len(p.resvLog) }
 // journal entries: the suffix a replanning pass invalidated is dropped,
 // everything before it stays placed verbatim. Truncating to the journal's
 // current length (repeated truncate-to-same-prefix included: the journal
-// shrank on the first call) is O(1). With the indexed tier the cost is
-// otherwise bounded by O(min(suffix, prefix)) chunk operations — dropped
-// entries are removed point-wise, unless the kept prefix is the smaller
-// side, in which case the index is rebuilt from it (and a full truncate
-// just resets it). The flat compat tier keeps its journal-replay
-// behavior: O(suffix) while the cut stays in the pending tier, a merged-
-// tier rebuild from the journal prefix below that.
+// shrank on the first call) is O(1). Otherwise the cost is bounded by
+// O(min(suffix, prefix)) chunk operations — dropped entries are removed
+// point-wise, unless the kept prefix is the smaller side, in which case
+// the index is rebuilt from it (and a full truncate just resets it).
 func (p *Profile) TruncateReservations(n int) {
 	if n < 0 {
 		n = 0
@@ -341,10 +220,31 @@ func (p *Profile) TruncateReservations(n int) {
 	if n >= len(p.resvLog) {
 		return
 	}
-	if p.flatResv {
-		p.truncFlat(n)
-	} else {
-		p.truncIndexed(n)
+	switch {
+	case n == 0:
+		p.ridx.reset()
+	case len(p.resvLog)-n <= n:
+		for _, e := range p.resvLog[n:] {
+			if e.End <= e.Start || e.CPUs <= 0 {
+				continue
+			}
+			p.ridx.removeOne(e.Start, e.CPUs)
+			p.ridx.removeOne(e.End, -e.CPUs)
+		}
+		p.truncWork += len(p.resvLog) - n
+	default:
+		// The kept prefix is the smaller side: rebuild the index from it.
+		ds := p.scratch[:0]
+		for _, e := range p.resvLog[:n] {
+			if e.End <= e.Start || e.CPUs <= 0 {
+				continue
+			}
+			ds = append(ds, delta{t: e.Start, d: e.CPUs}, delta{t: e.End, d: -e.CPUs})
+		}
+		slices.SortFunc(ds, deltaCmp)
+		p.ridx.load(ds)
+		p.scratch = ds[:0]
+		p.truncWork += n
 	}
 	for _, e := range p.resvLog[n:] {
 		if e.End > e.Start && e.CPUs > 0 {
@@ -354,85 +254,10 @@ func (p *Profile) TruncateReservations(n int) {
 	p.resvLog = p.resvLog[:n]
 }
 
-// truncIndexed rolls the chunked reservation index back to the first n
-// journal entries, taking whichever side of the cut is cheaper.
-func (p *Profile) truncIndexed(n int) {
-	if n == 0 {
-		p.ridx.reset()
-		return
-	}
-	if len(p.resvLog)-n <= n {
-		for _, e := range p.resvLog[n:] {
-			if e.End <= e.Start || e.CPUs <= 0 {
-				continue
-			}
-			p.ridx.removeOne(e.Start, e.CPUs)
-			p.ridx.removeOne(e.End, -e.CPUs)
-		}
-		p.truncWork += len(p.resvLog) - n
-		return
-	}
-	// The kept prefix is the smaller side: rebuild the index from it.
-	ds := p.scratch[:0]
-	for _, e := range p.resvLog[:n] {
-		if e.End <= e.Start || e.CPUs <= 0 {
-			continue
-		}
-		ds = append(ds, delta{t: e.Start, d: e.CPUs}, delta{t: e.End, d: -e.CPUs})
-	}
-	slices.SortFunc(ds, deltaCmp)
-	p.ridx.load(ds)
-	p.scratch = ds[:0]
-	p.truncWork += n
-}
-
-// truncFlat is the flat compat tier's rollback (the pre-index behavior).
-func (p *Profile) truncFlat(n int) {
-	if n >= p.resvMain {
-		// The suffix lives entirely in the pending tier: rebuild it from
-		// the journal slice between the merged boundary and the cut.
-		p.resvPend = p.resvPend[:0]
-		p.resvPendSorted = true
-		for _, e := range p.resvLog[p.resvMain:n] {
-			if e.End <= e.Start || e.CPUs <= 0 {
-				continue
-			}
-			if m := len(p.resvPend); m > 0 && e.Start < p.resvPend[m-1].t {
-				p.resvPendSorted = false
-			}
-			p.resvPend = append(p.resvPend, delta{t: e.Start, d: e.CPUs}, delta{t: e.End, d: -e.CPUs})
-		}
-		p.truncWork += n - p.resvMain
-	} else {
-		// The cut reaches into the merged tier: rebuild it from the kept
-		// journal prefix.
-		p.resv = p.resv[:0]
-		for _, e := range p.resvLog[:n] {
-			if e.End <= e.Start || e.CPUs <= 0 {
-				continue
-			}
-			p.resv = append(p.resv, delta{t: e.Start, d: e.CPUs}, delta{t: e.End, d: -e.CPUs})
-		}
-		slices.SortFunc(p.resv, deltaCmp)
-		p.resvPrefix = p.resvPrefix[:0]
-		run := 0
-		for _, d := range p.resv {
-			run += d.d
-			p.resvPrefix = append(p.resvPrefix, run)
-		}
-		p.resvMain = n
-		p.resvPend = p.resvPend[:0]
-		p.resvPendSorted = true
-		p.truncWork += n
-	}
-}
-
-// BaseDeltas returns the live delta count of the base tiers — the
+// BaseDeltas returns the live delta count of the base skyline — the
 // scheduler's trigger for re-anchoring an epoch when credit history has
 // accumulated past a multiple of the running set.
-func (p *Profile) BaseDeltas() int {
-	return len(p.deltas) + len(p.pending) - p.pendLo + p.dex.len()
-}
+func (p *Profile) BaseDeltas() int { return p.dex.len() }
 
 func deltaCmp(a, b delta) int {
 	switch {
@@ -444,178 +269,23 @@ func deltaCmp(a, b delta) int {
 	return 0
 }
 
-// prepare sorts the pending tiers if needed, folds expired deltas behind
-// the horizon, and merges a tier into its main list once it outgrows the
-// merge threshold. Amortized across a replanning pass the merges cost
-// O(1) per mutation; between merges queries pay one extra scan over the
-// (bounded) pending tiers.
+// prepare folds expired leading skyline chunks behind the horizon, which
+// invalidates the query-entry memo.
 func (p *Profile) prepare() {
-	if p.inc && !p.flatResv {
-		// Default incremental path: both chunked indexes are always
-		// ordered; folding expired leading chunks behind the horizon is
-		// all that remains, and it invalidates the query-entry memo.
-		if f := p.dex.foldTo(p.horizon); f != 0 {
-			p.pendBase += f
-			p.ver++
-		}
-		return
-	}
-	if !p.pendingSorted {
-		slices.SortFunc(p.pending[p.pendLo:], deltaCmp)
-		p.pendingSorted = true
-	}
-	if p.inc {
-		// Flat compat path. Fold pending deltas that can no longer be
-		// distinguished by any valid query (t <= horizon) into a single
-		// usage offset.
-		for p.pendLo < len(p.pending) && p.pending[p.pendLo].t <= p.horizon {
-			p.pendBase += p.pending[p.pendLo].d
-			p.pendLo++
-		}
-		if len(p.pending)-p.pendLo > incPendingFlush {
-			p.flush()
-		}
-		if !p.resvPendSorted {
-			slices.SortFunc(p.resvPend, deltaCmp)
-			p.resvPendSorted = true
-		}
-		if len(p.resvPend) > 64+len(p.resv)/16 {
-			p.flushResv()
-		}
-		return
-	}
-	if len(p.pending) > 64+len(p.deltas)/16 {
-		p.flush()
-	}
-}
-
-// flush merges the sorted pending tier into the main tier and rebuilds
-// the prefix sums in one pass, writing into the scratch buffer (never
-// aliasing its inputs). In incremental mode the merge also compacts:
-// everything at or before the horizon (including the folded pending
-// offset) collapses into one leading delta at the horizon, equal-time
-// groups merge, and groups with zero net change vanish — expired history
-// and credit/occupancy pairs cancel instead of accumulating, while the
-// step function over [horizon, ∞) is unchanged.
-func (p *Profile) flush() {
-	merged := p.scratch[:0]
-	pend := p.pending[p.pendLo:]
-	i, j := 0, 0
-	if p.inc {
-		lead := p.pendBase
-		p.pendBase = 0
-		for i < len(p.deltas) && p.deltas[i].t <= p.horizon {
-			lead += p.deltas[i].d
-			i++
-		}
-		for j < len(pend) && pend[j].t <= p.horizon {
-			lead += pend[j].d
-			j++
-		}
-		if lead != 0 {
-			merged = append(merged, delta{t: p.horizon, d: lead})
-		}
-		for i < len(p.deltas) || j < len(pend) {
-			t := math.Inf(1)
-			if i < len(p.deltas) {
-				t = p.deltas[i].t
-			}
-			if j < len(pend) && pend[j].t < t {
-				t = pend[j].t
-			}
-			d := 0
-			for i < len(p.deltas) && p.deltas[i].t == t {
-				d += p.deltas[i].d
-				i++
-			}
-			for j < len(pend) && pend[j].t == t {
-				d += pend[j].d
-				j++
-			}
-			if d != 0 {
-				merged = append(merged, delta{t: t, d: d})
-			}
-		}
-	} else {
-		for i < len(p.deltas) || j < len(pend) {
-			if j >= len(pend) || (i < len(p.deltas) && p.deltas[i].t <= pend[j].t) {
-				merged = append(merged, p.deltas[i])
-				i++
-			} else {
-				merged = append(merged, pend[j])
-				j++
-			}
-		}
-	}
-	p.scratch, p.deltas = p.deltas[:0], merged
-	p.pending = p.pending[:0]
-	p.pendLo = 0
-	p.prefix = p.prefix[:0]
-	run := 0
-	for _, d := range p.deltas {
-		run += d.d
-		p.prefix = append(p.prefix, run)
-	}
-	if p.inc {
-		p.tree.build(p.prefix)
-	}
-}
-
-// flushResv merges the sorted reservation pending tier into the
-// reservation main tier. Reservation deltas are never folded or
-// collapsed: TruncateReservations must be able to rebuild any prefix from
-// the journal, and the layer is cleared wholesale on full replans.
-func (p *Profile) flushResv() {
-	merged := p.scratch[:0]
-	i, j := 0, 0
-	for i < len(p.resv) || j < len(p.resvPend) {
-		if j >= len(p.resvPend) || (i < len(p.resv) && p.resv[i].t <= p.resvPend[j].t) {
-			merged = append(merged, p.resv[i])
-			i++
-		} else {
-			merged = append(merged, p.resvPend[j])
-			j++
-		}
-	}
-	p.scratch, p.resv = p.resv[:0], merged
-	p.resvPend = p.resvPend[:0]
-	p.resvMain = len(p.resvLog)
-	p.resvPrefix = p.resvPrefix[:0]
-	run := 0
-	for _, d := range p.resv {
-		run += d.d
-		p.resvPrefix = append(p.resvPrefix, run)
+	if f := p.dex.foldTo(p.horizon); f != 0 {
+		p.pendBase += f
+		p.ver++
 	}
 }
 
 // Len returns the number of entries.
 func (p *Profile) Len() int { return p.nentries }
 
-// UsedAt returns the number of processors busy at time t. The main tiers
-// are answered by binary search over the prefix-summed deltas; only the
-// small pending tiers are scanned. In incremental mode t must be at or
-// after the latest BeginPass time.
+// UsedAt returns the number of processors busy at time t, which must be
+// at or after the latest BeginPass time.
 func (p *Profile) UsedAt(t float64) int {
 	p.prepare()
-	if p.inc && !p.flatResv {
-		return p.pendBase + p.dex.sumAt(t) + p.ridx.sumAt(t)
-	}
-	used := p.pendBase
-	if i := sort.Search(len(p.deltas), func(i int) bool { return p.deltas[i].t > t }); i > 0 {
-		used += p.prefix[i-1]
-	}
-	for j := p.pendLo; j < len(p.pending) && p.pending[j].t <= t; j++ {
-		used += p.pending[j].d
-	}
-	if p.inc {
-		if i := sort.Search(len(p.resv), func(i int) bool { return p.resv[i].t > t }); i > 0 {
-			used += p.resvPrefix[i-1]
-		}
-		for j := 0; j < len(p.resvPend) && p.resvPend[j].t <= t; j++ {
-			used += p.resvPend[j].d
-		}
-	}
-	return used
+	return p.pendBase + p.dex.sumAt(t) + p.ridx.sumAt(t)
 }
 
 // FreeAt returns the number of processors free at time t.
@@ -636,174 +306,50 @@ func (p *Profile) CanPlace(cpus int, start, dur float64) bool {
 	return p.EarliestStart(cpus, dur, start) == start
 }
 
-// ovCursor walks the overlay tiers (live pending deltas plus, in
-// incremental mode, the reservation tier — either the chunked index via
-// ix/ci/ck or the flat slice pair via b/c) as one merged stream.
+// ovCursor walks the reservation index in time order: the overlay the
+// EarliestStart sweep merges over the base skyline. It is kept
+// normalized: ci < len(chunks) implies ck < len(chunks[ci]).
 type ovCursor struct {
-	a, b, c []delta
-	i, j, k int
-
-	ix     *resvIndex // indexed reservation tier; nil when flat or exhausted
-	ci, ck int        // chunk / in-chunk position within ix
+	ix     *resvIndex // nil when there is nothing left to overlay
+	ci, ck int
 }
 
-// ixPeek returns the time of the next indexed reservation delta.
-// The index cursor is kept normalized: ci < len(chunks) implies
-// ck < len(chunks[ci]).
-func (c *ovCursor) ixPeek() (float64, bool) {
-	if c.ix == nil || c.ci >= len(c.ix.chunks) {
-		return 0, false
-	}
-	return c.ix.chunks[c.ci][c.ck].t, true
-}
-
-// ixStep consumes the current indexed delta and rolls into the next
-// chunk at its end.
-func (c *ovCursor) ixStep() int {
-	d := c.ix.chunks[c.ci][c.ck].d
-	c.ck++
-	if c.ck >= len(c.ix.chunks[c.ci]) {
-		c.ci++
-		c.ck = 0
-	}
-	return d
-}
-
-// peek returns the next overlay time, +Inf when exhausted.
+// peek returns the time of the next reservation delta, +Inf when
+// exhausted.
 func (c *ovCursor) peek() float64 {
-	t := math.Inf(1)
-	if c.i < len(c.a) && c.a[c.i].t < t {
-		t = c.a[c.i].t
+	if c.ix == nil || c.ci >= len(c.ix.chunks) {
+		return math.Inf(1)
 	}
-	if c.j < len(c.b) && c.b[c.j].t < t {
-		t = c.b[c.j].t
-	}
-	if c.k < len(c.c) && c.c[c.k].t < t {
-		t = c.c[c.k].t
-	}
-	if it, ok := c.ixPeek(); ok && it < t {
-		t = it
-	}
-	return t
+	return c.ix.chunks[c.ci][c.ck].t
 }
 
-// take consumes every overlay delta at exactly t and returns their sum.
+// take consumes every reservation delta at exactly t and returns their
+// sum.
 func (c *ovCursor) take(t float64) int {
 	d := 0
-	for c.i < len(c.a) && c.a[c.i].t == t {
-		d += c.a[c.i].d
-		c.i++
-	}
-	for c.j < len(c.b) && c.b[c.j].t == t {
-		d += c.b[c.j].d
-		c.j++
-	}
-	for c.k < len(c.c) && c.c[c.k].t == t {
-		d += c.c[c.k].d
-		c.k++
-	}
-	for {
-		it, ok := c.ixPeek()
-		if !ok || it != t {
-			break
+	for c.peek() == t {
+		d += c.ix.chunks[c.ci][c.ck].d
+		c.ck++
+		if c.ck >= len(c.ix.chunks[c.ci]) {
+			c.ci++
+			c.ck = 0
 		}
-		d += c.ixStep()
-	}
-	return d
-}
-
-// skip consumes overlay deltas at or before t and returns their sum.
-func (c *ovCursor) skip(t float64) int {
-	d := 0
-	for c.i < len(c.a) && c.a[c.i].t <= t {
-		d += c.a[c.i].d
-		c.i++
-	}
-	for c.j < len(c.b) && c.b[c.j].t <= t {
-		d += c.b[c.j].d
-		c.j++
-	}
-	for c.k < len(c.c) && c.c[c.k].t <= t {
-		d += c.c[c.k].d
-		c.k++
-	}
-	for {
-		it, ok := c.ixPeek()
-		if !ok || it > t {
-			break
-		}
-		d += c.ixStep()
 	}
 	return d
 }
 
 // EarliestStart returns the earliest time t >= from at which cpus
 // processors are continuously available for dur seconds. It returns +Inf
-// when cpus exceeds the machine size. The usage at `from` comes from
-// binary searches over the prefix sums; the sweep then either walks the
-// sorted tiers forward with a merge cursor, or — in incremental mode —
-// jumps between feasibility transitions directly: the default path skips
-// whole chunks of the skyline index via their prefix extrema, the flat
-// compat path descends the max/min-augmented skyline tree, both
-// overlaying the reservation tier. In incremental mode from must be at
-// or after the latest BeginPass time.
+// when cpus exceeds the machine size. from must be at or after the
+// latest BeginPass time. The base entry position and usage at `from` are
+// memoized under the base version counter; the sweep then jumps between
+// feasibility transitions, skipping whole chunks of the skyline index via
+// their prefix extrema, with the reservation index overlaid.
 func (p *Profile) EarliestStart(cpus int, dur, from float64) float64 {
 	if cpus > p.Total {
 		return math.Inf(1)
 	}
 	p.prepare()
-	limit := p.Total - cpus
-	if p.inc {
-		if p.flatResv {
-			return p.earliestIncFlat(limit, dur, from)
-		}
-		return p.earliestIncDex(limit, dur, from)
-	}
-	i := sort.Search(len(p.deltas), func(k int) bool { return p.deltas[k].t > from })
-	baseU := 0
-	if i > 0 {
-		baseU = p.prefix[i-1]
-	}
-	ov := ovCursor{a: p.pending[p.pendLo:]}
-	used := baseU + p.pendBase + ov.skip(from)
-	return p.earliestLinear(p.deltas, i, used, ov, limit, dur, from)
-}
-
-// earliestIncFlat is the flat-tier (compat) incremental query entry: the
-// pre-index behavior of lazily sorted pending slices overlaying the
-// merged main tier, swept by the skyline-tree descent.
-func (p *Profile) earliestIncFlat(limit int, dur, from float64) float64 {
-	i := sort.Search(len(p.deltas), func(k int) bool { return p.deltas[k].t > from })
-	baseU := 0
-	if i > 0 {
-		baseU = p.prefix[i-1]
-	}
-	ov := ovCursor{a: p.pending[p.pendLo:]}
-	V := p.pendBase + ov.skip(from)
-	r := sort.Search(len(p.resv), func(k int) bool { return p.resv[k].t > from })
-	ov.b, ov.j = p.resv, r
-	if r > 0 {
-		V += p.resvPrefix[r-1]
-	}
-	ov.c = p.resvPend
-	for ov.k < len(ov.c) && ov.c[ov.k].t <= from {
-		V += ov.c[ov.k].d
-		ov.k++
-	}
-	if !p.noTree && p.tree.len() == len(p.deltas) && len(p.deltas) >= skyTreeMin {
-		return p.earliestTree(i, baseU, V, ov, limit, dur, from)
-	}
-	return p.earliestLinear(p.deltas, i, baseU+V, ov, limit, dur, from)
-}
-
-// earliestIncDex is the default incremental query entry: the base tier
-// lives in the chunked skyline index and reservations in the chunked
-// reservation index. Consecutive queries of a replanning pass share
-// `from` over an unchanged base — only reservations move between them —
-// so the base entry position and usage are memoized under the base
-// version counter; AddReservation and TruncateReservations never
-// invalidate the memo because reservations re-seek on every query.
-func (p *Profile) earliestIncDex(limit int, dur, from float64) float64 {
 	var ci, k, P int
 	if p.ver == p.memoVer && from == p.memoFrom {
 		ci, k, P = p.memoCi, p.memoK, p.memoP
@@ -818,20 +364,18 @@ func (p *Profile) earliestIncDex(limit int, dur, from float64) float64 {
 		rci, rck, rv := p.ridx.seek(from)
 		V += rv
 		if rci < len(p.ridx.chunks) {
-			ov.ix, ov.ci, ov.ck = &p.ridx, rci, rck
+			ov = ovCursor{ix: &p.ridx, ci: rci, ck: rck}
 		}
 	}
-	if p.noTree {
-		return p.earliestDexLinear(P, V, ov, limit, dur, from)
-	}
-	return p.earliestDex(ci, k, P, V, ov, limit, dur, from)
+	return p.earliestDex(ci, k, P, V, ov, p.Total-cpus, dur, from)
 }
 
 // earliestDex is the chunk-skipping feasibility sweep over the skyline
 // index: between overlay (reservation) boundaries the base usage is
 // constant-shifted, so the next feasibility transition is found by
-// cross, which skips whole chunks whose prefix extrema exclude one.
-// Semantics are identical to earliestLinear over the materialized base.
+// cross, which skips whole chunks whose prefix extrema exclude one. Its
+// semantics are those of a plain merge sweep over the materialized base
+// and reservation deltas; the profile tests hold it to exactly that.
 func (p *Profile) earliestDex(ci, k, P, V int, ov ovCursor, limit int, dur, from float64) float64 {
 	d := &p.dex
 	used := P + V
@@ -880,165 +424,5 @@ func (p *Profile) earliestDex(ci, k, P, V int, ov ovCursor, limit int, dur, from
 			}
 		}
 		used = P + V
-	}
-}
-
-// earliestDexLinear is the differential reference for the chunk-skipping
-// sweep: it materializes the skyline index into the scratch buffer and
-// runs the plain merge sweep over it.
-func (p *Profile) earliestDexLinear(P, V int, ov ovCursor, limit int, dur, from float64) float64 {
-	ds := p.scratch[:0]
-	p.dex.each(func(dd delta) bool { ds = append(ds, dd); return true })
-	i := sort.Search(len(ds), func(j int) bool { return ds[j].t > from })
-	res := p.earliestLinear(ds, i, P+V, ov, limit, dur, from)
-	p.scratch = ds[:0]
-	return res
-}
-
-// earliestLinear is the merge-cursor feasibility sweep over a sorted
-// base slice and the overlay cursor. It is the reference the
-// chunk-skipping and skyline-tree sweeps must agree with exactly.
-func (p *Profile) earliestLinear(main []delta, i, used int, ov ovCursor, limit int, dur, from float64) float64 {
-	if len(ov.b) == 0 && len(ov.c) == 0 && ov.ix == nil {
-		// Single overlay list (non-incremental mode, or an incremental
-		// profile with no reservations): the tight two-cursor merge.
-		return p.earliestTwoWay(main, i, used, ov.a, ov.i, limit, dur, from)
-	}
-	cand := from
-	for {
-		t := ov.peek()
-		if i < len(main) && main[i].t < t {
-			t = main[i].t
-		}
-		if math.IsInf(t, 1) {
-			break
-		}
-		// The segment ending at t has constant usage `used`.
-		if used > limit {
-			// Violated throughout; the earliest possible start moves to
-			// the segment's end.
-			cand = t
-		} else if t-cand >= dur {
-			return cand
-		}
-		for i < len(main) && main[i].t == t {
-			used += main[i].d
-			i++
-		}
-		used += ov.take(t)
-	}
-	// Past the last delta the machine is empty (all entries closed), so
-	// the candidate holds forever.
-	return cand
-}
-
-// earliestTwoWay sweeps the base slice against one pending list with the
-// minimal per-segment work; semantics are identical to earliestLinear.
-func (p *Profile) earliestTwoWay(main []delta, i, used int, pend []delta, j, limit int, dur, from float64) float64 {
-	cand := from
-	for i < len(main) || j < len(pend) {
-		var t float64
-		if i < len(main) && (j >= len(pend) || main[i].t <= pend[j].t) {
-			t = main[i].t
-		} else {
-			t = pend[j].t
-		}
-		// The segment ending at t has constant usage `used`.
-		if used > limit {
-			cand = t
-		} else if t-cand >= dur {
-			return cand
-		}
-		for i < len(main) && main[i].t == t {
-			used += main[i].d
-			i++
-		}
-		for j < len(pend) && pend[j].t == t {
-			used += pend[j].d
-			j++
-		}
-	}
-	return cand
-}
-
-// earliestTree is the skyline-tree feasibility sweep: between overlay
-// deltas the base usage is constant-shifted, so the next feasibility
-// transition inside the main tier is found by descending the tree for
-// the first prefix above/at-or-below the shifted limit instead of
-// walking segments one by one.
-func (p *Profile) earliestTree(i, baseU, V int, ov ovCursor, limit int, dur, from float64) float64 {
-	main, pfx := p.deltas, p.prefix
-	used := baseU + V
-	cand := from
-	for {
-		tOv := ov.peek()
-		iEnd := len(main)
-		if !math.IsInf(tOv, 1) {
-			// Overlay boundaries only increase across the sweep, so gallop
-			// from the cursor (exponential probe, then binary search in the
-			// bracketed range) instead of binary-searching the whole
-			// remaining suffix at every boundary.
-			lo, hi := i, i
-			for step := 1; hi < len(main) && main[hi].t < tOv; step <<= 1 {
-				lo = hi + 1
-				hi += step
-			}
-			if hi > len(main) {
-				hi = len(main)
-			}
-			iEnd = lo + sort.Search(hi-lo, func(k int) bool { return main[lo+k].t >= tOv })
-		}
-		// Sweep the base range [i, iEnd) under constant overlay V: base
-		// usage must stay at or below L for the window to be feasible.
-		L := limit - V
-		for {
-			if used > limit {
-				w := p.tree.first(i, iEnd, L, false)
-				if w < 0 {
-					break // violated up to tOv
-				}
-				// Violated segments end where the base prefix drops back
-				// to L: the candidate restarts at that boundary.
-				cand = main[w].t
-				i = w + 1
-				used = pfx[w] + V
-			} else {
-				w := p.tree.first(i, iEnd, L, true)
-				if w < 0 {
-					break // feasible up to tOv
-				}
-				if main[w].t-cand >= dur {
-					return cand
-				}
-				i = w + 1
-				used = pfx[w] + V
-			}
-		}
-		// No more crossings before the overlay boundary: apply the rest of
-		// the range (its deltas shift usage without crossing the limit),
-		// then check the segment ending at the boundary.
-		i = iEnd
-		if i > 0 {
-			used = pfx[i-1] + V
-		} else {
-			used = V
-		}
-		if used > limit {
-			cand = tOv
-		} else if tOv-cand >= dur {
-			return cand // also the tOv = +Inf exit: the tail is free
-		}
-		if math.IsInf(tOv, 1) {
-			return cand
-		}
-		V += ov.take(tOv)
-		for i < len(main) && main[i].t == tOv {
-			i++
-		}
-		if i > 0 {
-			used = pfx[i-1] + V
-		} else {
-			used = V
-		}
 	}
 }

@@ -26,12 +26,10 @@ func BenchmarkEarliestStart(b *testing.B) {
 	}
 }
 
-// BenchmarkReplanPass models one conservative replanning pass at scale:
-// bulk-load n running-job releases, then interleave reservation Adds with
-// EarliestStart queries for a queue of 256 jobs. The seed implementation
-// insertion-sorted every delta (O(n) memmoves per Add, O(n²) per pass);
-// with the bulk loader and the deferred-merge pending tier the per-pass
-// time must grow near-linearly in n — watch ns/op roughly 4× per 4× n.
+// BenchmarkReplanPass models one replanning pass that rebuilds its
+// profile: bulk-load n running-job releases, then interleave reservations
+// with EarliestStart queries for a queue of 256 jobs. The per-pass time
+// must grow near-linearly in n — watch ns/op roughly 4× per 4× n.
 func BenchmarkReplanPass(b *testing.B) {
 	for _, n := range []int{1_000, 4_000, 16_000} {
 		b.Run(fmt.Sprintf("running=%d", n), func(b *testing.B) {
@@ -50,7 +48,7 @@ func BenchmarkReplanPass(b *testing.B) {
 				p.LoadReleases(total, 0, rels)
 				for k := 0; k < 256; k++ {
 					st := p.EarliestStart(1024, 3600, 0)
-					p.Add(Entry{Start: st, End: st + 3600, CPUs: 1024})
+					p.AddReservation(Entry{Start: st, End: st + 3600, CPUs: 1024})
 				}
 			}
 		})
@@ -62,7 +60,7 @@ func BenchmarkReplanPass(b *testing.B) {
 // completion, records one start and answers two planning queries — no
 // rebuild anywhere. Compare with BenchmarkReplanPass, which pays the
 // bulk load on every pass: the per-pass cost here must be independent of
-// n up to the O(log n) query descents and the amortized fold/merge.
+// n up to the O(log n) chunk searches and the amortized fold.
 func BenchmarkIncrementalPass(b *testing.B) {
 	for _, n := range []int{1_000, 4_000, 16_000} {
 		b.Run(fmt.Sprintf("running=%d", n), func(b *testing.B) {
@@ -82,7 +80,7 @@ func BenchmarkIncrementalPass(b *testing.B) {
 			}
 			dur := t // every new job outlives all current ends, keeping the ring sorted
 			p := New(total)
-			p.StartEpoch(total, 0, rels)
+			p.LoadReleases(total, 0, rels)
 			now := 0.0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -93,7 +91,7 @@ func BenchmarkIncrementalPass(b *testing.B) {
 				p.BeginPass(now)
 				p.Vacate(done.cpus, now, done.end)
 				started := job{cpus: 1 + r.Intn(64), end: now + dur}
-				p.Occupy(started.cpus, now, started.end)
+				p.Add(Entry{Start: now, End: started.end, CPUs: started.cpus})
 				live = append(live, started)
 				p.EarliestStart(1024, 3600, now)
 				p.EarliestStart(64, 36000, now)
@@ -107,62 +105,55 @@ func BenchmarkIncrementalPass(b *testing.B) {
 // the usual completion/start churn, then invalidates half the planned
 // queue (TruncateReservations), replaces it with fresh placements at
 // their earliest starts, and answers backfill-style probes through the
-// reservation overlay. The indexed mode runs the chunked reservation
-// index; the flat mode pins the PR 6-8 slice tiers for comparison. As
-// with BenchmarkIncrementalPass, per-pass cost must stay independent of
-// the running-set size n up to logarithmic factors.
+// reservation overlay. As with BenchmarkIncrementalPass, per-pass cost
+// must stay independent of the running-set size n up to logarithmic
+// factors.
 func BenchmarkIncrementalPassResv(b *testing.B) {
 	const queue = 64
 	for _, n := range []int{1_000, 4_000, 16_000} {
-		for _, mode := range []struct {
-			name string
-			flat bool
-		}{{"indexed", false}, {"flat", true}} {
-			b.Run(fmt.Sprintf("running=%d/%s", n, mode.name), func(b *testing.B) {
-				r := rand.New(rand.NewSource(11))
-				const total = 1 << 20
-				type job struct {
-					cpus int
-					end  float64
-				}
-				rels := make([]Release, n)
-				live := make([]job, 0, n+1)
-				t := 0.0
-				for i := range rels {
-					t += 1 + r.Float64()*10
-					rels[i] = Release{Time: t, CPUs: 1 + r.Intn(64)}
-					live = append(live, job{cpus: rels[i].CPUs, end: rels[i].Time})
-				}
-				dur := t
-				p := New(total)
-				p.FlatReservations(mode.flat)
-				p.StartEpoch(total, 0, rels)
-				now := 0.0
-				for k := 0; k < queue; k++ {
+		b.Run(fmt.Sprintf("running=%d", n), func(b *testing.B) {
+			r := rand.New(rand.NewSource(11))
+			const total = 1 << 20
+			type job struct {
+				cpus int
+				end  float64
+			}
+			rels := make([]Release, n)
+			live := make([]job, 0, n+1)
+			t := 0.0
+			for i := range rels {
+				t += 1 + r.Float64()*10
+				rels[i] = Release{Time: t, CPUs: 1 + r.Intn(64)}
+				live = append(live, job{cpus: rels[i].CPUs, end: rels[i].Time})
+			}
+			dur := t
+			p := New(total)
+			p.LoadReleases(total, 0, rels)
+			now := 0.0
+			for k := 0; k < queue; k++ {
+				st := p.EarliestStart(256, 3600, now)
+				p.AddReservation(Entry{Start: st, End: st + 3600, CPUs: 256})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				done := live[0]
+				live = live[1:]
+				now = done.end - 0.5
+				p.BeginPass(now)
+				p.Vacate(done.cpus, now, done.end)
+				started := job{cpus: 1 + r.Intn(64), end: now + dur}
+				p.Add(Entry{Start: now, End: started.end, CPUs: started.cpus})
+				live = append(live, started)
+				p.TruncateReservations(queue / 2)
+				for k := p.Reservations(); k < queue; k++ {
 					st := p.EarliestStart(256, 3600, now)
 					p.AddReservation(Entry{Start: st, End: st + 3600, CPUs: 256})
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					done := live[0]
-					live = live[1:]
-					now = done.end - 0.5
-					p.BeginPass(now)
-					p.Vacate(done.cpus, now, done.end)
-					started := job{cpus: 1 + r.Intn(64), end: now + dur}
-					p.Occupy(started.cpus, now, started.end)
-					live = append(live, started)
-					p.TruncateReservations(queue / 2)
-					for k := p.Reservations(); k < queue; k++ {
-						st := p.EarliestStart(256, 3600, now)
-						p.AddReservation(Entry{Start: st, End: st + 3600, CPUs: 256})
-					}
-					p.EarliestStart(1024, 7200, now)
-					p.CanPlace(64, now, 600)
-				}
-			})
-		}
+				p.EarliestStart(1024, 7200, now)
+				p.CanPlace(64, now, 600)
+			}
+		})
 	}
 }
 

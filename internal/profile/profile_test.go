@@ -223,8 +223,8 @@ func TestQuickEarliestStartOptimal(t *testing.T) {
 	}
 }
 
-// naiveUsedAt is the seed-era reference: a linear scan over the raw
-// entries. The tiered implementation must agree everywhere.
+// naiveUsedAt is the simplest reference: a linear scan over the raw
+// entries. The indexed implementation must agree everywhere.
 func naiveUsedAt(entries []Entry, t float64) int {
 	used := 0
 	for _, e := range entries {
@@ -235,11 +235,10 @@ func naiveUsedAt(entries []Entry, t float64) int {
 	return used
 }
 
-// Satellite regression for the binary-searched UsedAt: agreement with the
-// naive scan on randomized profiles, probed at entry boundaries (where
-// the half-open [Start, End) semantics bite) and at random times, with
-// queries interleaved between Adds so every pending/merged tier state is
-// exercised.
+// Regression for the indexed UsedAt: agreement with the naive scan on
+// randomized profiles, probed at entry boundaries (where the half-open
+// [Start, End) semantics bite) and at random times, with queries
+// interleaved between Adds.
 func TestQuickUsedAtMatchesNaiveScan(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -310,7 +309,7 @@ func TestLoadReleasesMatchesAdds(t *testing.T) {
 				return false
 			}
 		}
-		// Mixing reservations on top must stay equivalent too.
+		// Mixing further occupancies on top must stay equivalent too.
 		for i := 0; i < 5; i++ {
 			s := now + r.Float64()*40
 			e := Entry{Start: s, End: s + 1 + r.Float64()*20, CPUs: 1 + r.Intn(8)}
@@ -333,28 +332,6 @@ func sortReleases(rels []Release) {
 		for j := i; j > 0 && rels[j].Time < rels[j-1].Time; j-- {
 			rels[j], rels[j-1] = rels[j-1], rels[j]
 		}
-	}
-}
-
-// The pending tier must fold into the main tier once it outgrows the
-// merge threshold, keeping point queries logarithmic: after thousands of
-// Adds the pending buffer stays bounded.
-func TestPendingTierStaysBounded(t *testing.T) {
-	p := New(1 << 20)
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		s := r.Float64() * 1e6
-		p.Add(Entry{Start: s, End: s + 1 + r.Float64()*1e4, CPUs: 1 + r.Intn(64)})
-		if i%97 == 0 {
-			p.UsedAt(r.Float64() * 1e6)
-		}
-	}
-	p.UsedAt(0)
-	if cap := 64 + len(p.deltas)/16; len(p.pending) > cap {
-		t.Errorf("pending tier %d exceeds threshold %d after queries", len(p.pending), cap)
-	}
-	if p.Len() != 5000 {
-		t.Errorf("Len = %d, want 5000", p.Len())
 	}
 }
 

@@ -2,23 +2,15 @@ package profile
 
 import "sort"
 
-// The chunked ordered reservation index replaces the flat reservation
-// tier pair (merged slice + lazily re-sorted pending slice) on the
-// replanning hot path. A conservative pass places one reservation per
-// queued job and queries EarliestStart between placements; with the flat
-// tiers every out-of-order placement forced the next query to re-sort
-// the whole pending slice, and every flush re-merged the merged tier —
-// O(k²·log k) sorting work per pass over k reservations. The index keeps
-// the reservation deltas totally ordered in a directory of small sorted
-// chunks (the relindex.go idiom): an insert or removal binary-searches
-// the directory, then moves at most one chunk's worth of entries, and a
-// per-chunk running sum makes the usage-at-`from` prefix a directory
-// walk instead of a binary search over a freshly merged slice. The
-// EarliestStart overlay walks the chunks in time order through the same
-// cursor that merges the pending tier.
-//
-// The flat tiers survive behind Profile.FlatReservations (wired to
-// sched.Compat.FlatReservations) as the differentially-tested reference.
+// The chunked ordered reservation index holds the reservation layer. A
+// conservative pass places one reservation per queued job and queries
+// EarliestStart between placements, so both must stay cheap: the index
+// keeps the reservation deltas totally ordered in a directory of small
+// sorted chunks (the relindex.go idiom). An insert or removal
+// binary-searches the directory, then moves at most one chunk's worth of
+// entries, and a per-chunk running sum makes the usage-at-`from` prefix a
+// directory walk. The EarliestStart overlay walks the chunks in time
+// order through ovCursor.
 const (
 	// resvChunkMax is the split threshold: a chunk reaching this many
 	// deltas is halved. Reservation deltas are 16 bytes, so a mutation
@@ -242,17 +234,4 @@ func (ix *resvIndex) seek(from float64) (ci, k, sum int) {
 func (ix *resvIndex) sumAt(t float64) int {
 	_, _, sum := ix.seek(t)
 	return sum
-}
-
-// each calls fn on every delta in time order until fn returns false.
-// Hot-path consumers iterate the chunks through ovCursor; this is the
-// ordered traversal for tests and oracles.
-func (ix *resvIndex) each(fn func(delta) bool) {
-	for _, ch := range ix.chunks {
-		for _, d := range ch {
-			if !fn(d) {
-				return
-			}
-		}
-	}
 }

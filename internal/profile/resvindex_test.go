@@ -95,8 +95,8 @@ func checkSkyDexInvariants(d *skyDex) error {
 }
 
 // TestQuickReservationTierMatchesFlatTiers is the pairwise differential
-// for the chunked tier structures: one incremental profile on the
-// default chunked indexes and one pinned to the flat compat tiers are
+// for the chunked tier structures: one profile on the chunked skyline and
+// reservation indexes and the flat sorted-slice oracle (flatTiers) are
 // driven through the same mixed op stream — starts, completions,
 // reservation placements at colliding integer times, suffix truncations
 // including full and no-op ones — and must answer every UsedAt and
@@ -113,37 +113,34 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 		now := float64(r.Intn(8))
 
 		idx := New(total)
-		flat := New(total)
-		flat.FlatReservations(true)
+		flat := &flatTiers{total: total}
 		var rels []Release
 		for i := 0; i < r.Intn(12); i++ {
 			rels = append(rels, Release{Time: now + float64(1+r.Intn(300)), CPUs: 1 + r.Intn(total/3)})
 		}
 		sortReleases(rels)
-		idx.StartEpoch(total, now, rels)
-		flat.StartEpoch(total, now, rels)
-
+		idx.LoadReleases(total, now, rels)
 		var running []incJob
 		for _, rel := range rels {
+			flat.add(Entry{Start: now, End: rel.Time, CPUs: rel.CPUs})
 			running = append(running, incJob{cpus: rel.CPUs, end: rel.Time})
 		}
 		resvs := 0
 		for pass := 0; pass < passes; pass++ {
 			now += float64(r.Intn(3))
 			idx.BeginPass(now)
-			flat.BeginPass(now)
 			switch r.Intn(12) {
 			case 0, 1, 2:
 				j := incJob{cpus: 1 + r.Intn(total/2), end: now + float64(1+r.Intn(250))}
-				idx.Occupy(j.cpus, now, j.end)
-				flat.Occupy(j.cpus, now, j.end)
+				idx.Add(Entry{Start: now, End: j.end, CPUs: j.cpus})
+				flat.add(Entry{Start: now, End: j.end, CPUs: j.cpus})
 				running = append(running, j)
 			case 3, 4:
 				if len(running) > 0 {
 					i := r.Intn(len(running))
 					j := running[i]
 					idx.Vacate(j.cpus, now, j.end)
-					flat.Vacate(j.cpus, now, j.end)
+					flat.vacate(j.cpus, now, j.end)
 					running = append(running[:i], running[i+1:]...)
 				}
 			case 5, 6, 7, 8:
@@ -154,7 +151,7 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 				st := idx.EarliestStart(cpus, dur, now)
 				e := Entry{Start: st, End: st + dur, CPUs: cpus}
 				idx.AddReservation(e)
-				flat.AddReservation(e)
+				flat.addReservation(e)
 				resvs++
 			default:
 				keep := 0
@@ -162,7 +159,7 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 					keep = r.Intn(resvs + 1) // full, partial and no-op cuts
 				}
 				idx.TruncateReservations(keep)
-				flat.TruncateReservations(keep)
+				flat.truncate(keep)
 				resvs = keep
 			}
 			if err := checkResvIndexInvariants(&idx.ridx); err != nil {
@@ -175,7 +172,7 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 			}
 			for trial := 0; trial < 3; trial++ {
 				q := now + float64(r.Intn(200))
-				if iu, fu := idx.UsedAt(q), flat.UsedAt(q); iu != fu {
+				if iu, fu := idx.UsedAt(q), flat.usedAt(q); iu != fu {
 					t.Logf("seed %d pass %d: UsedAt(%v) indexed=%d flat=%d", seed, pass, q, iu, fu)
 					return false
 				}
@@ -183,7 +180,7 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 				dur := float64(r.Intn(90))
 				from := now + float64(r.Intn(40))
 				ie := idx.EarliestStart(cpus, dur, from)
-				fe := flat.EarliestStart(cpus, dur, from)
+				fe := flat.earliestStart(cpus, dur, from)
 				if ie != fe {
 					t.Logf("seed %d pass %d: EarliestStart(%d,%v,%v) indexed=%v flat=%v (dex=%d ridx=%d)",
 						seed, pass, cpus, dur, from, ie, fe, idx.dex.len(), idx.ridx.len())
@@ -198,18 +195,18 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 	}
 }
 
-// TestTruncateReservationsWorkBounds pins the rollback cost contract:
-// with the indexed tier a truncate reprocesses at most min(suffix,
-// prefix) journal entries and a full truncate is a free reset; repeated
-// truncation to an already-applied prefix — the scheduler's steady
-// state when a pass invalidates nothing — costs zero work in both
-// modes. The counters are exact, so any regression to journal-replay
-// behavior fails the equality, not just a loose bound.
+// TestTruncateReservationsWorkBounds pins the rollback cost contract: a
+// truncate reprocesses at most min(suffix, prefix) journal entries and a
+// full truncate is a free reset; repeated truncation to an
+// already-applied prefix — the scheduler's steady state when a pass
+// invalidates nothing — costs zero work. The counters are exact, so any
+// regression to journal-replay behavior fails the equality, not just a
+// loose bound.
 func TestTruncateReservationsWorkBounds(t *testing.T) {
-	build := func(flat bool, n int) *Profile {
+	build := func(n int) *Profile {
 		p := New(64)
-		p.FlatReservations(flat)
-		p.StartEpoch(64, 0, nil)
+		p.LoadReleases(64, 0, nil)
+		p.BeginPass(0)
 		for i := 0; i < n; i++ {
 			st := float64(1 + i%37)
 			p.AddReservation(Entry{Start: st, End: st + 5, CPUs: 1 + i%3})
@@ -218,7 +215,7 @@ func TestTruncateReservationsWorkBounds(t *testing.T) {
 	}
 
 	t.Run("indexed-suffix-removal", func(t *testing.T) {
-		p := build(false, 1000)
+		p := build(1000)
 		p.TruncateReservations(990)
 		if p.truncWork != 10 {
 			t.Fatalf("dropping a 10-entry suffix cost %d, want 10", p.truncWork)
@@ -228,7 +225,7 @@ func TestTruncateReservationsWorkBounds(t *testing.T) {
 		}
 	})
 	t.Run("indexed-prefix-rebuild", func(t *testing.T) {
-		p := build(false, 1000)
+		p := build(1000)
 		p.TruncateReservations(10)
 		if p.truncWork != 10 {
 			t.Fatalf("keeping a 10-entry prefix cost %d, want 10 (rebuilt from the kept side)", p.truncWork)
@@ -238,7 +235,7 @@ func TestTruncateReservationsWorkBounds(t *testing.T) {
 		}
 	})
 	t.Run("indexed-full-reset", func(t *testing.T) {
-		p := build(false, 1000)
+		p := build(1000)
 		p.TruncateReservations(0)
 		if p.truncWork != 0 {
 			t.Fatalf("full truncate cost %d, want 0 (wholesale reset)", p.truncWork)
@@ -247,42 +244,21 @@ func TestTruncateReservationsWorkBounds(t *testing.T) {
 			t.Fatalf("index still holds %d deltas after full truncate", p.ridx.len())
 		}
 	})
-	t.Run("flat-merged-tier-rebuild", func(t *testing.T) {
-		p := build(true, 200)
-		// Force the pending reservations through the flush threshold into
-		// the merged tier, then cut below the merged boundary.
-		p.EarliestStart(1, 1, 0)
-		if p.resvMain != 200 {
-			t.Fatalf("merged boundary at %d after flush, want 200", p.resvMain)
+	t.Run("repeated-same-prefix-indexed", func(t *testing.T) {
+		p := build(500)
+		p.TruncateReservations(200)
+		w := p.truncWork
+		for i := 0; i < 100; i++ {
+			p.TruncateReservations(200) // already applied: the journal shrank
+			p.TruncateReservations(700) // beyond the journal: equally free
 		}
-		p.TruncateReservations(50)
-		if p.truncWork != 50 {
-			t.Fatalf("merged-tier rebuild cost %d, want 50 (the kept prefix)", p.truncWork)
+		if p.truncWork != w {
+			t.Fatalf("repeated truncate-to-same-prefix cost %d extra entries, want 0", p.truncWork-w)
 		}
-		if p.resvMain != 50 || len(p.resvPend) != 0 {
-			t.Fatalf("after rebuild: resvMain=%d pending=%d", p.resvMain, len(p.resvPend))
+		if p.Reservations() != 200 {
+			t.Fatalf("journal at %d entries, want 200", p.Reservations())
 		}
 	})
-	for _, mode := range []struct {
-		name string
-		flat bool
-	}{{"indexed", false}, {"flat", true}} {
-		t.Run("repeated-same-prefix-"+mode.name, func(t *testing.T) {
-			p := build(mode.flat, 500)
-			p.TruncateReservations(200)
-			w := p.truncWork
-			for i := 0; i < 100; i++ {
-				p.TruncateReservations(200) // already applied: the journal shrank
-				p.TruncateReservations(700) // beyond the journal: equally free
-			}
-			if p.truncWork != w {
-				t.Fatalf("repeated truncate-to-same-prefix cost %d extra entries, want 0", p.truncWork-w)
-			}
-			if p.Reservations() != 200 {
-				t.Fatalf("journal at %d entries, want 200", p.Reservations())
-			}
-		})
-	}
 }
 
 // FuzzReservationTier drives the chunked reservation index from an

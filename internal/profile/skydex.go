@@ -2,31 +2,19 @@ package profile
 
 import "sort"
 
-// The skyline chunk index (skyDex) holds the incremental base tier: the
-// usage deltas of running-job occupancies and completion credits, kept
-// totally ordered and mutation-friendly. The flat-tier design it
-// replaces (append-only pending buffer, periodic O(n) merge into a
-// prefix-summed main slice, O(n) skyline-tree rebuild per merge) made
-// every mutation cheap but charged queries for it twice: each
-// EarliestStart walked the whole live pending buffer alongside the
-// reservation overlay, and each merge re-sorted, re-summed and re-built
-// structures proportional to the running set. On replanning-heavy runs
-// those two costs dominated the scheduler's hot path.
-//
-// The skyDex is a directory of small sorted chunks (the relindex.go
-// idiom) where each chunk carries its in-chunk inclusive prefix sums and
-// their min/max. A mutation binary-searches the directory, edits one
-// chunk and re-aggregates it — O(log chunks + chunk). Equal-time deltas
-// coalesce and cancel on contact (an occupancy end and its completion
-// credit annihilate immediately instead of waiting for a merge), so the
-// live size tracks the running set with no deferred compaction. The
-// EarliestStart sweep advances a (chunk, offset, prefix) cursor and uses
-// the per-chunk prefix min/max to skip whole chunks that provably
-// contain no feasibility crossing, scanning inside a chunk only where a
-// crossing or an overlay boundary actually lands.
-//
-// The flat tiers survive behind Profile.FlatReservations as the
-// differentially-tested reference.
+// The skyline chunk index (skyDex) holds the base tier: the usage
+// deltas of running-job occupancies and completion credits, kept totally
+// ordered and mutation-friendly. It is a directory of small sorted chunks
+// (the relindex.go idiom) where each chunk carries its in-chunk inclusive
+// prefix sums and their min/max. A mutation binary-searches the
+// directory, edits one chunk and re-aggregates it — O(log chunks +
+// chunk). Equal-time deltas coalesce and cancel on contact (an occupancy
+// end and its completion credit annihilate immediately instead of
+// waiting for a merge), so the live size tracks the running set with no
+// deferred compaction. The EarliestStart sweep advances a (chunk, offset,
+// prefix) cursor and uses the per-chunk prefix min/max to skip whole
+// chunks that provably contain no feasibility crossing, scanning inside a
+// chunk only where a crossing or an overlay boundary actually lands.
 const (
 	// skyChunkMax is the split threshold: a chunk reaching this many
 	// deltas is halved.
@@ -434,16 +422,4 @@ func (d *skyDex) cross(ci, k, P, L int, above bool, tLimit float64) (nci, nk, nP
 		ci, k = ci+1, 0
 	}
 	return ci, 0, P, 0, 0, false
-}
-
-// each calls fn on every delta in time order until fn returns false —
-// the ordered traversal for the differential reference and tests.
-func (d *skyDex) each(fn func(delta) bool) {
-	for i := range d.chunks {
-		for _, dd := range d.chunks[i].ds {
-			if !fn(dd) {
-				return
-			}
-		}
-	}
 }

@@ -78,11 +78,6 @@ type Spec struct {
 	// ExtraRecorders observe the run alongside the metrics collector
 	// (e.g. nodepower.Tracker for the power-down baseline).
 	ExtraRecorders []sched.Recorder
-
-	// Compat re-enables seed-era scheduler hot-path behavior; zero (the
-	// optimized path) for all production runs. Benchmarks and determinism
-	// regressions use sched.SeedCompat() to compare implementations.
-	Compat sched.Compat
 }
 
 // Outcome is the result of one run; it is the scenario layer's Outcome.
@@ -113,7 +108,6 @@ func Compile(spec Spec) (*scenario.Scenario, error) {
 		Controller:     spec.Controller,
 		KeepCollector:  spec.KeepCollector,
 		ExtraRecorders: spec.ExtraRecorders,
-		Compat:         spec.Compat,
 	}
 	// Legacy zero-means-default: only forward explicitly set values; the
 	// scenario layer then rejects non-positive ones loudly.

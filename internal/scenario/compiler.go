@@ -109,7 +109,6 @@ func (c *Compiler) Compile(spec Spec) (*Scenario, error) {
 		shortTh:        shortTh,
 		keepCollector:  spec.KeepCollector,
 		extraRecorders: spec.ExtraRecorders,
-		compat:         spec.Compat,
 		concurrent:     true,
 	}
 

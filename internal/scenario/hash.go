@@ -51,7 +51,7 @@ func controllerDescriptor(c sched.PowerController) string {
 // Results — the workload descriptor, the resolved machine size, the
 // scheduling options, gears, power model, β, Th and the policy
 // descriptor. Result-neutral knobs (KeepCollector, ExtraRecorders,
-// Materialize, Compat) are excluded: the verification spine proves them
+// Materialize) are excluded: the verification spine proves them
 // byte-identical. Floats print with %g at full round-trip precision.
 func (s *Scenario) contentHash() string {
 	h := sha256.New()
@@ -145,7 +145,6 @@ var hashNeutral = map[string]string{
 	"Materialize":    "arena replay vs cloned-cursor streaming is pinned bit-identical (TestStreamMatchesGenerate; BenchmarkStreamingMillionHeap asserts Results equality in-bench)",
 	"KeepCollector":  "retained per-job records never change Results: the streaming collector folds them online bit-identically (streaming-vs-retained collector tests)",
 	"ExtraRecorders": "recorders observe the run; one that mutated scheduling state would break its own Recorder contract, not the hash",
-	"Compat":         "every compat mode is pinned byte-identical to the optimized path by the determinism suite (internal/sched/compat_test.go)",
 }
 
 // HashCoverage returns copies of the hash-coverage declaration: the

@@ -227,9 +227,6 @@ type Spec struct {
 	// collector. They are shared between executions, so a scenario with
 	// extra recorders is not safe for concurrent Execute.
 	ExtraRecorders []sched.Recorder `json:"-"`
-	// Compat re-enables seed-era scheduler hot-path behavior; zero (the
-	// optimized path) for all production runs.
-	Compat sched.Compat `json:"-"`
 }
 
 // Outcome is the result of one execution. runner.Outcome aliases it.
@@ -239,8 +236,7 @@ type Outcome struct {
 	Policy    string
 	CPUs      int
 	// PeakEvents is the high-water mark of the simulation event heap, a
-	// scale diagnostic: O(running jobs) on the optimized hot path versus
-	// O(trace) under Compat.UpfrontArrivals.
+	// scale diagnostic: O(running jobs), since arrivals are streamed.
 	PeakEvents int
 	// Controller is the power controller instance this execution ran
 	// under (the per-execution clone for cloneable controllers), nil for
@@ -291,7 +287,6 @@ type Scenario struct {
 
 	keepCollector  bool
 	extraRecorders []sched.Recorder
-	compat         sched.Compat
 
 	hash       string
 	concurrent bool
@@ -302,8 +297,8 @@ type Scenario struct {
 // identity, the resolved machine size, gears, power model, β, Th, the
 // scheduling options and the policy descriptor — and deliberately not
 // result-neutral observation knobs (KeepCollector, ExtraRecorders,
-// Materialize, Compat), which are proven byte-identical by the
-// verification spine.
+// Materialize), which are proven byte-identical by the verification
+// spine.
 func (s *Scenario) Hash() string { return s.hash }
 
 // Workload is the resolved workload name.
@@ -443,7 +438,6 @@ func (s *Scenario) Execute() (Outcome, error) {
 		Selection:    s.selection,
 		Order:        s.order,
 		Reservations: s.reservations,
-		Compat:       s.compat,
 	})
 	if err != nil {
 		return Outcome{}, err

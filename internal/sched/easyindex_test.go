@@ -75,10 +75,10 @@ func (p *releaseProbe) PassEnd(now float64, queued, busy int) {
 // classic EASY on the chunked release index at a size where it matters:
 // a 1024-CPU machine under a standing queue keeps several hundred
 // releases live, so the index splits and merges chunks while blocked
-// passes sweep it. The default mode must replay every job exactly like
-// the flat-slice reference (Compat.SliceReleases) and the seed-era
-// rebuild-and-sort path. The boosting policy re-gears running jobs, which
-// drives SetGear's remove-and-reinsert through the index.
+// passes sweep it. Every job must run exactly as in the reference
+// simulator, whose shadow re-sorts the clamped releases on every pass.
+// The boosting policy re-gears running jobs, which drives SetGear's
+// remove-and-reinsert through the index.
 func TestEASYIndexMatchesReferencesAtScale(t *testing.T) {
 	const cpus, jobs = 1024, 3000
 	gears := dvfs.PaperGearSet()
@@ -86,35 +86,33 @@ func TestEASYIndexMatchesReferencesAtScale(t *testing.T) {
 		"varying":  func() GearPolicy { return varyingPolicy{gears: gears} },
 		"boosting": func() GearPolicy { return boostingPolicy{gears: gears} },
 	}
-	run := func(t *testing.T, pol GearPolicy, compat Compat) (*auditRecorder, *releaseProbe) {
-		rec := newAudit(t, cpus)
-		probe := &releaseProbe{t: t, checkIdx: compat == Compat{}}
-		sys, err := New(Config{
-			CPUs:      cpus,
-			Gears:     gears,
-			TimeModel: dvfs.NewTimeModel(0.5, gears),
-			Policy:    pol,
-			Variant:   EASY,
-			Recorder:  MultiRecorder{rec, probe},
-			Compat:    compat,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		probe.sys = sys
-		if err := sys.Simulate(indexScaleTrace(5, cpus, jobs)); err != nil {
-			t.Fatal(err)
-		}
-		if err := checkRelIndexInvariants(&sys.relIdx); err != nil {
-			t.Fatalf("after the run: %v", err)
-		}
-		return rec, probe
-	}
 	for pname, mk := range policies {
 		t.Run(pname, func(t *testing.T) {
-			want, probe := run(t, mk(), Compat{})
-			if len(want.ends) != jobs {
-				t.Fatalf("%d/%d jobs finished", len(want.ends), jobs)
+			cfg := Config{
+				CPUs:      cpus,
+				Gears:     gears,
+				TimeModel: dvfs.NewTimeModel(0.5, gears),
+				Policy:    mk(),
+				Variant:   EASY,
+			}
+			tr := indexScaleTrace(5, cpus, jobs)
+			rec := newAudit(t, cpus)
+			probe := &releaseProbe{t: t, checkIdx: true}
+			pcfg := cfg
+			pcfg.Recorder = MultiRecorder{rec, probe}
+			sys, err := New(pcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe.sys = sys
+			if err := sys.Simulate(tr); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkRelIndexInvariants(&sys.relIdx); err != nil {
+				t.Fatalf("after the run: %v", err)
+			}
+			if len(rec.ends) != jobs {
+				t.Fatalf("%d/%d jobs finished", len(rec.ends), jobs)
 			}
 			if probe.peakLen <= relChunkMax {
 				t.Fatalf("index peaked at %d releases (%d running), want > %d to split chunks",
@@ -123,19 +121,12 @@ func TestEASYIndexMatchesReferencesAtScale(t *testing.T) {
 			if probe.blocked < jobs/10 {
 				t.Fatalf("only %d passes left a queue; the fixture must keep EASY blocked", probe.blocked)
 			}
-			for cname, c := range map[string]Compat{
-				"slice-releases": {SliceReleases: true},
-				"seed":           SeedCompat(),
-			} {
-				got, _ := run(t, mk(), c)
-				if len(got.starts) != len(want.starts) {
-					t.Fatalf("%s: %d jobs started, default %d", cname, len(got.starts), len(want.starts))
-				}
-				for id, st := range want.starts {
-					if got.starts[id] != st || got.ends[id] != want.ends[id] {
-						t.Fatalf("%s: job %d ran [%v, %v], default [%v, %v]",
-							cname, id, got.starts[id], got.ends[id], st, want.ends[id])
-					}
+			ref := newRefSim(cfg, nil)
+			ref.run(tr.Jobs)
+			for _, j := range tr.Jobs {
+				if rec.starts[j.ID] != ref.starts[j.ID] || rec.ends[j.ID] != ref.ends[j.ID] {
+					t.Fatalf("job %d ran [%v, %v], reference [%v, %v]",
+						j.ID, rec.starts[j.ID], rec.ends[j.ID], ref.starts[j.ID], ref.ends[j.ID])
 				}
 			}
 		})
@@ -227,78 +218,73 @@ func TestBlockedPassesAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestReleaseScheduleGoesStaleUnderChurn pins relStale's bound for both
-// schedule representations: once read, the schedule takes ordered
-// updates until the mutations since that read exceed a sixteenth of its
-// size plus relChurnSlack, then turns dirty and skips the rest of the
-// burst; the next read rebuilds exactly the (PlannedEnd, id) order the
-// updates would have produced, and a fresh budget starts from there.
+// TestReleaseScheduleGoesStaleUnderChurn pins relStale's bound: once
+// read, the schedule takes ordered updates until the mutations since that
+// read exceed a sixteenth of its size plus relChurnSlack, then turns
+// dirty and skips the rest of the burst; the next read rebuilds exactly
+// the (PlannedEnd, id) order the updates would have produced, and a fresh
+// budget starts from there.
 func TestReleaseScheduleGoesStaleUnderChurn(t *testing.T) {
 	const jobs = 400
-	for _, compat := range []Compat{{}, {SliceReleases: true}} {
-		running := make([]runningSpec, jobs)
-		for i := range running {
-			running[i] = runningSpec{cpus: 1, end: float64(1 + (i*7)%jobs)}
+	running := make([]runningSpec, jobs)
+	for i := range running {
+		running[i] = runningSpec{cpus: 1, end: float64(1 + (i*7)%jobs)}
+	}
+	sys := buildVariantSystem(t, 512, EASY, running)
+	read := func() []release {
+		var out []release
+		for _, ch := range sys.releaseIndex().chunks {
+			out = append(out, ch...)
 		}
-		sys := buildVariantSystem(t, 512, EASY, compat, running)
-		read := func() []release {
-			if sys.relIndexed {
-				var out []release
-				for _, ch := range sys.releaseIndex().chunks {
-					out = append(out, ch...)
-				}
-				return out
-			}
-			return append([]release(nil), sys.sortedReleases()...)
+		return out
+	}
+	want := func() []release {
+		var out []release
+		for _, rs := range sys.runList {
+			out = append(out, release{t: rs.PlannedEnd, cpus: rs.Job.Procs, id: rs.Job.ID})
 		}
-		want := func() []release {
-			var out []release
-			for _, rs := range sys.runList {
-				out = append(out, release{t: rs.PlannedEnd, cpus: rs.Job.Procs, id: rs.Job.ID})
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].t != out[j].t {
+				return out[i].t < out[j].t
 			}
-			sort.Slice(out, func(i, j int) bool {
-				if out[i].t != out[j].t {
-					return out[i].t < out[j].t
-				}
-				return out[i].id < out[j].id
-			})
-			return out
+			return out[i].id < out[j].id
+		})
+		return out
+	}
+	// regear moves one job's planned end the way SetGear does: two
+	// mutations, a remove and an insert.
+	regear := func(k int) {
+		rs := sys.runList[k%jobs]
+		if err := sys.relRemove(rs); err != nil {
+			t.Fatal(err)
 		}
-		// regear moves one job's planned end the way SetGear does: two
-		// mutations, a remove and an insert.
-		regear := func(k int) {
-			rs := sys.runList[k%jobs]
-			if err := sys.relRemove(rs); err != nil {
-				t.Fatal(err)
-			}
-			rs.PlannedEnd += 1000
-			sys.relAdd(rs)
+		rs.PlannedEnd += 1000
+		sys.relAdd(rs)
+	}
+	// A regear's insert sees the schedule one release short.
+	budget := (jobs-1)/16 + relChurnSlack
+	for round := 0; round < 2; round++ {
+		if got := read(); !slices.Equal(got, want()) {
+			t.Fatalf("round %d: read returned a schedule that differs from the run list", round)
 		}
-		// A regear's insert sees the schedule one release short.
-		budget := (jobs-1)/16 + relChurnSlack
-		for round := 0; round < 2; round++ {
-			if got := read(); !slices.Equal(got, want()) {
-				t.Fatalf("%+v round %d: read returned a schedule that differs from the run list", compat, round)
-			}
-			k := 0
-			for ; 2*(k+1) <= budget; k++ {
-				regear(k + round*jobs/2)
-			}
-			if sys.relDirty {
-				t.Fatalf("%+v round %d: dirty after %d mutations, budget %d", compat, round, 2*k, budget)
-			}
-			if got := read(); !slices.Equal(got, want()) {
-				t.Fatalf("%+v round %d: ordered updates diverged from the run list", compat, round)
-			}
-			for m := 0; m < budget; m++ {
-				regear(m + round*jobs/2)
-			}
-			if !sys.relDirty {
-				t.Fatalf("%+v round %d: still maintained after %d unread mutations, budget %d", compat, round, 2*budget, budget)
-			}
+		k := 0
+		for ; 2*(k+1) <= budget; k++ {
+			regear(k + round*jobs/2)
+		}
+		if sys.relDirty {
+			t.Fatalf("round %d: dirty after %d mutations, budget %d", round, 2*k, budget)
 		}
 		if got := read(); !slices.Equal(got, want()) {
-			t.Fatalf("%+v: rebuild after the burst differs from the run list", compat)
+			t.Fatalf("round %d: ordered updates diverged from the run list", round)
 		}
+		for m := 0; m < budget; m++ {
+			regear(m + round*jobs/2)
+		}
+		if !sys.relDirty {
+			t.Fatalf("round %d: still maintained after %d unread mutations, budget %d", round, 2*budget, budget)
+		}
+	}
+	if got := read(); !slices.Equal(got, want()) {
+		t.Fatal("rebuild after the burst differs from the run list")
 	}
 }

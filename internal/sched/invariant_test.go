@@ -46,29 +46,18 @@ func (p *corruptingPolicy) ControlPass(sys *System, now float64) {
 // TestCorruptedPlannedEndReportsNotCrashes is the regression for the
 // relRemove "release schedule lost job" panic: a PlannedEnd corrupted
 // between relAdd and relRemove must surface as an error from Simulate —
-// on the incremental schedules (chunked index and compat slice alike,
-// under classic EASY as under the replanning variants) — and must never
-// take the process down, under every compat mode. The seed-era mode never
-// keeps a schedule (it re-sorts the run list on every pass), so the
-// corruption is absorbed and the run completes; what the test pins there
-// is the absence of a crash.
+// under classic EASY as under the replanning variants — and must never
+// take the process down.
 func TestCorruptedPlannedEndReportsNotCrashes(t *testing.T) {
 	gears := dvfs.PaperGearSet()
 	cases := []struct {
-		name      string
-		variant   Variant
-		resv      int
-		compat    Compat
-		wantError bool
+		name    string
+		variant Variant
+		resv    int
 	}{
-		{"conservative-index", Conservative, 0, Compat{}, true},
-		{"conservative-slice", Conservative, 0, Compat{SliceReleases: true}, true},
-		{"conservative-rebuild-index", Conservative, 0, Compat{RebuildProfile: true}, true},
-		{"conservative-rebuild-slice", Conservative, 0, Compat{RebuildProfile: true, SliceReleases: true}, true},
-		{"flexible-index", EASY, 4, Compat{}, true},
-		{"conservative-seed", Conservative, 0, SeedCompat(), false},
-		{"easy-index", EASY, 0, Compat{}, true},
-		{"easy-slice", EASY, 0, Compat{SliceReleases: true}, true},
+		{"conservative-index", Conservative, 0},
+		{"flexible-index", EASY, 4},
+		{"easy-index", EASY, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -79,7 +68,6 @@ func TestCorruptedPlannedEndReportsNotCrashes(t *testing.T) {
 				Policy:       pol,
 				Variant:      tc.variant,
 				Reservations: tc.resv,
-				Compat:       tc.compat,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -88,15 +76,11 @@ func TestCorruptedPlannedEndReportsNotCrashes(t *testing.T) {
 			if !pol.corrupted {
 				t.Fatal("fixture never corrupted a PlannedEnd; raise the trace length")
 			}
-			if tc.wantError {
-				if err == nil {
-					t.Fatal("Simulate returned nil, want release-schedule invariant error")
-				}
-				if !strings.Contains(err.Error(), "release schedule lost job") {
-					t.Fatalf("Simulate error = %q, want a release-schedule invariant report", err)
-				}
-			} else if err != nil {
-				t.Fatalf("Simulate returned %v; the seed-era rebuild should absorb the corruption", err)
+			if err == nil {
+				t.Fatal("Simulate returned nil, want release-schedule invariant error")
+			}
+			if !strings.Contains(err.Error(), "release schedule lost job") {
+				t.Fatalf("Simulate error = %q, want a release-schedule invariant report", err)
 			}
 		})
 	}
@@ -160,4 +144,122 @@ func (p *regearCorruptPolicy) ControlPass(sys *System, now float64) {
 	rs.PlannedEnd += 999.5
 	p.corrupted = true
 	sys.SetGear(rs, p.gears[0], now)
+}
+
+// hookController runs fn as its ControlPass once the simulation clock
+// reaches after, until fn reports it acted. The run-path invariant tests
+// use it to break the scheduler's bookkeeping behind its back.
+type hookController struct {
+	after float64
+	fn    func(sys *System, now float64) bool
+	fired bool
+}
+
+func (c *hookController) Name() string { return "hook" }
+func (c *hookController) Bind(*System) {}
+func (c *hookController) ControlPass(sys *System, now float64) {
+	if c.fired || now < c.after || len(sys.Running()) == 0 {
+		return
+	}
+	c.fired = c.fn(sys, now)
+}
+
+// runInvariantFixture simulates a warm random trace under variant with
+// the given policy and controller and returns Simulate's error, failing
+// the test when the controller never fired.
+func runInvariantFixture(t *testing.T, variant Variant, pol GearPolicy, ctrl *hookController) error {
+	t.Helper()
+	gears := dvfs.PaperGearSet()
+	sys, err := New(Config{
+		CPUs: 16, Gears: gears,
+		TimeModel:  dvfs.NewTimeModel(0.5, gears),
+		Policy:     pol,
+		Variant:    variant,
+		Controller: ctrl,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = sys.Simulate(randomTrace(13, 16, 200))
+	if ctrl != nil && !ctrl.fired {
+		t.Fatal("fixture controller never fired")
+	}
+	return err
+}
+
+// wantRunError asserts Simulate reported an invariant violation
+// containing msg instead of panicking or succeeding.
+func wantRunError(t *testing.T, err error, msg string) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), msg) {
+		t.Fatalf("Simulate error = %v, want one containing %q", err, msg)
+	}
+}
+
+// A start whose allocation fails — processors the replanning profile
+// counts as free were taken behind the scheduler's back — aborts the run
+// with an error.
+func TestStartAllocationFailureReportsError(t *testing.T) {
+	ctrl := &hookController{after: 50, fn: func(sys *System, now float64) bool {
+		free := sys.Cluster().FreeCount()
+		if free == 0 {
+			return false
+		}
+		if _, err := sys.Cluster().Allocate(free, now); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	}}
+	err := runInvariantFixture(t, Conservative, topPolicy(), ctrl)
+	wantRunError(t, err, "allocation invariant broken")
+}
+
+// zeroGearPolicy hands out a gear with zero frequency, whose dilation
+// coefficient is infinite: the completion lands at a non-finite time the
+// engine refuses.
+type zeroGearPolicy struct{}
+
+func (zeroGearPolicy) Name() string { return "zero-gear" }
+func (zeroGearPolicy) ReserveGear(*workload.Job, float64, float64, int) dvfs.Gear {
+	return dvfs.Gear{}
+}
+func (zeroGearPolicy) BackfillGear(j *workload.Job, now float64, wq int, feasible func(dvfs.Gear) bool) (dvfs.Gear, bool) {
+	return dvfs.Gear{}, feasible(dvfs.Gear{})
+}
+
+// A start whose completion cannot be scheduled aborts the run with an
+// error.
+func TestStartScheduleFailureReportsError(t *testing.T) {
+	err := runInvariantFixture(t, EASY, zeroGearPolicy{}, nil)
+	wantRunError(t, err, "scheduling completion of job")
+}
+
+// A completion whose processors were already released behind the
+// scheduler's back aborts the run with an error.
+func TestFinishReleaseFailureReportsError(t *testing.T) {
+	ctrl := &hookController{after: 50, fn: func(sys *System, now float64) bool {
+		if err := sys.Cluster().Release(sys.Running()[0].Alloc, now); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	}}
+	err := runInvariantFixture(t, EASY, topPolicy(), ctrl)
+	wantRunError(t, err, "release invariant broken")
+}
+
+// SetGear called with a `now` in the past cannot reschedule the job's
+// completion: the run aborts with an error.
+func TestSetGearPastNowReportsError(t *testing.T) {
+	gears := dvfs.PaperGearSet()
+	ctrl := &hookController{after: 50, fn: func(sys *System, now float64) bool {
+		rs := sys.Running()[0]
+		g := gears[0]
+		if rs.Gear == g {
+			g = gears.Top()
+		}
+		sys.SetGear(rs, g, now-1e6)
+		return true
+	}}
+	err := runInvariantFixture(t, EASY, topPolicy(), ctrl)
+	wantRunError(t, err, "rescheduling completion of job")
 }

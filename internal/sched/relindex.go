@@ -6,20 +6,16 @@ import (
 	"repro/internal/profile"
 )
 
-// The chunked ordered release index replaces the flat (PlannedEnd, id)-
-// sorted release slice on the scheduler's hot path, under every variant:
-// the replanning passes and classic EASY's blocked-pass shadow sweep. The
-// flat slice costs an O(running) memmove per insert and remove — once the
-// availability profile persisted across passes, those memmoves were the
-// dominant term of conservative/flexible passes. The index keeps the same total order
-// over small sorted chunks: an insert or remove binary-searches the chunk
-// directory, then moves at most one chunk's worth of entries, so the cost
-// is O(log n + C) for chunk capacity C instead of O(n). In-order
-// iteration (the shadow sweep, the profile bulk snapshot) walks the
-// chunks front to back and is as cache-friendly as the flat slice was.
-//
-// The flat slice survives behind Compat.SliceReleases as the
-// differentially-tested reference, mirroring Compat.RebuildProfile.
+// The chunked ordered release index holds the live jobs' planned
+// releases in (PlannedEnd, id) order for every variant: the replanning
+// passes' epoch loads and classic EASY's blocked-pass shadow sweep read
+// it. A flat sorted slice would cost an O(running) memmove per insert and
+// remove; the index keeps the same total order over small sorted chunks,
+// so an insert or remove binary-searches the chunk directory, then moves
+// at most one chunk's worth of entries — O(log n + C) for chunk capacity
+// C instead of O(n). In-order iteration (the shadow sweep, the profile
+// bulk snapshot) walks the chunks front to back and is as cache-friendly
+// as a flat slice.
 const (
 	// relChunkMax is the split threshold: a chunk reaching this many
 	// entries is halved. 256 releases (16 bytes each) keep a chunk within
@@ -206,7 +202,7 @@ func (ix *relIndex) load(rels []release) {
 
 // appendClamped appends every indexed release in (t, id) order to buf,
 // with times at or before now clamped strictly after it — the bulk
-// snapshot feeding profile.LoadReleases / StartEpoch. Clamping maps a
+// snapshot feeding profile.LoadReleases. Clamping maps a
 // prefix of the order onto one shared point, so the result stays sorted.
 func (ix *relIndex) appendClamped(buf []profile.Release, now float64) []profile.Release {
 	for _, ch := range ix.chunks {
@@ -215,17 +211,4 @@ func (ix *relIndex) appendClamped(buf []profile.Release, now float64) []profile.
 		}
 	}
 	return buf
-}
-
-// each calls fn on every release in (t, id) order until fn returns false.
-// Hot-path consumers iterate ix.chunks directly; this is the ordered
-// traversal for tests and oracles.
-func (ix *relIndex) each(fn func(release) bool) {
-	for _, ch := range ix.chunks {
-		for _, r := range ch {
-			if !fn(r) {
-				return
-			}
-		}
-	}
 }

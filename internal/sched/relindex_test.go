@@ -229,3 +229,15 @@ func TestReleaseIndexClampGroups(t *testing.T) {
 		}
 	}
 }
+
+// each calls fn on every release in (t, id) order until fn returns false:
+// the ordered traversal the index tests audit against their oracles.
+func (ix *relIndex) each(fn func(release) bool) {
+	for _, ch := range ix.chunks {
+		for _, r := range ch {
+			if !fn(r) {
+				return
+			}
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/dvfs"
@@ -15,12 +14,9 @@ type runningSpec struct {
 }
 
 // buildVariantSystem constructs a System mid-simulation like
-// buildRunningSystem, but for any variant/compat combination, so the
-// shadow sweep can be probed over the slice cache, the chunked index and
-// the seed rebuild alike (every variant is index-backed unless
-// Compat.SliceReleases is set; New starts the schedule dirty, so the
-// white-box run list is picked up).
-func buildVariantSystem(t *testing.T, total int, variant Variant, compat Compat, running []runningSpec) *System {
+// buildRunningSystem, but for any variant (New starts the release
+// schedule dirty, so the white-box run list is picked up).
+func buildVariantSystem(t *testing.T, total int, variant Variant, running []runningSpec) *System {
 	t.Helper()
 	gears := dvfs.PaperGearSet()
 	sys, err := New(Config{
@@ -28,7 +24,6 @@ func buildVariantSystem(t *testing.T, total int, variant Variant, compat Compat,
 		TimeModel: dvfs.NewTimeModel(0.5, gears),
 		Policy:    FixedGear{Gear: gears.Top()},
 		Variant:   variant,
-		Compat:    compat,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,11 +43,10 @@ func buildVariantSystem(t *testing.T, total int, variant Variant, compat Compat,
 	return sys
 }
 
-// TestShadowEdgeCasesPinnedAgainstSeed pins the optimized shadow sweeps —
-// the chunked release index (the default under every variant) and the
-// flat sorted slice (Compat.SliceReleases) — against the seed-era
-// rebuild-clamp-sort reference on the boundary shapes where the clamp and
-// the equal-time grouping interact:
+// TestShadowEdgeCasesPinnedAgainstSeed pins the shadow sweep over the
+// chunked release index against the reference simulator's seed-style
+// shadow (rebuild the release list, clamp, sort) on the boundary shapes
+// where the clamp and the equal-time grouping interact:
 //
 //   - every release at or before now, so the whole schedule clamps onto
 //     one shared instant (math.Nextafter(now, +inf));
@@ -131,43 +125,33 @@ func TestShadowEdgeCasesPinnedAgainstSeed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			head := &workload.Job{ID: 999, Procs: tc.headProcs, Runtime: 10, ReqTime: 10, Beta: -1}
 
-			// Seed reference: rebuild, clamp, sort on a scratch system.
-			seedSys := buildVariantSystem(t, tc.total, EASY, Compat{ScratchAlloc: true}, tc.running)
-			wantT, wantExtra := seedSys.shadow(head, tc.now)
-
-			paths := []struct {
-				name    string
-				variant Variant
-				compat  Compat
-				indexed bool
-			}{
-				{"easy-index", EASY, Compat{}, true},
-				{"easy-slice-releases", EASY, Compat{SliceReleases: true}, false},
-				{"index", Conservative, Compat{}, true},
-				{"compat-slice-releases", Conservative, Compat{SliceReleases: true}, false},
+			ref := &refSim{now: tc.now, free: tc.total}
+			for i, r := range tc.running {
+				ref.free -= r.cpus
+				ref.running = append(ref.running, &refJob{
+					job:        &workload.Job{ID: i + 1, Procs: r.cpus},
+					plannedEnd: r.end,
+				})
 			}
-			for _, p := range paths {
-				sys := buildVariantSystem(t, tc.total, p.variant, p.compat, tc.running)
-				if sys.relIndexed != p.indexed {
-					t.Fatalf("%s: relIndexed = %v, want %v", p.name, sys.relIndexed, p.indexed)
-				}
+			wantT, wantExtra := ref.shadow(head)
+
+			for _, variant := range []Variant{EASY, Conservative} {
+				sys := buildVariantSystem(t, tc.total, variant, tc.running)
 				gotT, gotExtra := sys.shadow(head, tc.now)
-				if math.Abs(gotT-wantT) > 0 || gotExtra != wantExtra {
-					t.Errorf("%s: shadow = (%v, %d), seed reference (%v, %d)",
-						p.name, gotT, gotExtra, wantT, wantExtra)
+				if gotT != wantT || gotExtra != wantExtra {
+					t.Errorf("%v: shadow = (%v, %d), reference (%v, %d)",
+						variant, gotT, gotExtra, wantT, wantExtra)
 				}
-				if p.indexed {
-					if err := checkRelIndexInvariants(&sys.relIdx); err != nil {
-						t.Errorf("%s: %v", p.name, err)
-					}
+				if err := checkRelIndexInvariants(&sys.relIdx); err != nil {
+					t.Errorf("%v: %v", variant, err)
 				}
 				// The sweep must not mutate the schedule: a second call
-				// answers identically (both schedules are built once, then
-				// serve repeated sweeps in place).
+				// answers identically (the index is built once, then serves
+				// repeated sweeps in place).
 				gotT2, gotExtra2 := sys.shadow(head, tc.now)
 				if gotT2 != gotT || gotExtra2 != gotExtra {
-					t.Errorf("%s: second sweep diverged: (%v, %d) then (%v, %d)",
-						p.name, gotT, gotExtra, gotT2, gotExtra2)
+					t.Errorf("%v: second sweep diverged: (%v, %d) then (%v, %d)",
+						variant, gotT, gotExtra, gotT2, gotExtra2)
 				}
 			}
 

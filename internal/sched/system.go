@@ -91,51 +91,6 @@ func ParseOrder(name string) (Order, error) {
 	return 0, fmt.Errorf("sched: unknown queue order %q (fcfs, sjf)", name)
 }
 
-// Compat selects seed-era reference implementations of hot-path pieces.
-// The zero value is the optimized path and is what every production
-// caller should use; the flags exist so benchmarks can quantify each
-// optimization and so determinism regressions can prove the optimized
-// path replays traces identically to the original implementation.
-type Compat struct {
-	// UpfrontArrivals schedules every arrival of the trace into the event
-	// heap before the run starts (heap size O(trace)) instead of feeding
-	// arrivals lazily from the sorted trace (heap size O(running jobs)).
-	UpfrontArrivals bool
-	// ScanRemoval removes finished jobs from the run list by linear scan
-	// and ordered deletion (O(running) per completion) instead of the
-	// indexed tombstone scheme.
-	ScanRemoval bool
-	// ScratchAlloc allocates fresh scratch (shadow release lists, kept
-	// queues, availability profiles, engine events) on every pass instead
-	// of reusing per-system buffers.
-	ScratchAlloc bool
-	// RebuildProfile rebuilds the availability profile from the cached
-	// release schedule on every replanning pass instead of persisting it
-	// across passes under the changed-prefix analysis. It quantifies the
-	// incremental-replanning win on its own (ScratchAlloc implies an even
-	// older per-entry rebuild).
-	RebuildProfile bool
-	// SliceReleases maintains the (PlannedEnd, id)-sorted release
-	// schedule as a flat slice with O(running) memmove insert/remove (the
-	// path the chunked ordered release index replaced) instead of the
-	// index, under every variant. Kept as the differentially-tested
-	// reference and to quantify the index win on its own.
-	SliceReleases bool
-	// FlatReservations keeps the persistent profile's reservation layer
-	// in the flat tier pair (merged slice plus lazily re-sorted pending
-	// slice, the PR 5–8 path) instead of the chunked ordered reservation
-	// index. Kept as the differentially-tested reference and to quantify
-	// the index win on its own.
-	FlatReservations bool
-}
-
-// SeedCompat returns the full seed-era behavior: every hot-path
-// optimization disabled.
-func SeedCompat() Compat {
-	return Compat{UpfrontArrivals: true, ScanRemoval: true, ScratchAlloc: true,
-		RebuildProfile: true, SliceReleases: true, FlatReservations: true}
-}
-
 // Config assembles a simulated system.
 type Config struct {
 	CPUs      int
@@ -161,9 +116,6 @@ type Config struct {
 	// give "flexible" backfilling that protects the first K queued jobs;
 	// Conservative ignores this (every job is protected).
 	Reservations int
-	// Compat re-enables seed-era hot-path behavior for benchmarking and
-	// determinism regression; leave zero for production use.
-	Compat Compat
 }
 
 // System simulates one cluster under one scheduling policy.
@@ -200,23 +152,20 @@ type System struct {
 	invErr     error   // first scheduler invariant violation; aborts the run
 
 	// The release schedule holds the live jobs' planned releases sorted
-	// by (PlannedEnd, job ID): the input to the EASY shadow sweep and to
-	// the replanning profile's bulk loads. Every variant keeps it in the
-	// chunked ordered index relIdx (O(log n + chunk) per start,
-	// completion or gear change); Compat.SliceReleases swaps in the flat
-	// relCache slice with memmove insert/remove as the differential
-	// reference. It starts dirty (relDirty) and the first consumer — a
-	// blocked EASY pass or a replanning pass — builds it from the run
-	// list; relAdd and relRemove maintain it from then on and cost one
-	// branch while it is dirty, so a run that never consults it never
-	// builds it. relUnread counts the mutations since the last read: a
-	// burst of them marks the schedule dirty again (relStale).
-	// relCache doubles as the sort scratch for index bulk loads.
-	relCache   []release
-	relIdx     relIndex
-	relDirty   bool
-	relIndexed bool
-	relUnread  int
+	// by (PlannedEnd, job ID) in the chunked ordered index relIdx
+	// (O(log n + chunk) per start, completion or gear change): the input
+	// to the EASY shadow sweep and to the replanning profile's bulk loads.
+	// It starts dirty (relDirty) and the first consumer — a blocked EASY
+	// pass or a replanning pass — builds it from the run list; relAdd and
+	// relRemove maintain it from then on and cost one branch while it is
+	// dirty, so a run that never consults it never builds it. relUnread
+	// counts the mutations since the last read: a burst of them marks the
+	// schedule dirty again (relStale). relCache is the sort scratch for
+	// the bulk builds.
+	relCache  []release
+	relIdx    relIndex
+	relDirty  bool
+	relUnread int
 
 	// bf is the backfill feasibility predicate's state, and bfEasy and
 	// bfProfile its method values bound once in New: a backfill scan sets
@@ -226,14 +175,13 @@ type System struct {
 	bfEasy    func(dvfs.Gear) bool
 	bfProfile func(dvfs.Gear) bool
 
-	// prof and profRels are per-system scratch reused across replanning
-	// passes: the availability profile and the clamped release schedule
-	// fed to its bulk loader.
+	// prof is the replanning passes' availability profile and profRels
+	// the clamped release schedule fed to its epoch loads.
 	prof     *profile.Profile
 	profRels []profile.Release
 
-	// Persistent-profile (incremental replanning) state. The default
-	// replanning path keeps prof alive across passes: the base skyline is
+	// Persistent-profile (incremental replanning) state. Replanning
+	// keeps prof alive across passes: the base skyline is
 	// mutated in O(1) per start/completion/gear switch, and reservations
 	// placed in earlier passes are reused verbatim up to the first queue
 	// position whose reservation could move (the changed-prefix
@@ -288,12 +236,10 @@ func New(cfg Config) (*System, error) {
 		// never pays for its upkeep.
 		relDirty: true,
 	}
-	s.relIndexed = !cfg.Compat.SliceReleases
 	s.bf.s = s
 	s.bfEasy = s.bf.easy
 	s.bfProfile = s.bf.fits
 	_, s.profWiden = cfg.Policy.(EstMonotonePolicy)
-	s.engine.NoPool = cfg.Compat.ScratchAlloc
 	// A gear policy that is also a controller serves both seams: the
 	// per-job decisions through GearPolicy, the per-pass ones through
 	// ControlPass. It keeps its hook even when an explicit cluster-level
@@ -345,8 +291,7 @@ func (s *System) controlPass(now float64) {
 func (s *System) Now() float64 { return s.engine.Now() }
 
 // PeakEvents returns the high-water mark of the event heap over the run —
-// O(running jobs) with streamed arrivals, O(trace) under the seed-era
-// upfront scheduling.
+// O(running jobs), since arrivals are streamed.
 func (s *System) PeakEvents() int { return s.engine.MaxPending() }
 
 // QueueLen returns the number of jobs waiting on execution.
@@ -411,8 +356,8 @@ func (s *System) actDur(j *workload.Job, g dvfs.Gear) float64 {
 // Arrivals are fed to the event engine lazily from the submit-sorted
 // trace: at most one future arrival is in the event heap at any time, so
 // the heap holds O(running jobs) events regardless of trace length. An
-// unsorted trace is sorted into a private copy first (the event heap of
-// the original implementation performed the same ordering implicitly).
+// unsorted trace is sorted into a private copy first, stably, so submit
+// ties keep their trace order.
 func (s *System) Simulate(tr *workload.Trace) error {
 	if err := tr.Validate(); err != nil {
 		return err
@@ -427,13 +372,7 @@ func (s *System) Simulate(tr *workload.Trace) error {
 		}
 	}
 	jobs := tr.Jobs
-	if sorted {
-		// Nothing to do: the adapter below streams jobs in slice order.
-	} else if s.cfg.Compat.UpfrontArrivals {
-		// The seed path historically accepted unsorted traces in file
-		// order — the event heap sorts, with insertion order breaking
-		// submit ties exactly like the stable sort below.
-	} else {
+	if !sorted {
 		jobs = append([]*workload.Job(nil), tr.Jobs...)
 		sort.SliceStable(jobs, func(a, b int) bool {
 			return jobs[a].Submit < jobs[b].Submit
@@ -467,19 +406,7 @@ func (s *System) simulateSource(src workload.JobSource, trusted bool) error {
 	s.srcPtr, _ = src.(workload.PtrSource)
 	s.srcTrusted = trusted
 	s.fedJobs, s.lastSubmit, s.srcErr, s.invErr = 0, 0, nil, nil
-	if s.cfg.Compat.UpfrontArrivals {
-		// Seed-era reference behavior: the whole workload enters the event
-		// heap before the run starts — O(trace) heap, kept for benchmarks.
-		for {
-			err := s.feedArrival()
-			if err != nil {
-				return err
-			}
-			if s.src == nil {
-				break
-			}
-		}
-	} else if err := s.feedArrival(); err != nil {
+	if err := s.feedArrival(); err != nil {
 		return err
 	}
 	if s.fedJobs == 0 {
@@ -537,16 +464,13 @@ func (s *System) feedArrival() error {
 		if j.Procs > s.cfg.CPUs {
 			return fmt.Errorf("sched: job %d needs %d > %d processors", j.ID, j.Procs, s.cfg.CPUs)
 		}
-		if !s.cfg.Compat.UpfrontArrivals {
-			// Streamed feeding relies on nondecreasing submits: the next
-			// arrival is scheduled while the engine sits at the previous
-			// one.
-			if s.fedJobs > 0 && j.Submit < s.lastSubmit {
-				return fmt.Errorf("sched: workload stream not sorted by submit time (job %d at %v after %v)",
-					j.ID, j.Submit, s.lastSubmit)
-			}
-			s.lastSubmit = j.Submit
+		// Streamed feeding relies on nondecreasing submits: the next
+		// arrival is scheduled while the engine sits at the previous one.
+		if s.fedJobs > 0 && j.Submit < s.lastSubmit {
+			return fmt.Errorf("sched: workload stream not sorted by submit time (job %d at %v after %v)",
+				j.ID, j.Submit, s.lastSubmit)
 		}
+		s.lastSubmit = j.Submit
 	}
 	s.fedJobs++
 	if _, err := s.engine.Schedule(j.Submit, sim.EvArrival, j); err != nil {
@@ -618,34 +542,24 @@ func (s *System) pass(now float64) {
 		s.profilePass(now, s.cfg.Reservations)
 		return
 	}
-	if s.cfg.Compat.ScratchAlloc {
-		// Seed-era queue pop: re-slicing forward abandons the backing
-		// array's front, so nearly every subsequent arrival append
-		// reallocates (kept as the benchmark reference).
-		for len(s.queue) > 0 && s.queue[0].Procs <= s.cl.FreeCount() {
-			j := s.queue[0]
-			s.queue = s.queue[1:]
-			g := s.cfg.Policy.ReserveGear(j, now, now, len(s.queue))
-			s.start(j, g, now)
+	// Start queue heads in place, then shift the remainder to the front:
+	// the queue's capacity stays anchored at index 0, so arrival appends
+	// reuse it instead of allocating.
+	started := 0
+	for started < len(s.queue) && s.queue[started].Procs <= s.cl.FreeCount() {
+		j := s.queue[started]
+		started++
+		g := s.cfg.Policy.ReserveGear(j, now, now, len(s.queue)-started)
+		if !s.start(j, g, now) {
+			return
 		}
-	} else {
-		// Start queue heads in place, then shift the remainder to the
-		// front: the queue's capacity stays anchored at index 0, so
-		// arrival appends reuse it instead of allocating.
-		started := 0
-		for started < len(s.queue) && s.queue[started].Procs <= s.cl.FreeCount() {
-			j := s.queue[started]
-			started++
-			g := s.cfg.Policy.ReserveGear(j, now, now, len(s.queue)-started)
-			s.start(j, g, now)
+	}
+	if started > 0 {
+		n := copy(s.queue, s.queue[started:])
+		for i := n; i < len(s.queue); i++ {
+			s.queue[i] = nil
 		}
-		if started > 0 {
-			n := copy(s.queue, s.queue[started:])
-			for i := n; i < len(s.queue); i++ {
-				s.queue[i] = nil
-			}
-			s.queue = s.queue[:n]
-		}
+		s.queue = s.queue[:n]
 	}
 	if len(s.queue) == 0 || s.cfg.Variant == FCFS {
 		s.controlPass(now)
@@ -662,17 +576,15 @@ func (s *System) pass(now float64) {
 	bf.shadow, bf.extra = s.shadow(head, now)
 	free := s.cl.FreeCount()
 	kept := s.queue[:1]
-	if s.cfg.Compat.ScratchAlloc {
-		kept = make([]*workload.Job, 1, len(s.queue))
-		kept[0] = head
-	}
 	qlen := len(s.queue)
 	for _, j := range s.queue[1:] {
 		started := false
 		if j.Procs <= free {
 			bf.j = j
 			if g, ok := s.cfg.Policy.BackfillGear(j, now, qlen-1, s.bfEasy); ok && bf.easy(g) {
-				s.start(j, g, now)
+				if !s.start(j, g, now) {
+					return
+				}
 				free -= j.Procs
 				if now+s.reqDur(j, g) > bf.shadow {
 					bf.extra -= j.Procs
@@ -747,56 +659,17 @@ type resvInfo struct {
 // conservative backfilling; small maxRes yields "flexible" EASY variants
 // protecting the first K queued jobs.
 //
-// The default path persists the profile across passes: the base skyline
-// is kept current incrementally and the leading run of reservations whose
-// replan provably reproduces them is reused verbatim. A pass then costs
-// one gear-policy re-ask per retained reservation (the reuse proof) plus
-// full replanning of the changed suffix — the O(running) profile rebuild
-// and the per-prefix-position profile sweeps are gone.
-// Compat.RebuildProfile selects the bulk-rebuild-per-pass reference,
-// Compat.ScratchAlloc the seed-era per-entry rebuild; all three produce
-// byte-identical schedules.
+// The profile persists across passes: the base skyline is kept current
+// incrementally and the leading run of reservations whose replan provably
+// reproduces them is reused verbatim. A pass then costs one gear-policy
+// re-ask per retained reservation (the reuse proof) plus full replanning
+// of the changed suffix.
 func (s *System) profilePass(now float64, maxRes int) {
-	var prof *profile.Profile
-	resume := 0
-	switch {
-	case s.cfg.Compat.ScratchAlloc:
-		// Seed-era path: a fresh profile filled entry by entry from the
-		// run list. Releases at or before `now` are clamped strictly
-		// after it — a job at its kill limit still occupies processors
-		// until its completion event fires (possibly at this same
-		// timestamp, later in the event order), so the profile must not
-		// over-commit the machine.
-		prof = profile.New(s.cl.Total())
-		for _, rs := range s.runList {
-			if rs == nil {
-				continue // tombstoned completion
-			}
-			prof.Add(profile.Entry{Start: now, End: clampRelease(rs.PlannedEnd, now), CPUs: rs.Job.Procs})
-		}
-	case s.cfg.Compat.RebuildProfile:
-		// Bulk-rebuild reference: load the sorted release schedule from
-		// scratch every pass (from the index or the compat slice). The
-		// clamp maps a prefix of the sorted order onto one shared point
-		// strictly after now, so the schedule stays sorted and the
-		// resulting step function is identical to the seed path's.
-		if s.prof == nil {
-			s.prof = profile.New(s.cl.Total())
-		}
-		s.profRels = s.appendClampedReleases(s.profRels[:0], now)
-		s.prof.LoadReleases(s.cl.Total(), now, s.profRels)
-		prof = s.prof
-	default:
-		prof = s.persistentProfile(now)
-		resume = s.cleanPrefix(now, maxRes)
-		prof.TruncateReservations(resume)
-		s.truncResvMeta(resume)
-	}
-	incremental := !s.cfg.Compat.ScratchAlloc && !s.cfg.Compat.RebuildProfile
+	prof := s.persistentProfile(now)
+	resume := s.cleanPrefix(now, maxRes)
+	prof.TruncateReservations(resume)
+	s.truncResvMeta(resume)
 	kept := s.queue[:resume]
-	if s.cfg.Compat.ScratchAlloc {
-		kept = make([]*workload.Job, 0, len(s.queue))
-	}
 	qlen := len(s.queue)
 	reserved := resume
 	bf := &s.bf
@@ -811,22 +684,13 @@ func (s *System) profilePass(now float64, maxRes int) {
 			d := s.reqDur(j, g)
 			st := prof.EarliestStart(j.Procs, d, now)
 			if st <= now {
-				s.start(j, g, now) // registers its own occupancy when incremental
+				if !s.start(j, g, now) { // registers its own occupancy
+					return
+				}
 				qlen--
-				if !incremental {
-					// The clamp keeps a zero-duration start (ReqTime 0)
-					// occupying its processors at `now` itself; without it
-					// the pass could place another job on them and break
-					// the allocation invariant.
-					prof.Add(profile.Entry{Start: now, End: clampRelease(now+d, now), CPUs: j.Procs})
-				}
 			} else {
-				if incremental {
-					prof.AddReservation(profile.Entry{Start: st, End: st + d, CPUs: j.Procs})
-					s.resvMeta = append(s.resvMeta, resvInfo{job: j, est: est, start: st, gear: g})
-				} else {
-					prof.Add(profile.Entry{Start: st, End: st + d, CPUs: j.Procs})
-				}
+				prof.AddReservation(profile.Entry{Start: st, End: st + d, CPUs: j.Procs})
+				s.resvMeta = append(s.resvMeta, resvInfo{job: j, est: est, start: st, gear: g})
 				reserved++
 				kept = append(kept, j)
 			}
@@ -835,28 +699,25 @@ func (s *System) profilePass(now float64, maxRes int) {
 		// Beyond the protected prefix: immediate backfill or nothing.
 		bf.j = j
 		if g, ok := s.cfg.Policy.BackfillGear(j, now, qlen-1, s.bfProfile); ok && bf.fits(g) {
-			s.start(j, g, now)
-			qlen--
-			if !incremental {
-				prof.Add(profile.Entry{Start: now, End: clampRelease(now+s.reqDur(j, g), now), CPUs: j.Procs})
+			if !s.start(j, g, now) {
+				return
 			}
+			qlen--
 			continue
 		}
 		kept = append(kept, j)
 	}
 	s.setQueue(kept)
-	if incremental {
-		if s.profMut {
-			// The base changed under the retained reservations in a way the
-			// reuse proof doesn't cover (under the widened analysis only
-			// freed capacity — a completion or gear switch — raises the
-			// flag; otherwise any start this pass does too): the next pass
-			// must replan from the head.
-			s.profClean = 0
-			s.profMut = false
-		} else {
-			s.profClean = len(s.resvMeta)
-		}
+	if s.profMut {
+		// The base changed under the retained reservations in a way the
+		// reuse proof doesn't cover (under the widened analysis only freed
+		// capacity — a completion or gear switch — raises the flag;
+		// otherwise any start this pass does too): the next pass must
+		// replan from the head.
+		s.profClean = 0
+		s.profMut = false
+	} else {
+		s.profClean = len(s.resvMeta)
 	}
 	s.controlPass(now)
 }
@@ -870,12 +731,12 @@ func (s *System) profilePass(now float64, maxRes int) {
 func (s *System) persistentProfile(now float64) *profile.Profile {
 	if s.prof == nil {
 		s.prof = profile.New(s.cl.Total())
-		s.prof.FlatReservations(s.cfg.Compat.FlatReservations)
 	}
-	minRel, hasRel := s.minRelease()
-	if !s.profLive || (hasRel && minRel <= now) || s.prof.BaseDeltas() > 4*s.releaseCount()+256 {
-		s.profRels = s.appendClampedReleases(s.profRels[:0], now)
-		s.prof.StartEpoch(s.cl.Total(), now, s.profRels)
+	ix := s.releaseIndex()
+	minRel, hasRel := ix.min()
+	if !s.profLive || (hasRel && minRel.t <= now) || s.prof.BaseDeltas() > 4*ix.len()+256 {
+		s.profRels = ix.appendClamped(s.profRels[:0], now)
+		s.prof.LoadReleases(s.cl.Total(), now, s.profRels)
 		// Re-anchor the credit bookkeeping: completions must hand back
 		// exactly the occupancy the epoch load recorded.
 		for _, rs := range s.runList {
@@ -970,12 +831,15 @@ func (s *System) newRunState() *RunState {
 	return &RunState{}
 }
 
-// start begins executing j at gear g immediately.
-func (s *System) start(j *workload.Job, g dvfs.Gear, now float64) {
+// start begins executing j at gear g immediately. It reports false after
+// a scheduler invariant violation, which fail has recorded; the caller
+// abandons the pass.
+func (s *System) start(j *workload.Job, g dvfs.Gear, now float64) bool {
 	rs := s.newRunState()
 	if err := s.cl.AllocateInto(&rs.Alloc, j.Procs, now); err != nil {
 		// The pass only starts jobs that fit; failure is a scheduler bug.
-		panic(fmt.Sprintf("sched: allocation invariant broken for job %d: %v", j.ID, err))
+		s.fail(fmt.Errorf("sched: allocation invariant broken for job %d: %w", j.ID, err))
+		return false
 	}
 	rs.Job = j
 	rs.Gear = g
@@ -984,6 +848,12 @@ func (s *System) start(j *workload.Job, g dvfs.Gear, now float64) {
 	rs.ActualEnd = now + s.actDur(j, g)
 	rs.phaseStart = now
 	rs.Reduced = !s.cfg.Gears.IsTop(g)
+	h, err := s.engine.Schedule(rs.ActualEnd, sim.EvEnd, rs)
+	if err != nil {
+		s.fail(fmt.Errorf("sched: scheduling completion of job %d: %w", j.ID, err))
+		return false
+	}
+	rs.endEv = h
 	s.relAdd(rs)
 	if s.profLive {
 		// Keep the persistent profile's base skyline current. Under the
@@ -998,18 +868,14 @@ func (s *System) start(j *workload.Job, g dvfs.Gear, now float64) {
 			s.profMut = true
 		}
 		rs.profEnd = clampRelease(rs.PlannedEnd, now)
-		s.prof.Occupy(j.Procs, now, rs.profEnd)
+		s.prof.Add(profile.Entry{Start: now, End: rs.profEnd, CPUs: j.Procs})
 	}
-	h, err := s.engine.Schedule(rs.ActualEnd, sim.EvEnd, rs)
-	if err != nil {
-		panic(fmt.Sprintf("sched: scheduling completion of job %d: %v", j.ID, err))
-	}
-	rs.endEv = h
 	rs.runIdx = len(s.runList)
 	s.runList = append(s.runList, rs)
 	if s.cfg.Recorder != nil {
 		s.cfg.Recorder.JobStarted(rs, now)
 	}
+	return true
 }
 
 // finish releases j's processors and closes its phase history. Removal
@@ -1018,7 +884,8 @@ func (s *System) start(j *workload.Job, g dvfs.Gear, now float64) {
 // order exactly (the property shadow and profilePass iterate under).
 func (s *System) finish(rs *RunState, now float64) {
 	if err := s.cl.Release(rs.Alloc, now); err != nil {
-		panic(fmt.Sprintf("sched: release invariant broken for job %d: %v", rs.Job.ID, err))
+		s.fail(fmt.Errorf("sched: release invariant broken for job %d: %w", rs.Job.ID, err))
+		return
 	}
 	if err := s.relRemove(rs); err != nil {
 		// The release schedule lost this job (a corrupted PlannedEnd):
@@ -1034,19 +901,10 @@ func (s *System) finish(rs *RunState, now float64) {
 		s.profMut = true
 		s.prof.Vacate(rs.Job.Procs, now, rs.profEnd)
 	}
-	if s.cfg.Compat.ScanRemoval {
-		for i, r := range s.runList {
-			if r == rs {
-				s.runList = append(s.runList[:i], s.runList[i+1:]...)
-				break
-			}
-		}
-	} else {
-		s.runList[rs.runIdx] = nil
-		s.runNil++
-		if s.runNil*2 > len(s.runList) {
-			s.compactRunList()
-		}
+	s.runList[rs.runIdx] = nil
+	s.runNil++
+	if s.runNil*2 > len(s.runList) {
+		s.compactRunList()
 	}
 	// Close the open phase in place (equivalent to rs.AllPhases(now) but
 	// without copying the closed-phase history for every completion).
@@ -1057,18 +915,19 @@ func (s *System) finish(rs *RunState, now float64) {
 	if s.cfg.Recorder != nil {
 		s.cfg.Recorder.JobFinished(rs, now)
 	}
-	if !s.cfg.Compat.ScratchAlloc {
-		// The RunState is dead once its completion callbacks returned:
-		// recycle it (recorders must not retain it past JobFinished).
-		s.rsPool = append(s.rsPool, rs)
-	}
+	// The RunState is dead once its completion callbacks returned:
+	// recycle it (recorders must not retain it past JobFinished).
+	s.rsPool = append(s.rsPool, rs)
 }
 
 // SetGear switches a running job to gear g at time now, rescaling its
 // remaining work under the β model and re-scheduling its completion. It
 // implements the paper's future-work extension of dynamically raising
 // frequencies of running jobs. Controllers call it from ControlPass.
-// Recorders implementing GearObserver are notified after the switch.
+// Recorders implementing GearObserver are notified after the switch. A
+// switch the scheduler cannot honour (a completion it cannot
+// reschedule, e.g. for a `now` in the past) aborts the run: Simulate
+// returns the error.
 func (s *System) SetGear(rs *RunState, g dvfs.Gear, now float64) {
 	if g == rs.Gear {
 		return
@@ -1098,23 +957,24 @@ func (s *System) SetGear(rs *RunState, g dvfs.Gear, now float64) {
 	}
 	rs.ActualEnd = now + remWork*newCoef
 	rs.PlannedEnd = now + remReq*newCoef
+	s.engine.Cancel(rs.endEv)
+	h, err := s.engine.Schedule(rs.ActualEnd, sim.EvEnd, rs)
+	if err != nil {
+		s.fail(fmt.Errorf("sched: rescheduling completion of job %d: %w", rs.Job.ID, err))
+		return
+	}
+	rs.endEv = h
 	s.relAdd(rs)
 	if s.profLive {
 		// Swap the job's planned occupancy for the re-geared one.
 		s.profMut = true
 		s.prof.Vacate(rs.Job.Procs, now, rs.profEnd)
-		s.prof.Occupy(rs.Job.Procs, now, rs.PlannedEnd)
+		s.prof.Add(profile.Entry{Start: now, End: rs.PlannedEnd, CPUs: rs.Job.Procs})
 		rs.profEnd = rs.PlannedEnd
 	}
 	if !s.cfg.Gears.IsTop(g) {
 		rs.Reduced = true
 	}
-	s.engine.Cancel(rs.endEv)
-	h, err := s.engine.Schedule(rs.ActualEnd, sim.EvEnd, rs)
-	if err != nil {
-		panic(fmt.Sprintf("sched: rescheduling completion of job %d: %v", rs.Job.ID, err))
-	}
-	rs.endEv = h
 	if o, ok := s.cfg.Recorder.(GearObserver); ok {
 		o.JobRegeared(rs, old, now)
 	}

@@ -145,9 +145,6 @@ type Engine struct {
 	// no Event per Schedule. Reused events bump their generation, which
 	// inertly expires any Handle still pointing at them.
 	pool []*Event
-	// NoPool disables event recycling (every Schedule allocates), retained
-	// as the seed-era reference behavior for allocation benchmarks.
-	NoPool bool
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -249,9 +246,7 @@ func (e *Engine) Stopped() bool { return e.stopped }
 func (e *Engine) recycle(ev *Event) {
 	ev.gen++
 	ev.Payload = nil
-	if !e.NoPool {
-		e.pool = append(e.pool, ev)
-	}
+	e.pool = append(e.pool, ev)
 }
 
 // Run dispatches events in order to handle until the queue drains or Stop

@@ -346,33 +346,68 @@ func TestStaleHandleCannotCancelReusedEvent(t *testing.T) {
 	}
 }
 
-// Pooled and unpooled engines must dispatch identical sequences.
+// The pooled engine must dispatch exactly the sequence of a naive
+// reference that keeps every scheduled event in a list and always fires
+// the least (T, Kind, seq) one, while the handler schedules new events
+// as dispatched ones recycle.
 func TestPoolingDoesNotChangeDispatchOrder(t *testing.T) {
-	runSeq := func(noPool bool) []Time {
-		e := NewEngine()
-		e.NoPool = noPool
-		var got []Time
-		// Interleave scheduling from inside the handler so the pool is
-		// actually exercised (events recycle between schedules).
-		e.Schedule(0, EvArrival, nil)
-		next := Time(1)
-		e.Run(func(ev Event) {
-			got = append(got, ev.T)
-			if next <= 10 {
-				e.Schedule(next, EvEnd, nil)
-				e.Schedule(next, EvArrival, nil)
-				next += 2
-			}
-		})
-		return got
+	type key struct {
+		t    Time
+		kind EventKind
+		seq  int
 	}
-	pooled, plain := runSeq(false), runSeq(true)
-	if len(pooled) != len(plain) {
-		t.Fatalf("pooled dispatched %d events, plain %d", len(pooled), len(plain))
+	// step is the shared handler body: whatever fires, schedule an end and
+	// an arrival at the next odd instant until t=10.
+	step := func(next *Time, schedule func(Time, EventKind)) {
+		if *next <= 10 {
+			schedule(*next, EvEnd)
+			schedule(*next, EvArrival)
+			*next += 2
+		}
+	}
+
+	e := NewEngine()
+	var pooled []key
+	seq := 0
+	schedule := func(at Time, kind EventKind) {
+		if _, err := e.Schedule(at, kind, seq); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+	}
+	schedule(0, EvArrival)
+	next := Time(1)
+	e.Run(func(ev Event) {
+		pooled = append(pooled, key{ev.T, ev.Kind, ev.Payload.(int)})
+		step(&next, schedule)
+	})
+
+	var list, want []key
+	seq = 0
+	ref := func(at Time, kind EventKind) {
+		list = append(list, key{at, kind, seq})
+		seq++
+	}
+	ref(0, EvArrival)
+	next = 1
+	for len(list) > 0 {
+		m := 0
+		for i, k := range list {
+			b := list[m]
+			if k.t < b.t || (k.t == b.t && (k.kind < b.kind || (k.kind == b.kind && k.seq < b.seq))) {
+				m = i
+			}
+		}
+		want = append(want, list[m])
+		list = append(list[:m], list[m+1:]...)
+		step(&next, ref)
+	}
+	if len(pooled) != len(want) {
+		t.Fatalf("pooled dispatched %d events, reference %d", len(pooled), len(want))
 	}
 	for i := range pooled {
-		if pooled[i] != plain[i] {
-			t.Fatalf("dispatch %d: pooled t=%v, plain t=%v", i, pooled[i], plain[i])
+		if pooled[i] != want[i] {
+			t.Fatalf("dispatch %d: pooled %+v, reference %+v", i, pooled[i], want[i])
 		}
 	}
 }
@@ -384,64 +419,61 @@ func TestPoolingDoesNotChangeDispatchOrder(t *testing.T) {
 // sequence must equal a naive reference that keeps only live events and
 // always fires the least (T, Kind, seq) one.
 func TestCancelChurnCompactsQueue(t *testing.T) {
-	for _, noPool := range []bool{false, true} {
-		r := rand.New(rand.NewSource(7))
-		e := NewEngine()
-		e.NoPool = noPool
-		type ref struct {
-			t   Time
-			seq int
+	r := rand.New(rand.NewSource(7))
+	e := NewEngine()
+	type ref struct {
+		t   Time
+		seq int
+	}
+	live := map[int]ref{} // payload id -> reference key
+	handles := map[int]Handle{}
+	seq := 0
+	schedule := func(id int, at Time) {
+		h, err := e.Schedule(at, EvEnd, id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		live := map[int]ref{} // payload id -> reference key
-		handles := map[int]Handle{}
-		seq := 0
-		schedule := func(id int, at Time) {
-			h, err := e.Schedule(at, EvEnd, id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			handles[id], live[id] = h, ref{at, seq}
-			seq++
+		handles[id], live[id] = h, ref{at, seq}
+		seq++
+	}
+	for id := 0; id < 200; id++ {
+		schedule(id, Time(1+r.Intn(1000)))
+	}
+	next := 200
+	dispatched := 0
+	e.Run(func(ev Event) {
+		id := ev.Payload.(int)
+		want, ok := live[id]
+		if !ok {
+			t.Fatalf("dispatched event %d, which is not live", id)
 		}
-		for id := 0; id < 200; id++ {
-			schedule(id, Time(1+r.Intn(1000)))
+		for oid, o := range live {
+			if o.t < want.t || (o.t == want.t && o.seq < want.seq) {
+				t.Fatalf("dispatched %d at %v while %d at %v (seq %d) was due first", id, want.t, oid, o.t, o.seq)
+			}
 		}
-		next := 200
-		dispatched := 0
-		e.Run(func(ev Event) {
-			id := ev.Payload.(int)
-			want, ok := live[id]
-			if !ok {
-				t.Fatalf("dispatched event %d, which is not live", id)
+		delete(live, id)
+		delete(handles, id)
+		dispatched++
+		// Re-gear: move many live events to new times.
+		for oid, h := range handles {
+			if r.Intn(3) == 0 {
+				e.Cancel(h)
+				schedule(oid, ev.T+Time(r.Intn(500)))
 			}
-			for oid, o := range live {
-				if o.t < want.t || (o.t == want.t && o.seq < want.seq) {
-					t.Fatalf("dispatched %d at %v while %d at %v (seq %d) was due first", id, want.t, oid, o.t, o.seq)
-				}
-			}
-			delete(live, id)
-			delete(handles, id)
-			dispatched++
-			// Re-gear: move many live events to new times.
-			for oid, h := range handles {
-				if r.Intn(3) == 0 {
-					e.Cancel(h)
-					schedule(oid, ev.T+Time(r.Intn(500)))
-				}
-			}
-			if dispatched <= 600 {
-				schedule(next, ev.T+Time(1+r.Intn(1000)))
-				next++
-			}
-			if q := len(e.queue); q > 2*e.Len()+deadSlack+1 {
-				t.Fatalf("queue holds %d events for %d live ones", q, e.Len())
-			}
-		})
-		if len(live) != 0 || e.Len() != 0 || len(e.queue) != 0 {
-			t.Fatalf("noPool=%v: %d live, Len %d, queue %d after the run", noPool, len(live), e.Len(), len(e.queue))
 		}
-		if dispatched != 800 {
-			t.Fatalf("noPool=%v: dispatched %d events, want 800", noPool, dispatched)
+		if dispatched <= 600 {
+			schedule(next, ev.T+Time(1+r.Intn(1000)))
+			next++
 		}
+		if q := len(e.queue); q > 2*e.Len()+deadSlack+1 {
+			t.Fatalf("queue holds %d events for %d live ones", q, e.Len())
+		}
+	})
+	if len(live) != 0 || e.Len() != 0 || len(e.queue) != 0 {
+		t.Fatalf("%d live, Len %d, queue %d after the run", len(live), e.Len(), len(e.queue))
+	}
+	if dispatched != 800 {
+		t.Fatalf("dispatched %d events, want 800", dispatched)
 	}
 }
