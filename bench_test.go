@@ -19,7 +19,6 @@ import (
 	"repro/internal/dvfs"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sweep"
@@ -258,6 +257,17 @@ var (
 	traceCache = map[string]*workload.Trace{}
 )
 
+// runSpec compiles spec and executes it once. Benchmarks call it inside
+// their timed loops, so every iteration pays compilation as well as the
+// simulation.
+func runSpec(spec scenario.Spec) (scenario.Outcome, error) {
+	sc, err := scenario.Compile(spec)
+	if err != nil {
+		return scenario.Outcome{}, err
+	}
+	return sc.Execute()
+}
+
 func benchTrace(b *testing.B, name string, jobs int) *workload.Trace {
 	b.Helper()
 	key := fmt.Sprintf("%s/%d", name, jobs)
@@ -287,7 +297,7 @@ func BenchmarkSimulate(b *testing.B) {
 			tr := benchTrace(b, name, 5000)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := runner.Run(runner.Spec{Trace: tr}); err != nil {
+				if _, err := runSpec(scenario.Spec{Trace: tr}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -301,14 +311,14 @@ func BenchmarkSimulate(b *testing.B) {
 func BenchmarkSimulatePowerAware(b *testing.B) {
 	gears := dvfs.PaperGearSet()
 	pol, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit},
-		gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
+		gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
 	if err != nil {
 		b.Fatal(err)
 	}
 	tr := benchTrace(b, "CTC", 5000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(runner.Spec{Trace: tr, Policy: pol}); err != nil {
+		if _, err := runSpec(scenario.Spec{Trace: tr, GearPolicy: pol}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -411,7 +421,7 @@ func BenchmarkHotPathMillion(b *testing.B) {
 			sampler := &heapSampler{every: 4096}
 			peakEvents := 0
 			for i := 0; i < b.N; i++ {
-				out, err := runner.Run(runner.Spec{
+				out, err := runSpec(scenario.Spec{
 					Trace:          tr,
 					ExtraRecorders: []sched.Recorder{sampler},
 				})
@@ -446,7 +456,7 @@ func BenchmarkConservativeFullMillion(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			out, err := runner.Run(runner.Spec{Source: src, Variant: sched.Conservative})
+			out, err := runSpec(scenario.Spec{Source: src, Variant: "conservative"})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -473,15 +483,15 @@ func BenchmarkControllerMillion(b *testing.B) {
 	for _, mode := range []string{"off", "capped"} {
 		b.Run(fmt.Sprintf("jobs=%d/%s", jobs, mode), func(b *testing.B) {
 			tr := benchTrace(b, "Million", jobs)
-			spec := runner.Spec{Trace: tr}
+			spec := scenario.Spec{Trace: tr}
 			if mode == "capped" {
 				spec.Controller = scenario.ControllerConfig{CapFrac: 1}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			var last runner.Outcome
+			var last scenario.Outcome
 			for i := 0; i < b.N; i++ {
-				out, err := runner.Run(spec)
+				out, err := runSpec(spec)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -510,7 +520,7 @@ func BenchmarkConservativeTenMillion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := runner.Run(runner.Spec{Source: src, Variant: sched.Conservative})
+		out, err := runSpec(scenario.Spec{Source: src, Variant: "conservative"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -545,7 +555,7 @@ func BenchmarkScenarioConcurrentReplay(b *testing.B) {
 	jobs := sc.Jobs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		outs := make([]runner.Outcome, replicas)
+		outs := make([]scenario.Outcome, replicas)
 		var wg sync.WaitGroup
 		for r := 0; r < replicas; r++ {
 			wg.Add(1)
@@ -611,11 +621,11 @@ func BenchmarkStreamingMillionHeap(b *testing.B) {
 	var materialized *metrics.Results
 	for _, mode := range []string{"materialized", "streamed"} {
 		b.Run(fmt.Sprintf("jobs=%d/%s", wgen.MillionJobs, mode), func(b *testing.B) {
-			var last runner.Outcome
+			var last scenario.Outcome
 			var peakMB, traceMB float64
 			for i := 0; i < b.N; i++ {
 				heap := metrics.NewHeapWatermark(0)
-				spec := runner.Spec{ExtraRecorders: []sched.Recorder{heap}}
+				spec := scenario.Spec{ExtraRecorders: []sched.Recorder{heap}}
 				if mode == "materialized" {
 					tr, err := wgen.Generate(wgen.Million())
 					if err != nil {
@@ -631,7 +641,7 @@ func BenchmarkStreamingMillionHeap(b *testing.B) {
 				}
 				heap.Sample()
 				traceMB = heap.PeakMB()
-				out, err := runner.Run(spec)
+				out, err := runSpec(spec)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -666,7 +676,7 @@ func BenchmarkStreamingTenMillionReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := runner.Run(runner.Spec{Source: src, ExtraRecorders: []sched.Recorder{heap}})
+		out, err := runSpec(scenario.Spec{Source: src, ExtraRecorders: []sched.Recorder{heap}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -687,7 +697,7 @@ const ablationJobs = 2000
 func ablationPolicy(b *testing.B, params core.Params) sched.GearPolicy {
 	b.Helper()
 	gears := dvfs.PaperGearSet()
-	pol, err := core.NewPolicy(params, gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
+	pol, err := core.NewPolicy(params, gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -708,10 +718,10 @@ func BenchmarkAblationStrictBackfillBSLD(b *testing.B) {
 			pol := ablationPolicy(b, core.Params{
 				BSLDThreshold: 2, WQThreshold: core.NoWQLimit, StrictBackfillBSLD: strict,
 			})
-			var out runner.Outcome
+			var out scenario.Outcome
 			var err error
 			for i := 0; i < b.N; i++ {
-				if out, err = runner.Run(runner.Spec{Trace: tr, Policy: pol}); err != nil {
+				if out, err = runSpec(scenario.Spec{Trace: tr, GearPolicy: pol}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -725,17 +735,17 @@ func BenchmarkAblationStrictBackfillBSLD(b *testing.B) {
 // at 0.5 (its Section 7 future work calls for a per-job β analysis).
 func BenchmarkAblationBeta(b *testing.B) {
 	tr := benchTrace(b, "SDSCBlue", ablationJobs)
-	base, err := runner.Run(runner.Spec{Trace: tr})
+	base, err := runSpec(scenario.Spec{Trace: tr})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, beta := range []float64{0.25, 0.5, 0.75, 1.0} {
 		b.Run(fmt.Sprintf("beta=%.2f", beta), func(b *testing.B) {
 			pol := ablationPolicy(b, core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-			var out runner.Outcome
+			var out scenario.Outcome
 			var err error
 			for i := 0; i < b.N; i++ {
-				if out, err = runner.Run(runner.Spec{Trace: tr, Policy: pol, Beta: beta}); err != nil {
+				if out, err = runSpec(scenario.Spec{Trace: tr, GearPolicy: pol, Beta: &beta}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -749,7 +759,7 @@ func BenchmarkAblationBeta(b *testing.B) {
 // extension: raising running reduced jobs to Ftop once the queue grows.
 func BenchmarkAblationDynamicBoost(b *testing.B) {
 	tr := benchTrace(b, "SDSCBlue", ablationJobs)
-	base, err := runner.Run(runner.Spec{Trace: tr})
+	base, err := runSpec(scenario.Spec{Trace: tr})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -762,10 +772,10 @@ func BenchmarkAblationDynamicBoost(b *testing.B) {
 			pol := ablationPolicy(b, core.Params{
 				BSLDThreshold: 2, WQThreshold: core.NoWQLimit, Boost: boost, BoostWQ: 16,
 			})
-			var out runner.Outcome
+			var out scenario.Outcome
 			var err error
 			for i := 0; i < b.N; i++ {
-				if out, err = runner.Run(runner.Spec{Trace: tr, Policy: pol}); err != nil {
+				if out, err = runSpec(scenario.Spec{Trace: tr, GearPolicy: pol}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -781,17 +791,17 @@ func BenchmarkAblationDynamicBoost(b *testing.B) {
 // setting (DESIGN.md).
 func BenchmarkAblationWQCounting(b *testing.B) {
 	tr := benchTrace(b, "CTC", ablationJobs)
-	base, err := runner.Run(runner.Spec{Trace: tr})
+	base, err := runSpec(scenario.Spec{Trace: tr})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, wq := range []int{0, 1} {
 		b.Run(fmt.Sprintf("wq=%d", wq), func(b *testing.B) {
 			pol := ablationPolicy(b, core.Params{BSLDThreshold: 2, WQThreshold: wq})
-			var out runner.Outcome
+			var out scenario.Outcome
 			var err error
 			for i := 0; i < b.N; i++ {
-				if out, err = runner.Run(runner.Spec{Trace: tr, Policy: pol}); err != nil {
+				if out, err = runSpec(scenario.Spec{Trace: tr, GearPolicy: pol}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -805,7 +815,7 @@ func BenchmarkAblationWQCounting(b *testing.B) {
 // quantifying how much of the savings comes from the deepest gears.
 func BenchmarkAblationGearSet(b *testing.B) {
 	tr := benchTrace(b, "LLNLAtlas", ablationJobs)
-	base, err := runner.Run(runner.Spec{Trace: tr})
+	base, err := runSpec(scenario.Spec{Trace: tr})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -819,13 +829,13 @@ func BenchmarkAblationGearSet(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			pol, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit},
-				tc.gears, dvfs.NewTimeModel(runner.DefaultBeta, tc.gears))
+				tc.gears, dvfs.NewTimeModel(scenario.DefaultBeta, tc.gears))
 			if err != nil {
 				b.Fatal(err)
 			}
-			var out runner.Outcome
+			var out scenario.Outcome
 			for i := 0; i < b.N; i++ {
-				if out, err = runner.Run(runner.Spec{Trace: tr, Policy: pol, Gears: tc.gears}); err != nil {
+				if out, err = runSpec(scenario.Spec{Trace: tr, GearPolicy: pol, Gears: tc.gears}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -849,10 +859,10 @@ func BenchmarkAblationBasePolicy(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			pol := ablationPolicy(b, core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-			var out runner.Outcome
+			var out scenario.Outcome
 			var err error
 			for i := 0; i < b.N; i++ {
-				if out, err = runner.Run(runner.Spec{Trace: tr, Policy: pol, Variant: tc.variant}); err != nil {
+				if out, err = runSpec(scenario.Spec{Trace: tr, GearPolicy: pol, Variant: tc.variant.String()}); err != nil {
 					b.Fatal(err)
 				}
 			}

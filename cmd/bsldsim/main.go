@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -37,7 +38,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dvfs"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/wgen"
@@ -54,7 +54,7 @@ func main() {
 		bsldThr = flag.Float64("bsld", 2, "BSLDthreshold of the frequency assignment algorithm")
 		wqThr   = flag.Int("wq", 0, "WQthreshold (jobs waiting); -1 = no limit")
 		size    = flag.Float64("size", 1.0, "system size factor (1.2 = 20% enlarged)")
-		beta    = flag.Float64("beta", runner.DefaultBeta, "β of the execution time model")
+		beta    = flag.Float64("beta", scenario.DefaultBeta, "β of the execution time model (must be positive)")
 		variant = flag.String("policy", "easy", "base scheduling policy: easy, fcfs, conservative")
 		sel     = flag.String("select", "firstfit", "resource selection policy: firstfit, contiguous, nextfit")
 		stream  = flag.Bool("stream", false, "stream the workload instead of materializing it: presets generate lazily, SWF files are read incrementally — O(running jobs) memory at any trace length")
@@ -89,10 +89,10 @@ func main() {
 	}
 	var err error
 	if *cfgPath != "" {
-		err = runConfig(*cfgPath, *verbose, *asJSON, *dump)
+		err = runConfig(os.Stdout, *cfgPath, *verbose, *asJSON, *dump)
 	} else {
 		capCfg := scenario.ControllerConfig{CapFrac: *capFrac, Kp: *capKp, Ki: *capKi, EcoOnly: *capEco}
-		err = run(*wl, *swf, *cpus, *jobs, *bsldThr, *wqThr, *size, *beta, *variant, *sel, *stream, *noDVFS, *strict, *dropF, *boost, capCfg, *ecoU, *verbose, *asJSON, *dump)
+		err = run(os.Stdout, *wl, *swf, *cpus, *jobs, *bsldThr, *wqThr, *size, *beta, *variant, *sel, *stream, *noDVFS, *strict, *dropF, *boost, capCfg, *ecoU, *verbose, *asJSON, *dump)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bsldsim:", err)
@@ -114,7 +114,7 @@ func main() {
 }
 
 // runConfig executes a simulation declared in a configuration file.
-func runConfig(path string, verbose, asJSON bool, dump string) error {
+func runConfig(w io.Writer, path string, verbose, asJSON bool, dump string) error {
 	f, err := config.Load(path)
 	if err != nil {
 		return err
@@ -126,7 +126,7 @@ func runConfig(path string, verbose, asJSON bool, dump string) error {
 	spec.KeepCollector = verbose || dump != ""
 	// Compile once; the policy and baseline legs share the compiled
 	// workload arena.
-	sc, err := runner.Compile(spec)
+	sc, err := scenario.Compile(spec)
 	if err != nil {
 		return err
 	}
@@ -143,11 +143,11 @@ func runConfig(path string, verbose, asJSON bool, dump string) error {
 			return err
 		}
 	}
-	return report(spec.Trace.Name, sc.Hash(), out, baseOut, spec.Variant, spec.Selection, sizeFactor, verbose, asJSON)
+	return report(w, spec.Trace.Name, sc.Hash(), out, baseOut, spec.Variant, spec.Selection, sizeFactor, verbose, asJSON)
 }
 
 // dumpRecords writes the per-job outcomes for offline analysis.
-func dumpRecords(path string, out runner.Outcome) error {
+func dumpRecords(path string, out scenario.Outcome) error {
 	if out.Collector == nil {
 		return fmt.Errorf("internal: records not collected")
 	}
@@ -202,7 +202,7 @@ type capStats struct {
 
 // capReport extracts the controller statistics when the outcome carries a
 // power-cap controller (nil otherwise).
-func capReport(out runner.Outcome) *capStats {
+func capReport(out scenario.Outcome) *capStats {
 	pc, ok := out.Controller.(*altpolicy.PowerCap)
 	if !ok {
 		return nil
@@ -215,7 +215,7 @@ func capReport(out runner.Outcome) *capStats {
 	}
 }
 
-func run(wl, swf string, cpus, jobs int, bsldThr float64, wqThr int, size, beta float64,
+func run(w io.Writer, wl, swf string, cpus, jobs int, bsldThr float64, wqThr int, size, beta float64,
 	variant, sel string, stream, noDVFS, strict, dropFailed bool, boost int,
 	capCfg scenario.ControllerConfig, ecoUsers string, verbose, asJSON bool, dump string) error {
 	var (
@@ -237,24 +237,17 @@ func run(wl, swf string, cpus, jobs int, bsldThr float64, wqThr int, size, beta 
 		}
 		name = tr.Name
 	}
-	var v sched.Variant
-	switch strings.ToLower(variant) {
-	case "easy":
-		v = sched.EASY
-	case "fcfs":
-		v = sched.FCFS
-	case "conservative", "cons":
-		v = sched.Conservative
-	default:
-		return fmt.Errorf("unknown policy %q", variant)
+	v, err := sched.ParseVariant(strings.ToLower(variant))
+	if err != nil {
+		return err
 	}
 	selection, err := cluster.ParseSelection(strings.ToLower(sel))
 	if err != nil {
 		return err
 	}
 
-	spec := runner.Spec{Trace: tr, Source: src, SizeFactor: size, Variant: v, Beta: beta,
-		Selection: selection, Controller: capCfg, KeepCollector: verbose || dump != ""}
+	spec := scenario.Spec{Trace: tr, Source: src, SizeFactor: size, Variant: v.String(), Beta: &beta,
+		Selection: selection.String(), Controller: capCfg, KeepCollector: verbose || dump != ""}
 	if !noDVFS {
 		gears := dvfs.PaperGearSet()
 		wq := wqThr
@@ -271,12 +264,12 @@ func run(wl, swf string, cpus, jobs int, bsldThr float64, wqThr int, size, beta 
 		if err != nil {
 			return err
 		}
-		spec.Policy = pol
+		spec.GearPolicy = pol
 	}
 	// Compile the spec once into an immutable scenario; the baseline leg
 	// reuses the compiled workload (a shared source is rewound between the
 	// two sequential executions).
-	sc, err := runner.Compile(spec)
+	sc, err := scenario.Compile(spec)
 	if err != nil {
 		return err
 	}
@@ -289,18 +282,18 @@ func run(wl, swf string, cpus, jobs int, bsldThr float64, wqThr int, size, beta 
 			return err
 		}
 	}
-	return report(name, sc.Hash(), out, base, v, selection, size, verbose, asJSON)
+	return report(w, name, sc.Hash(), out, base, spec.Variant, spec.Selection, size, verbose, asJSON)
 }
 
 // report renders the outcome in either human or JSON form.
-func report(name, hash string, out, base runner.Outcome, v sched.Variant,
-	selection cluster.Selection, size float64, verbose, asJSON bool) error {
+func report(w io.Writer, name, hash string, out, base scenario.Outcome, variant,
+	selection string, size float64, verbose, asJSON bool) error {
 	r := out.Results
 	if asJSON {
 		rep := jsonReport{
 			Workload: name, ScenarioHash: hash,
 			Jobs: r.Jobs, CPUs: out.CPUs, SizeFactor: size,
-			Policy: out.Policy, Variant: v.String(),
+			Policy: out.Policy, Variant: variant,
 			AvgBSLD: r.AvgBSLD, AvgWaitSec: r.AvgWait, MaxWaitSec: r.MaxWait,
 			ReducedJobs: r.ReducedJobs, Utilization: r.Utilization, WindowSec: r.Window,
 			CompEnergy: r.CompEnergy, TotalEnergyLow: r.TotalEnergyLow,
@@ -308,24 +301,24 @@ func report(name, hash string, out, base runner.Outcome, v sched.Variant,
 			NormTotalLow: r.TotalEnergyLow / base.Results.TotalEnergyLow,
 			PowerCap:     capReport(out),
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
-	fmt.Printf("workload      %s (%d jobs, %d CPUs, size ×%.2f)\n", name, r.Jobs, out.CPUs, size)
-	fmt.Printf("policy        %s over %s\n", out.Policy, v)
-	fmt.Printf("avg BSLD      %.2f\n", r.AvgBSLD)
-	fmt.Printf("avg wait      %.0f s   (max %.0f s)\n", r.AvgWait, r.MaxWait)
-	fmt.Printf("reduced jobs  %d / %d\n", r.ReducedJobs, r.Jobs)
-	fmt.Printf("utilization   %.3f over %.0f s window\n", r.Utilization, r.Window)
-	fmt.Printf("placement     %s selection, %.2f mean contiguous runs per job\n", selection, r.MeanAllocRuns)
-	fmt.Printf("energy        computational %.4g   total(idle=low) %.4g\n", r.CompEnergy, r.TotalEnergyLow)
-	fmt.Printf("normalized    computational %.2f%%   total(idle=low) %.2f%%   (vs no-DVFS baseline)\n",
+	fmt.Fprintf(w, "workload      %s (%d jobs, %d CPUs, size ×%.2f)\n", name, r.Jobs, out.CPUs, size)
+	fmt.Fprintf(w, "policy        %s over %s\n", out.Policy, variant)
+	fmt.Fprintf(w, "avg BSLD      %.2f\n", r.AvgBSLD)
+	fmt.Fprintf(w, "avg wait      %.0f s   (max %.0f s)\n", r.AvgWait, r.MaxWait)
+	fmt.Fprintf(w, "reduced jobs  %d / %d\n", r.ReducedJobs, r.Jobs)
+	fmt.Fprintf(w, "utilization   %.3f over %.0f s window\n", r.Utilization, r.Window)
+	fmt.Fprintf(w, "placement     %s selection, %.2f mean contiguous runs per job\n", selection, r.MeanAllocRuns)
+	fmt.Fprintf(w, "energy        computational %.4g   total(idle=low) %.4g\n", r.CompEnergy, r.TotalEnergyLow)
+	fmt.Fprintf(w, "normalized    computational %.2f%%   total(idle=low) %.2f%%   (vs no-DVFS baseline)\n",
 		100*r.CompEnergy/base.Results.CompEnergy, 100*r.TotalEnergyLow/base.Results.TotalEnergyLow)
 	if cs := capReport(out); cs != nil {
-		fmt.Printf("power cap     %.4g   avg draw %.4g (%.1f%% of cap)   peak %.4g\n",
+		fmt.Fprintf(w, "power cap     %.4g   avg draw %.4g (%.1f%% of cap)   peak %.4g\n",
 			cs.Cap, cs.AvgDraw, 100*cs.AvgDraw/cs.Cap, cs.PeakDraw)
-		fmt.Printf("cap tracking  over cap %.2f%% of time   over-cap energy %.4g   %d regears over %d passes\n",
+		fmt.Fprintf(w, "cap tracking  over cap %.2f%% of time   over-cap energy %.4g   %d regears over %d passes\n",
 			100*cs.OverFrac, cs.OverEnergy, cs.Actuations, cs.Passes)
 	}
 
@@ -344,10 +337,10 @@ func report(name, hash string, out, base runner.Outcome, v sched.Variant,
 			a.n++
 			a.energy += rec.Energy
 		}
-		fmt.Println("per final gear:")
+		fmt.Fprintln(w, "per final gear:")
 		for _, g := range dvfs.PaperGearSet() {
 			if a := byGear[g]; a != nil {
-				fmt.Printf("  %-14s %5d jobs  energy %.4g\n", g, a.n, a.energy)
+				fmt.Fprintf(w, "  %-14s %5d jobs  energy %.4g\n", g, a.n, a.energy)
 			}
 		}
 		wp, err := out.Collector.WaitPercentiles()
@@ -358,12 +351,12 @@ func report(name, hash string, out, base runner.Outcome, v sched.Variant,
 		if err != nil {
 			return err
 		}
-		fmt.Printf("wait percentiles (s): p50 %.0f  p90 %.0f  p95 %.0f  p99 %.0f  max %.0f\n",
+		fmt.Fprintf(w, "wait percentiles (s): p50 %.0f  p90 %.0f  p95 %.0f  p99 %.0f  max %.0f\n",
 			wp.P50, wp.P90, wp.P95, wp.P99, wp.Max)
-		fmt.Printf("BSLD percentiles:     p50 %.2f  p90 %.2f  p95 %.2f  p99 %.2f  max %.2f\n",
+		fmt.Fprintf(w, "BSLD percentiles:     p50 %.2f  p90 %.2f  p95 %.2f  p99 %.2f  max %.2f\n",
 			bp.P50, bp.P90, bp.P95, bp.P99, bp.Max)
-		fmt.Printf("energy-delay product: %.4g\n", r.EnergyDelayProduct())
-		fmt.Println("per job class:")
+		fmt.Fprintf(w, "energy-delay product: %.4g\n", r.EnergyDelayProduct())
+		fmt.Fprintln(w, "per job class:")
 		bd, err := out.Collector.Breakdown(out.CPUs)
 		if err != nil {
 			return err
@@ -373,7 +366,7 @@ func report(name, hash string, out, base runner.Outcome, v sched.Variant,
 			if !ok {
 				continue
 			}
-			fmt.Printf("  %-12s %5d jobs  BSLD %6.2f  wait %7.0f s  energy share %5.1f%%  reduced %d\n",
+			fmt.Fprintf(w, "  %-12s %5d jobs  BSLD %6.2f  wait %7.0f s  energy share %5.1f%%  reduced %d\n",
 				cl, st.Jobs, st.AvgBSLD, st.AvgWait, 100*st.EnergyShare, st.Reduced)
 		}
 	}

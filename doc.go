@@ -27,13 +27,16 @@
 // SHA-256 content hash identifying the run. Compile once, Execute many:
 // N goroutines executing one shared scenario produce bit-identical
 // metrics.Results (stateful gear policies clone per execution through
-// sched.PolicyCloner). runner.Run/BaselinePair remain as thin adapters
-// over Compile+Execute for callers holding resolved objects; sweeps
-// compile grid points through a shared Compiler so arenas dedup across
-// cells; and cmd/schedd serves what-if queries over HTTP with an LRU
-// result cache keyed by the scenario hash, in-flight coalescing of
-// identical queries, a bounded simulation worker pool and graceful
-// drain on shutdown. See examples/whatif for the pattern end to end.
+// sched.PolicyCloner). Spec is the only run description: callers
+// holding resolved objects (a generated trace, a streaming source, a
+// pre-built gear policy) pass them through its escape-hatch fields, and
+// Scenario.ExecutePair runs the no-DVFS baseline every normalized energy
+// divides by. Sweeps compile grid points through a shared Compiler so
+// arenas dedup across cells, and cmd/schedd serves what-if queries over
+// HTTP with an LRU result cache keyed by the scenario hash, in-flight
+// coalescing of identical queries, a bounded simulation worker pool and
+// graceful drain on shutdown. See examples/whatif for the pattern end to
+// end.
 //
 // # Power control
 //
@@ -86,7 +89,7 @@
 //     workload.SWFSource reads logs incrementally with the same filter
 //     hooks, and combinators (Concat, Repeat, MergeByArrival, Scale,
 //     Filter) compose scenarios without materializing them. The
-//     scheduler (sched.System.SimulateSource, runner.Spec.Source) pulls
+//     scheduler (sched.System.SimulateSource, scenario.Spec.Source) pulls
 //     from the cursor, so a ten-million-job replay peaks below 20 MB
 //     where the trace slice alone would cost ~920 MB; sweeps give every
 //     worker an independent source instead of one shared slice.
@@ -113,7 +116,7 @@
 //     scheduler pools RunStates (with their Runs and Phases capacity),
 //     cluster.AllocateInto refills a pooled allocation in place, the
 //     queue backing stays anchored so arrival appends reuse it, and
-//     metrics stream: without runner.Spec.KeepCollector the collector
+//     metrics stream: without scenario.Spec.KeepCollector the collector
 //     folds Results online and holds no per-job records. A 1M-job EASY
 //     replay runs at ~1.3M jobs/s with ~0.12 allocations per job.
 //   - Log-time availability profile: internal/profile keeps its usage
@@ -198,9 +201,10 @@
 // replans every reservation from scratch. The production scheduler must
 // match it start and end time of every job across every variant, queue
 // order, gear policy and re-gearing controller (the differential suite
-// and FuzzScheduleMatchesReference), metamorphic tests in internal/runner check relations that need no
-// second implementation, and TestGoldenArtifactCSVs pins every paper
-// table and figure byte-for-byte against testdata/golden.
+// and FuzzScheduleMatchesReference), metamorphic tests in
+// internal/scenario check relations that need no second implementation,
+// and TestGoldenArtifactCSVs pins every paper table and figure
+// byte-for-byte against testdata/golden.
 //
 // # Static analysis
 //

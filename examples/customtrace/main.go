@@ -19,7 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dvfs"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -36,15 +36,15 @@ func main() {
 	policy, err := core.NewPolicy(core.Params{
 		BSLDThreshold: 2,
 		WQThreshold:   core.NoWQLimit,
-	}, gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
+	}, gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := runner.Run(runner.Spec{Trace: trace, Policy: policy, KeepCollector: true})
+	sc, err := scenario.Compile(scenario.Spec{Trace: trace, GearPolicy: policy, KeepCollector: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := runner.Run(runner.Spec{Trace: trace})
+	out, base, err := sc.ExecutePair()
 	if err != nil {
 		log.Fatal(err)
 	}

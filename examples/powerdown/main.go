@@ -20,7 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dvfs"
 	"repro/internal/nodepower"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/textplot"
 	"repro/internal/wgen"
@@ -43,7 +43,7 @@ func main() {
 	pm := dvfs.PaperPowerModel()
 	gears := pm.Gears
 	policy, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit},
-		gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
+		gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,10 +54,14 @@ func main() {
 	// policy's idle-side energy.
 	totalEnergy := func(pol sched.GearPolicy, powerDown bool) (float64, float64) {
 		tracker := nodepower.NewTracker(model.CPUs)
-		out, err := runner.Run(runner.Spec{
-			Trace: trace, Policy: pol,
+		sc, err := scenario.Compile(scenario.Spec{
+			Trace: trace, GearPolicy: pol,
 			ExtraRecorders: []sched.Recorder{tracker},
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, err := sc.Execute()
 		if err != nil {
 			log.Fatal(err)
 		}

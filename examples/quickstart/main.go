@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dvfs"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/wgen"
 )
 
@@ -35,17 +35,19 @@ func main() {
 	policy, err := core.NewPolicy(core.Params{
 		BSLDThreshold: 2,
 		WQThreshold:   16,
-	}, gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
+	}, gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// 3. Simulate both schedules on the original 1152-CPU machine.
-	baseline, err := runner.Run(runner.Spec{Trace: trace})
+	// 3. Compile the run description once and simulate both schedules on
+	// the original 1152-CPU machine: the policy run and its no-DVFS
+	// baseline.
+	sc, err := scenario.Compile(scenario.Spec{Trace: trace, GearPolicy: policy})
 	if err != nil {
 		log.Fatal(err)
 	}
-	powerAware, err := runner.Run(runner.Spec{Trace: trace, Policy: policy})
+	powerAware, baseline, err := sc.ExecutePair()
 	if err != nil {
 		log.Fatal(err)
 	}

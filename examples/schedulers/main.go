@@ -16,8 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dvfs"
-	"repro/internal/runner"
-	"repro/internal/sched"
+	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/wgen"
 )
@@ -38,20 +37,20 @@ func main() {
 	}
 	gears := dvfs.PaperGearSet()
 	policy, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: 16},
-		gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
+		gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	schedulers := []struct {
 		label string
-		spec  runner.Spec
+		spec  scenario.Spec
 	}{
-		{"FCFS", runner.Spec{Variant: sched.FCFS}},
-		{"EASY (paper)", runner.Spec{Variant: sched.EASY}},
-		{"EASY depth-4", runner.Spec{Variant: sched.EASY, Reservations: 4}},
-		{"conservative", runner.Spec{Variant: sched.Conservative}},
-		{"EASY + SJF order", runner.Spec{Variant: sched.EASY, Order: sched.SJFOrder}},
+		{"FCFS", scenario.Spec{Variant: "fcfs"}},
+		{"EASY (paper)", scenario.Spec{Variant: "easy"}},
+		{"EASY depth-4", scenario.Spec{Variant: "easy", Reservations: 4}},
+		{"conservative", scenario.Spec{Variant: "conservative"}},
+		{"EASY + SJF order", scenario.Spec{Variant: "easy", Order: "sjf"}},
 	}
 	table := textplot.Table{
 		Title: fmt.Sprintf("Base scheduling policies under bsld(2,16) on %s (%d jobs, %d CPUs)",
@@ -60,12 +59,16 @@ func main() {
 		Note:   "energy = computational, normalized to the FCFS row",
 	}
 	var base float64
-	for i, sc := range schedulers {
-		spec := sc.spec
+	for i, row := range schedulers {
+		spec := row.spec
 		spec.Trace = trace
-		spec.Policy = policy
+		spec.GearPolicy = policy
 		spec.KeepCollector = true
-		out, err := runner.Run(spec)
+		sc, err := scenario.Compile(spec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out, err := sc.Execute()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -76,7 +79,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		table.AddRow(sc.label,
+		table.AddRow(row.label,
 			fmt.Sprintf("%.2f", out.Results.AvgBSLD),
 			fmt.Sprintf("%.0f", out.Results.AvgWait),
 			fmt.Sprintf("%.0f", wp.P95),

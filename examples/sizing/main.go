@@ -17,7 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dvfs"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/wgen"
 )
@@ -36,7 +36,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := runner.Run(runner.Spec{Trace: trace})
+	baseSc, err := scenario.Compile(scenario.Spec{Trace: trace})
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, err := baseSc.Execute()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +48,7 @@ func main() {
 		name, model.CPUs, base.Results.AvgBSLD, base.Results.AvgWait)
 
 	gears := dvfs.PaperGearSet()
-	tm := dvfs.NewTimeModel(runner.DefaultBeta, gears)
+	tm := dvfs.NewTimeModel(scenario.DefaultBeta, gears)
 	sizes := []float64{1.0, 1.1, 1.2, 1.5, 1.75, 2.0, 2.25}
 
 	for _, wq := range []int{0, core.NoWQLimit} {
@@ -59,7 +63,11 @@ func main() {
 			Note: "energies normalized to the original system without DVFS",
 		}
 		for _, sf := range sizes {
-			out, err := runner.Run(runner.Spec{Trace: trace, Policy: pol, SizeFactor: sf})
+			sc, err := scenario.Compile(scenario.Spec{Trace: trace, GearPolicy: pol, SizeFactor: sf})
+			if err != nil {
+				log.Fatal(err)
+			}
+			out, err := sc.Execute()
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/wgen"
 )
@@ -54,10 +54,14 @@ func run(wl string, jobs int) error {
 	// peak is this replay's own footprint.
 	heap := metrics.NewHeapWatermark(0)
 	start := time.Now()
-	out, err := runner.Run(runner.Spec{
+	sc, err := scenario.Compile(scenario.Spec{
 		Source:         src,
 		ExtraRecorders: []sched.Recorder{heap},
 	})
+	if err != nil {
+		return err
+	}
+	out, err := sc.Execute()
 	if err != nil {
 		return err
 	}

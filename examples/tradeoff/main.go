@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dvfs"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/wgen"
 )
@@ -34,13 +34,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := runner.Run(runner.Spec{Trace: trace})
+	baseSc, err := scenario.Compile(scenario.Spec{Trace: trace})
+	if err != nil {
+		log.Fatal(err)
+	}
+	base, err := baseSc.Execute()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	gears := dvfs.PaperGearSet()
-	tm := dvfs.NewTimeModel(runner.DefaultBeta, gears)
+	tm := dvfs.NewTimeModel(scenario.DefaultBeta, gears)
 
 	table := textplot.Table{
 		Title:  fmt.Sprintf("Energy-performance trade-off on %s (%d jobs, %d CPUs)", name, model.Jobs, model.CPUs),
@@ -56,7 +60,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			out, err := runner.Run(runner.Spec{Trace: trace, Policy: pol})
+			sc, err := scenario.Compile(scenario.Spec{Trace: trace, GearPolicy: pol})
+			if err != nil {
+				log.Fatal(err)
+			}
+			out, err := sc.Execute()
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -16,7 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dvfs"
 	"repro/internal/experiments"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/wgen"
 )
 
@@ -24,7 +24,7 @@ import (
 // across Go releases but far tighter than any semantic change.
 const goldenTolerance = 1e-10
 
-func goldenRun(t *testing.T, policy bool) runner.Outcome {
+func goldenRun(t *testing.T, policy bool) scenario.Outcome {
 	t.Helper()
 	m := wgen.CTC()
 	m.Jobs = 400
@@ -32,17 +32,17 @@ func goldenRun(t *testing.T, policy bool) runner.Outcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := runner.Spec{Trace: tr}
+	spec := scenario.Spec{Trace: tr}
 	if policy {
 		gears := dvfs.PaperGearSet()
 		pol, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: 16},
-			gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
+			gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec.Policy = pol
+		spec.GearPolicy = pol
 	}
-	out, err := runner.Run(spec)
+	out, err := runSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestGoldenPolicyCTC400(t *testing.T) {
 }
 
 // TestGoldenStreamingPipeline replays the golden runs through the
-// streaming workload pipeline (wgen.Stream → runner.Spec.Source) and
+// streaming workload pipeline (wgen.Stream → scenario.Spec.Source) and
 // requires BIT-identical Results — not just within tolerance — against
 // the materialized path: streaming is a memory refactor, never a
 // semantic one.
@@ -96,17 +96,17 @@ func TestGoldenStreamingPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := runner.Spec{Source: src}
+		spec := scenario.Spec{Source: src}
 		if policy {
 			gears := dvfs.PaperGearSet()
 			pol, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: 16},
-				gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
+				gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec.Policy = pol
+			spec.GearPolicy = pol
 		}
-		got, err := runner.Run(spec)
+		got, err := runSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func TestGoldenAllPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := runner.Run(runner.Spec{Trace: tr})
+		out, err := runSpec(scenario.Spec{Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}

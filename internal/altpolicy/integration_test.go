@@ -1,6 +1,6 @@
 // Integration tests live in an external package: they drive the policies
-// through the runner/scenario layers, which import altpolicy — an
-// in-package test would close that cycle.
+// through the scenario layer, which imports altpolicy — an in-package test
+// would close that cycle.
 package altpolicy_test
 
 import (
@@ -8,11 +8,24 @@ import (
 
 	"repro/internal/altpolicy"
 	"repro/internal/dvfs"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/wgen"
 	"repro/internal/workload"
 )
+
+// mustRun compiles spec and executes it once.
+func mustRun(t *testing.T, spec scenario.Spec) scenario.Outcome {
+	t.Helper()
+	sc, err := scenario.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sc.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func TestUtilizationDrivenEndToEnd(t *testing.T) {
 	m := wgen.LLNLThunder()
@@ -26,14 +39,8 @@ func TestUtilizationDrivenEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := runner.Run(runner.Spec{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := runner.Run(runner.Spec{Trace: tr, Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := mustRun(t, scenario.Spec{Trace: tr})
+	out := mustRun(t, scenario.Spec{Trace: tr, GearPolicy: pol})
 	if out.Results.CompEnergy >= base.Results.CompEnergy {
 		t.Errorf("utilization-driven policy saved nothing: %v vs %v",
 			out.Results.CompEnergy, base.Results.CompEnergy)
@@ -43,7 +50,7 @@ func TestUtilizationDrivenEndToEnd(t *testing.T) {
 	}
 }
 
-// The data-plane path: a ControllerConfig on the runner spec compiles
+// The data-plane path: a ControllerConfig on the spec compiles
 // into a live power-cap controller, the outcome exposes the bound
 // instance for its report, and the capped run trades BSLD for power.
 func TestPowerCapThroughRunner(t *testing.T) {
@@ -53,20 +60,14 @@ func TestPowerCapThroughRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := runner.Run(runner.Spec{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
+	free := mustRun(t, scenario.Spec{Trace: tr})
 	if free.Controller != nil {
 		t.Fatalf("controller-free run exposed a controller: %v", free.Controller)
 	}
-	capped, err := runner.Run(runner.Spec{
+	capped := mustRun(t, scenario.Spec{
 		Trace:      tr,
 		Controller: scenario.ControllerConfig{CapFrac: 0.5},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pc, ok := capped.Controller.(*altpolicy.PowerCap)
 	if !ok {
 		t.Fatalf("outcome controller = %T, want *altpolicy.PowerCap", capped.Controller)
@@ -153,18 +154,18 @@ func TestControllerConfigHashAndNeutrality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := runner.Compile(runner.Spec{Trace: tr})
+	plain, err := scenario.Compile(scenario.Spec{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := runner.Compile(runner.Spec{Trace: tr, Controller: scenario.ControllerConfig{}})
+	zero, err := scenario.Compile(scenario.Spec{Trace: tr, Controller: scenario.ControllerConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Hash() != zero.Hash() {
 		t.Errorf("zero controller config changed the hash: %s vs %s", plain.Hash(), zero.Hash())
 	}
-	capped, err := runner.Compile(runner.Spec{Trace: tr, Controller: scenario.ControllerConfig{CapFrac: 0.7}})
+	capped, err := scenario.Compile(scenario.Spec{Trace: tr, Controller: scenario.ControllerConfig{CapFrac: 0.7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestControllerConfigHashAndNeutrality(t *testing.T) {
 		t.Error("capped scenario hashes identically to uncapped")
 	}
 	// Explicit default gains describe the same scenario as omitted ones.
-	explicit, err := runner.Compile(runner.Spec{Trace: tr, Controller: scenario.ControllerConfig{
+	explicit, err := scenario.Compile(scenario.Spec{Trace: tr, Controller: scenario.ControllerConfig{
 		CapFrac: 0.7, Kp: altpolicy.DefaultKp, Ki: altpolicy.DefaultKi,
 	}})
 	if err != nil {

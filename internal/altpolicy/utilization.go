@@ -69,7 +69,7 @@ func (p *UtilizationDriven) target() int {
 		// Fail fast with a diagnosis instead of a bare nil dereference:
 		// the policy reads live cluster state, so it only works when
 		// sched.New had the chance to call Bind.
-		panic("altpolicy: UtilizationDriven used without a bound system: pass it as sched.Config.Policy (or runner.Spec.Policy) so sched.New invokes Bind before the run")
+		panic("altpolicy: UtilizationDriven used without a bound system: pass it as sched.Config.Policy (or scenario.Spec.GearPolicy) so sched.New invokes Bind before the run")
 	}
 	cl := p.sys.Cluster()
 	util := float64(cl.Busy()) / float64(cl.Total())

@@ -79,9 +79,9 @@ func (c *gearCapture) JobStarted(rs *sched.RunState, now float64) {
 func (c *gearCapture) JobFinished(rs *sched.RunState, now float64) {}
 
 // Regression: using the policy without Bind (anything that sidesteps the
-// sched.New binder hook, e.g. hand-rolled runner wiring) used to crash
-// with a bare nil dereference mid-run. It must fail fast with a message
-// that names the fix.
+// sched.New binder hook, e.g. hand-rolled wiring) used to crash with a
+// bare nil dereference mid-run. It must fail fast with a message that
+// names the fix.
 func TestUtilizationDrivenWithoutBindFailsFast(t *testing.T) {
 	gears := dvfs.PaperGearSet()
 	pol, err := NewUtilizationDriven(gears, 0.2, 0.8)

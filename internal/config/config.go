@@ -3,7 +3,7 @@
 // adjustable in configuration files" (§4); this package is that facility:
 // gear sets, power-model constants, β, the policy thresholds, the machine
 // and the workload can all be declared in one document and turned into a
-// ready runner.Spec.
+// ready scenario.Spec.
 package config
 
 import (
@@ -16,7 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dvfs"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/wgen"
 	"repro/internal/workload"
@@ -150,15 +150,15 @@ func Parse(r io.Reader) (*File, error) {
 	return &f, nil
 }
 
-// BuildSpec assembles the runner.Spec (and the trace inside it) the
+// BuildSpec assembles the scenario.Spec (and the trace inside it) the
 // document describes.
-func (f *File) BuildSpec() (runner.Spec, error) {
-	spec := runner.Spec{}
+func (f *File) BuildSpec() (scenario.Spec, error) {
+	spec := scenario.Spec{}
 
 	// Platform.
 	gears := dvfs.PaperGearSet()
 	pm := dvfs.PaperPowerModel()
-	beta := runner.DefaultBeta
+	beta := scenario.DefaultBeta
 	if p := f.Platform; p != nil {
 		if len(p.Gears) > 0 {
 			gears = nil
@@ -185,11 +185,11 @@ func (f *File) BuildSpec() (runner.Spec, error) {
 		}
 		if p.Beta != 0 {
 			beta = p.Beta
+			spec.Beta = &beta
 		}
 	}
 	spec.Gears = gears
 	spec.PowerModel = pm
-	spec.Beta = beta
 
 	// Workload.
 	wl := f.Workload
@@ -232,37 +232,31 @@ func (f *File) BuildSpec() (runner.Spec, error) {
 	spec.Trace = tr
 
 	// Machine.
-	if m := f.Machine; m != nil {
-		spec.CPUs = m.CPUs
-		spec.SizeFactor = m.SizeFactor
-		switch strings.ToLower(m.Scheduler) {
-		case "", "easy":
-			spec.Variant = sched.EASY
-		case "fcfs":
-			spec.Variant = sched.FCFS
-		case "conservative", "cons":
-			spec.Variant = sched.Conservative
-		default:
-			return spec, fmt.Errorf("config: unknown scheduler %q", m.Scheduler)
-		}
-		sel, err := cluster.ParseSelection(strings.ToLower(m.Selection))
-		if err != nil {
-			return spec, err
-		}
-		spec.Selection = sel
-		switch strings.ToLower(m.Order) {
-		case "", "fcfs":
-			spec.Order = sched.FCFSOrder
-		case "sjf":
-			spec.Order = sched.SJFOrder
-		default:
-			return spec, fmt.Errorf("config: unknown queue order %q", m.Order)
-		}
-		if m.Reservations < 0 {
-			return spec, fmt.Errorf("config: negative reservations %d", m.Reservations)
-		}
-		spec.Reservations = m.Reservations
+	m := f.Machine
+	if m == nil {
+		m = &Machine{}
 	}
+	spec.CPUs = m.CPUs
+	spec.SizeFactor = m.SizeFactor
+	variant, err := sched.ParseVariant(strings.ToLower(m.Scheduler))
+	if err != nil {
+		return spec, err
+	}
+	spec.Variant = variant.String()
+	sel, err := cluster.ParseSelection(strings.ToLower(m.Selection))
+	if err != nil {
+		return spec, err
+	}
+	spec.Selection = sel.String()
+	order, err := sched.ParseOrder(strings.ToLower(m.Order))
+	if err != nil {
+		return spec, err
+	}
+	spec.Order = order.String()
+	if m.Reservations < 0 {
+		return spec, fmt.Errorf("config: negative reservations %d", m.Reservations)
+	}
+	spec.Reservations = m.Reservations
 
 	// Policy.
 	if p := f.Policy; p != nil {
@@ -277,7 +271,11 @@ func (f *File) BuildSpec() (runner.Spec, error) {
 		if err != nil {
 			return spec, err
 		}
-		spec.Policy = pol
+		spec.GearPolicy = pol
+		if p.ShortJobThreshold != 0 {
+			th := p.ShortJobThreshold
+			spec.ShortJobTh = &th
+		}
 	}
 	return spec, nil
 }

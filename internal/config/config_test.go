@@ -6,10 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/runner"
-	"repro/internal/sched"
+	"repro/internal/scenario"
 )
 
 const fullConfig = `{
@@ -25,6 +23,7 @@ const fullConfig = `{
   "policy": {
     "bsld_threshold": 2.5,
     "wq_threshold": "NO",
+    "short_job_threshold": 300,
     "strict_backfill_bsld": true
   },
   "machine": {
@@ -64,23 +63,35 @@ func TestBuildSpecFull(t *testing.T) {
 	if len(spec.Gears) != 2 || spec.Gears[1].Freq != 2.0 {
 		t.Errorf("gears = %v", spec.Gears)
 	}
-	if spec.Beta != 0.4 {
+	if spec.Beta == nil || *spec.Beta != 0.4 {
 		t.Errorf("beta = %v", spec.Beta)
 	}
 	if spec.SizeFactor != 1.2 {
 		t.Errorf("size factor = %v", spec.SizeFactor)
 	}
-	if spec.Selection != cluster.ContiguousBestFit {
-		t.Errorf("selection = %v", spec.Selection)
+	if spec.Selection != "contiguous" {
+		t.Errorf("selection = %q", spec.Selection)
 	}
-	if spec.Policy == nil || !strings.Contains(spec.Policy.Name(), "2.5") {
-		t.Errorf("policy = %v", spec.Policy)
+	if spec.GearPolicy == nil || !strings.Contains(spec.GearPolicy.Name(), "2.5") {
+		t.Fatalf("policy = %v", spec.GearPolicy)
+	}
+	// The short-job threshold reaches both the policy's eq. (2) and the
+	// collector that measures the reported BSLD.
+	if th := spec.GearPolicy.(*core.Policy).Params().ShortJobThreshold; th != 300 {
+		t.Errorf("policy short-job threshold = %v, want 300", th)
+	}
+	if spec.ShortJobTh == nil || *spec.ShortJobTh != 300 {
+		t.Errorf("spec short-job threshold = %v, want 300", spec.ShortJobTh)
 	}
 	if len(spec.Trace.Jobs) != 300 || spec.Trace.Name != "SDSCBlue" {
 		t.Errorf("trace = %s/%d jobs", spec.Trace.Name, len(spec.Trace.Jobs))
 	}
 	// The spec must actually run.
-	out, err := runner.Run(spec)
+	sc, err := scenario.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sc.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,17 +109,17 @@ func TestBuildSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Policy != nil {
+	if spec.GearPolicy != nil {
 		t.Error("policy section omitted but spec has a policy (baseline expected)")
 	}
-	if spec.Variant != sched.EASY {
-		t.Errorf("variant = %v, want EASY", spec.Variant)
+	if spec.Variant != "easy" || spec.Selection != "firstfit" || spec.Order != "fcfs" {
+		t.Errorf("variant/selection/order = %q/%q/%q, want easy/firstfit/fcfs", spec.Variant, spec.Selection, spec.Order)
 	}
 	if len(spec.Gears) != 6 {
 		t.Errorf("gears = %d, want paper's 6", len(spec.Gears))
 	}
-	if spec.Beta != runner.DefaultBeta {
-		t.Errorf("beta = %v", spec.Beta)
+	if spec.Beta != nil || spec.ShortJobTh != nil {
+		t.Errorf("beta = %v, short-job threshold = %v, want both unset (the paper's defaults)", spec.Beta, spec.ShortJobTh)
 	}
 }
 
@@ -238,8 +249,8 @@ func TestBuildSpecOrderAndReservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Order != sched.SJFOrder {
-		t.Errorf("order = %v, want SJF", spec.Order)
+	if spec.Order != "sjf" {
+		t.Errorf("order = %q, want sjf", spec.Order)
 	}
 	if spec.Reservations != 4 {
 		t.Errorf("reservations = %d, want 4", spec.Reservations)

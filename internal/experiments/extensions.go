@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dvfs"
 	"repro/internal/nodepower"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -27,34 +26,38 @@ import (
 // the rendered rows stay in presentation order.
 
 // extTrace generates the workload at the suite's segment length.
-func extTrace(s *Suite, name string) (runner.Spec, error) {
+func extTrace(s *Suite, name string) (scenario.Spec, error) {
 	tr, err := s.trace(name)
 	if err != nil {
-		return runner.Spec{}, err
+		return scenario.Spec{}, err
 	}
-	return runner.Spec{Trace: tr}, nil
+	return scenario.Spec{Trace: tr}, nil
 }
 
 func extPolicy(params core.Params) (sched.GearPolicy, error) {
 	gears := dvfs.PaperGearSet()
-	return core.NewPolicy(params, gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
+	return core.NewPolicy(params, gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
 }
 
-// runAll executes the specs across the sweep pool and returns outcomes in
-// spec order; the first per-run failure aborts. Runs execute concurrently,
-// so a stateful gear policy (a sched.PowerController without a clone
-// seam) must not be shared between specs — stateless policies like
-// core.Policy may be.
-func runAll(specs []runner.Spec) ([]runner.Outcome, error) {
+// runAll compiles the specs, executes them across the sweep pool and
+// returns outcomes in spec order; the first compile or per-run failure
+// aborts. Runs execute concurrently, so a stateful gear policy (a
+// sched.PowerController without a clone seam) must not be shared between
+// specs — stateless policies like core.Policy may be.
+func runAll(specs []scenario.Spec) ([]scenario.Outcome, error) {
 	runs := make([]sweep.Run, len(specs))
 	for i, sp := range specs {
-		runs[i] = sweep.Run{Point: sweep.Point{Index: i}, Spec: sp}
+		sc, err := scenario.Compile(sp)
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = sweep.Run{Point: sweep.Point{Index: i}, Scenario: sc}
 	}
 	results, err := (&sweep.Pool{}).Execute(context.Background(), runs)
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]runner.Outcome, len(results))
+	outs := make([]scenario.Outcome, len(results))
 	for i, r := range results {
 		if r.Err != nil {
 			return nil, r.Err
@@ -74,7 +77,7 @@ func ExtBoost(s *Suite) (textplot.Table, error) {
 			"BSLD off", "BSLD on"},
 		Note: "energy = computational, normalized to no-DVFS; boost trades some savings for shorter queues",
 	}
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, w := range Workloads() {
 		spec, err := extTrace(s, w)
 		if err != nil {
@@ -90,7 +93,7 @@ func ExtBoost(s *Suite) (textplot.Table, error) {
 				return t, err
 			}
 			run := spec
-			run.Policy = pol
+			run.GearPolicy = pol
 			specs = append(specs, run)
 		}
 	}
@@ -124,7 +127,7 @@ func ExtPerJobBeta(s *Suite) (textplot.Table, error) {
 	}
 	// Four runs per workload: baseline and policy on the uniform-β trace,
 	// then on the per-job-β trace.
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, w := range Workloads() {
 		model, err := wgen.Preset(w)
 		if err != nil {
@@ -142,8 +145,8 @@ func ExtPerJobBeta(s *Suite) (textplot.Table, error) {
 		}
 		for _, trace := range []*workload.Trace{uniform, perJob} {
 			specs = append(specs,
-				runner.Spec{Trace: trace},
-				runner.Spec{Trace: trace, Policy: pol})
+				scenario.Spec{Trace: trace},
+				scenario.Spec{Trace: trace, GearPolicy: pol})
 		}
 	}
 	outs, err := runAll(specs)
@@ -174,7 +177,7 @@ func ExtPolicyComparison(s *Suite) (textplot.Table, error) {
 		Note: "utilization-driven reduces on an idle machine regardless of the job's slowdown outlook",
 	}
 	gears := dvfs.PaperGearSet()
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, w := range Workloads() {
 		spec, err := extTrace(s, w)
 		if err != nil {
@@ -193,7 +196,7 @@ func ExtPolicyComparison(s *Suite) (textplot.Table, error) {
 		specs = append(specs, spec)
 		for _, pol := range []sched.GearPolicy{bsldPol, utilPol} {
 			run := spec
-			run.Policy = pol
+			run.GearPolicy = pol
 			specs = append(specs, run)
 		}
 	}
@@ -239,7 +242,7 @@ func ExtEstimateQuality(s *Suite, workloadName string) (textplot.Table, error) {
 		{"default", func(m *wgen.Model) {}},
 		{"sloppy", func(m *wgen.Model) { m.OverestMean *= 3 }},
 	}
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, v := range variants {
 		m := model
 		v.mutate(&m)
@@ -248,8 +251,8 @@ func ExtEstimateQuality(s *Suite, workloadName string) (textplot.Table, error) {
 			return t, err
 		}
 		specs = append(specs,
-			runner.Spec{Trace: tr},
-			runner.Spec{Trace: tr, Policy: pol})
+			scenario.Spec{Trace: tr},
+			scenario.Spec{Trace: tr, GearPolicy: pol})
 	}
 	outs, err := runAll(specs)
 	if err != nil {
@@ -283,12 +286,12 @@ func ExtLoadSweep(s *Suite, workloadName string) (textplot.Table, error) {
 		return t, err
 	}
 	factors := []float64{0.6, 0.8, 1.0, 1.2, 1.4}
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, factor := range factors {
 		scaled := workload.ScaleLoad(tr, factor)
 		specs = append(specs,
-			runner.Spec{Trace: scaled},
-			runner.Spec{Trace: scaled, Policy: pol})
+			scenario.Spec{Trace: scaled},
+			scenario.Spec{Trace: scaled, GearPolicy: pol})
 	}
 	outs, err := runAll(specs)
 	if err != nil {
@@ -323,7 +326,7 @@ func ExtSeedSensitivity(s *Suite, replicas int) (textplot.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, w := range Workloads() {
 		model, err := wgen.Preset(w)
 		if err != nil {
@@ -338,8 +341,8 @@ func ExtSeedSensitivity(s *Suite, replicas int) (textplot.Table, error) {
 				return t, err
 			}
 			specs = append(specs,
-				runner.Spec{Trace: tr},
-				runner.Spec{Trace: tr, Policy: pol})
+				scenario.Spec{Trace: tr},
+				scenario.Spec{Trace: tr, GearPolicy: pol})
 		}
 	}
 	outs, err := runAll(specs)
@@ -384,7 +387,7 @@ func ExtPowerCap(s *Suite, workloadName string) (textplot.Table, error) {
 	peak := float64(spec0.Trace.CPUs) * pm.Active(pm.Gears.Top())
 	thresholds := []float64{2, 5}
 	caps := []float64{0, 0.85, 0.7, 0.55}
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, thr := range thresholds {
 		pol, err := extPolicy(core.Params{BSLDThreshold: thr, WQThreshold: core.NoWQLimit})
 		if err != nil {
@@ -392,7 +395,7 @@ func ExtPowerCap(s *Suite, workloadName string) (textplot.Table, error) {
 		}
 		for _, capf := range caps {
 			run := spec0
-			run.Policy = pol
+			run.GearPolicy = pol
 			if capf > 0 {
 				run.Controller = scenario.ControllerConfig{CapFrac: capf}
 			}
@@ -445,7 +448,7 @@ func ExtPowerDown(s *Suite) (textplot.Table, error) {
 	pm := dvfs.PaperPowerModel()
 	// Four runs per workload: always-on baseline, DVFS only, power-down
 	// tracking without and with DVFS. Each tracked run owns its tracker.
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	var trackers []*nodepower.Tracker
 	for _, w := range Workloads() {
 		spec, err := extTrace(s, w)
@@ -458,13 +461,13 @@ func ExtPowerDown(s *Suite) (textplot.Table, error) {
 		}
 		specs = append(specs, spec)
 		dvfsOnly := spec
-		dvfsOnly.Policy = pol
+		dvfsOnly.GearPolicy = pol
 		specs = append(specs, dvfsOnly)
 		for _, tracked := range []sched.GearPolicy{nil, pol} {
 			tracker := nodepower.NewTracker(spec.Trace.CPUs)
 			trackers = append(trackers, tracker)
 			run := spec
-			run.Policy = tracked
+			run.GearPolicy = tracked
 			run.ExtraRecorders = []sched.Recorder{tracker}
 			specs = append(specs, run)
 		}

@@ -10,10 +10,10 @@ import (
 // ErrStreaming is returned by the per-job analyses (percentiles,
 // breakdowns, fairness) when the collector ran in streaming mode and
 // therefore retained no records. Callers that need these analyses must
-// build the collector with NewCollector (runner.Spec.KeepCollector).
+// build the collector with NewCollector (scenario.Spec.KeepCollector).
 // Before this sentinel existed the analyses silently returned all-zero
 // results on streaming collectors.
-var ErrStreaming = errors.New("metrics: per-job analysis needs a retaining collector (runner.Spec.KeepCollector); this collector streams and keeps no records")
+var ErrStreaming = errors.New("metrics: per-job analysis needs a retaining collector (scenario.Spec.KeepCollector); this collector streams and keeps no records")
 
 // Percentiles of the wait and BSLD distributions; mean values hide the
 // tail pain that Figure 6 of the paper visualizes, so the analysis tools

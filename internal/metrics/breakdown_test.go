@@ -153,7 +153,7 @@ func TestClassStrings(t *testing.T) {
 
 // The per-job analyses must fail loudly on a streaming collector instead
 // of silently reporting all-zero results (the regression PR 3 introduced
-// when streaming became the runner default).
+// when streaming became the default).
 func TestAnalysesRejectStreamingCollector(t *testing.T) {
 	c := NewStreamingCollector(dvfs.PaperPowerModel(), 600)
 	if _, err := c.WaitPercentiles(); err != ErrStreaming {

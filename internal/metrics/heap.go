@@ -6,7 +6,7 @@ import (
 	"repro/internal/sched"
 )
 
-// HeapWatermark rides along a simulation (runner.Spec.ExtraRecorders) and
+// HeapWatermark rides along a simulation (scenario.Spec.ExtraRecorders) and
 // tracks the live-heap high-water mark relative to a baseline captured at
 // construction. It is the measurement behind the streaming pipeline's
 // O(running jobs) claim: a materialized million-job replay's watermark is

@@ -10,7 +10,7 @@ type SystemSample struct {
 }
 
 // SystemSampler records the machine's state after every scheduling pass.
-// Attach it through runner.Spec.ExtraRecorders to obtain utilization and
+// Attach it through scenario.Spec.ExtraRecorders to obtain utilization and
 // backlog time series (the system-level view complementing Figure 6's
 // per-job waits).
 type SystemSampler struct {

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/wgen"
 )
@@ -17,10 +17,14 @@ func TestSystemSamplerCollectsPasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	sampler := &metrics.SystemSampler{}
-	out, err := runner.Run(runner.Spec{
+	sc, err := scenario.Compile(scenario.Spec{
 		Trace:          tr,
 		ExtraRecorders: []sched.Recorder{sampler},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sc.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}

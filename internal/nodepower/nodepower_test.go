@@ -11,9 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
-// defaultBeta mirrors scenario.DefaultBeta; importing it (or runner)
-// from an in-package test would close an import cycle now that the
-// scenario compiler builds on altpolicy and nodepower.
+// defaultBeta mirrors scenario.DefaultBeta; importing it from an
+// in-package test would close an import cycle now that the scenario
+// compiler builds on altpolicy and nodepower.
 const defaultBeta = 0.5
 
 func record(t *Tracker, ids []int, procs, start, end float64) {

@@ -1,4 +1,4 @@
-package runner
+package scenario
 
 import (
 	"math"
@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dvfs"
 	"repro/internal/metrics"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -19,14 +18,14 @@ import (
 // metaVariants are the scheduling setups every relation is checked under.
 var metaVariants = []struct {
 	name    string
-	variant sched.Variant
-	order   sched.Order
+	variant string
+	order   string
 	resv    int
 }{
-	{"easy", sched.EASY, sched.FCFSOrder, 0},
-	{"easy-sjf", sched.EASY, sched.SJFOrder, 0},
-	{"flexible-4", sched.EASY, sched.FCFSOrder, 4},
-	{"conservative", sched.Conservative, sched.FCFSOrder, 0},
+	{"easy", "easy", "fcfs", 0},
+	{"easy-sjf", "easy", "sjf", 0},
+	{"flexible-4", "easy", "fcfs", 4},
+	{"conservative", "conservative", "fcfs", 0},
 }
 
 // schedule maps job ID to its record in a run that kept its collector.
@@ -42,7 +41,7 @@ func schedule(t *testing.T, out Outcome) map[int]*metrics.JobRecord {
 func mustRun(t *testing.T, spec Spec) Outcome {
 	t.Helper()
 	spec.KeepCollector = true
-	out, err := Run(spec)
+	out, err := execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestUnsatisfiableThresholdReproducesBaseline(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			spec := Spec{Trace: tr, Variant: v.variant, Order: v.order, Reservations: v.resv}
 			base := mustRun(t, spec)
-			spec.Policy = bsldPolicy(t, 1, core.NoWQLimit)
+			spec.GearPolicy = bsldPolicy(t, 1, core.NoWQLimit)
 			pol := mustRun(t, spec)
 			if pol.Results != base.Results {
 				t.Fatalf("Results differ:\npolicy   %+v\nbaseline %+v", pol.Results, base.Results)
@@ -120,7 +119,7 @@ func TestShiftedArrivalsShiftSchedule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return mustRun(t, Spec{Trace: tr, Policy: pol, Gears: dyadicGears, Beta: 0.5,
+				return mustRun(t, Spec{Trace: tr, GearPolicy: pol, Gears: dyadicGears, Beta: ptr(0.5),
 					Variant: v.variant, Order: v.order, Reservations: v.resv})
 			}
 			base, moved := run(tr), run(shifted)
@@ -155,7 +154,7 @@ func TestOrderPreservingRelabelKeepsResults(t *testing.T) {
 	}
 	for _, v := range metaVariants {
 		t.Run(v.name, func(t *testing.T) {
-			spec := Spec{Policy: bsldPolicy(t, 2, 4), Variant: v.variant, Order: v.order, Reservations: v.resv}
+			spec := Spec{GearPolicy: bsldPolicy(t, 2, 4), Variant: v.variant, Order: v.order, Reservations: v.resv}
 			spec.Trace = tr
 			a := mustRun(t, spec)
 			spec.Trace = relabelled

@@ -1,11 +1,9 @@
-package runner
+package scenario
 
 import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/cluster"
 
 	"repro/internal/core"
 	"repro/internal/dvfs"
@@ -13,6 +11,26 @@ import (
 	"repro/internal/wgen"
 	"repro/internal/workload"
 )
+
+// execute compiles spec and executes the scenario once.
+func execute(spec Spec) (Outcome, error) {
+	sc, err := Compile(spec)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return sc.Execute()
+}
+
+// executePair compiles spec and executes it with its no-DVFS baseline.
+func executePair(spec Spec) (Outcome, Outcome, error) {
+	sc, err := Compile(spec)
+	if err != nil {
+		return Outcome{}, Outcome{}, err
+	}
+	return sc.ExecutePair()
+}
+
+func ptr(v float64) *float64 { return &v }
 
 func smallTrace(t *testing.T) *workload.Trace {
 	t.Helper()
@@ -37,7 +55,7 @@ func bsldPolicy(t *testing.T, thr float64, wq int) sched.GearPolicy {
 }
 
 func TestRunBaseline(t *testing.T) {
-	out, err := Run(Spec{Trace: smallTrace(t)})
+	out, err := execute(Spec{Trace: smallTrace(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,26 +77,26 @@ func TestRunBaseline(t *testing.T) {
 }
 
 func TestRunRejectsNilTrace(t *testing.T) {
-	if _, err := Run(Spec{}); err == nil {
+	if _, err := execute(Spec{}); err == nil {
 		t.Error("nil trace accepted")
 	}
 }
 
 func TestRunSizeFactor(t *testing.T) {
-	out, err := Run(Spec{Trace: smallTrace(t), SizeFactor: 1.2})
+	out, err := execute(Spec{Trace: smallTrace(t), SizeFactor: 1.2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.CPUs != 516 {
 		t.Errorf("cpus = %d, want 516 (430×1.2)", out.CPUs)
 	}
-	if _, err := Run(Spec{Trace: smallTrace(t), SizeFactor: -1}); err == nil {
+	if _, err := execute(Spec{Trace: smallTrace(t), SizeFactor: -1}); err == nil {
 		t.Error("negative size factor accepted")
 	}
 }
 
 func TestRunExplicitCPUs(t *testing.T) {
-	out, err := Run(Spec{Trace: smallTrace(t), CPUs: 1000})
+	out, err := execute(Spec{Trace: smallTrace(t), CPUs: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +109,7 @@ func TestRunExplicitCPUs(t *testing.T) {
 // frequency scaling can only reduce computational energy.
 func TestDVFSNeverIncreasesComputationalEnergy(t *testing.T) {
 	tr := smallTrace(t)
-	pol, base, err := BaselinePair(Spec{Trace: tr, Policy: bsldPolicy(t, 2, core.NoWQLimit)})
+	pol, base, err := executePair(Spec{Trace: tr, GearPolicy: bsldPolicy(t, 2, core.NoWQLimit)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +127,7 @@ func TestDVFSNeverIncreasesComputationalEnergy(t *testing.T) {
 	}
 }
 
-// BaselinePair must run the exact same machine twice — once with the
+// ExecutePair must run the exact same machine twice — once with the
 // policy, once at the top gear — since every normalized energy in the
 // paper divides by such a baseline.
 func TestBaselinePair(t *testing.T) {
@@ -118,14 +136,14 @@ func TestBaselinePair(t *testing.T) {
 		name string
 		spec Spec
 	}{
-		{"original size", Spec{Trace: tr, Policy: bsldPolicy(t, 2, 16)}},
-		{"enlarged", Spec{Trace: tr, Policy: bsldPolicy(t, 2, core.NoWQLimit), SizeFactor: 1.5}},
-		{"explicit cpus", Spec{Trace: tr, Policy: bsldPolicy(t, 3, 0), CPUs: 600}},
-		{"fcfs variant", Spec{Trace: tr, Policy: bsldPolicy(t, 1.5, 4), Variant: sched.FCFS}},
+		{"original size", Spec{Trace: tr, GearPolicy: bsldPolicy(t, 2, 16)}},
+		{"enlarged", Spec{Trace: tr, GearPolicy: bsldPolicy(t, 2, core.NoWQLimit), SizeFactor: 1.5}},
+		{"explicit cpus", Spec{Trace: tr, GearPolicy: bsldPolicy(t, 3, 0), CPUs: 600}},
+		{"fcfs variant", Spec{Trace: tr, GearPolicy: bsldPolicy(t, 1.5, 4), Variant: "fcfs"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pol, base, err := BaselinePair(tc.spec)
+			pol, base, err := executePair(tc.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,8 +158,8 @@ func TestBaselinePair(t *testing.T) {
 			}
 			// The baseline leg must be identical to a plain no-policy run.
 			plain := tc.spec
-			plain.Policy = nil
-			want, err := Run(plain)
+			plain.GearPolicy = nil
+			want, err := execute(plain)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,16 +171,16 @@ func TestBaselinePair(t *testing.T) {
 }
 
 func TestBaselinePairPropagatesErrors(t *testing.T) {
-	if _, _, err := BaselinePair(Spec{}); err == nil {
+	if _, _, err := executePair(Spec{}); err == nil {
 		t.Error("nil trace accepted")
 	}
-	if _, _, err := BaselinePair(Spec{Trace: smallTrace(t), SizeFactor: -2}); err == nil {
+	if _, _, err := executePair(Spec{Trace: smallTrace(t), SizeFactor: -2}); err == nil {
 		t.Error("negative size factor accepted")
 	}
 }
 
 func TestKeepCollector(t *testing.T) {
-	out, err := Run(Spec{Trace: smallTrace(t), KeepCollector: true})
+	out, err := execute(Spec{Trace: smallTrace(t), KeepCollector: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,19 +190,19 @@ func TestKeepCollector(t *testing.T) {
 	if len(out.Collector.WaitSeries()) != 400 {
 		t.Errorf("wait series = %d points", len(out.Collector.WaitSeries()))
 	}
-	out2, _ := Run(Spec{Trace: smallTrace(t)})
+	out2, _ := execute(Spec{Trace: smallTrace(t)})
 	if out2.Collector != nil {
 		t.Error("collector kept without KeepCollector")
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
-	spec := Spec{Trace: smallTrace(t), Policy: bsldPolicy(t, 2, 16)}
-	a, err := Run(spec)
+	spec := Spec{Trace: smallTrace(t), GearPolicy: bsldPolicy(t, 2, 16)}
+	a, err := execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(spec)
+	b, err := execute(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +215,11 @@ func TestRunDeterministic(t *testing.T) {
 // the same policy — the monotonicity behind Figure 9.
 func TestLargerSystemNoWorseBSLD(t *testing.T) {
 	tr := smallTrace(t)
-	small, err := Run(Spec{Trace: tr, SizeFactor: 1.0})
+	small, err := execute(Spec{Trace: tr, SizeFactor: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Run(Spec{Trace: tr, SizeFactor: 1.5})
+	big, err := execute(Spec{Trace: tr, SizeFactor: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +233,11 @@ func TestBetaZeroMeansNoDilationPenalty(t *testing.T) {
 	tr := smallTrace(t)
 	// With β≈0 the lowest gear never dilates, so every job is reduced and
 	// wall-clock schedules match the baseline exactly.
-	out, err := Run(Spec{Trace: tr, Policy: bsldPolicy(t, 1.5, core.NoWQLimit), Beta: 1e-12})
+	out, err := execute(Spec{Trace: tr, GearPolicy: bsldPolicy(t, 1.5, core.NoWQLimit), Beta: ptr(1e-12)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run(Spec{Trace: tr, Beta: 1e-12})
+	base, err := execute(Spec{Trace: tr, Beta: ptr(1e-12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,18 +261,18 @@ func TestRunOrderAndReservationsPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcfsOrder, err := Run(Spec{Trace: tr})
+	fcfsOrder, err := execute(Spec{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sjf, err := Run(Spec{Trace: tr, Order: sched.SJFOrder})
+	sjf, err := execute(Spec{Trace: tr, Order: "sjf"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sjf.Results.AvgWait == fcfsOrder.Results.AvgWait {
 		t.Error("SJF order produced the identical schedule; option not applied")
 	}
-	flex, err := Run(Spec{Trace: tr, Reservations: 8})
+	flex, err := execute(Spec{Trace: tr, Reservations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +280,11 @@ func TestRunOrderAndReservationsPassThrough(t *testing.T) {
 		t.Error("flexible run lost jobs")
 	}
 	// Deep flexible equals conservative.
-	deep, err := Run(Spec{Trace: tr, Reservations: 1 << 20})
+	deep, err := execute(Spec{Trace: tr, Reservations: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := Run(Spec{Trace: tr, Variant: sched.Conservative})
+	cons, err := execute(Spec{Trace: tr, Variant: "conservative"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +296,11 @@ func TestRunOrderAndReservationsPassThrough(t *testing.T) {
 
 func TestRunSelectionPassThrough(t *testing.T) {
 	tr := smallTrace(t)
-	ff, err := Run(Spec{Trace: tr, KeepCollector: true})
+	ff, err := execute(Spec{Trace: tr, KeepCollector: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cont, err := Run(Spec{Trace: tr, Selection: cluster.ContiguousBestFit, KeepCollector: true})
+	cont, err := execute(Spec{Trace: tr, Selection: "contiguous", KeepCollector: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,50 +316,24 @@ func TestRunSelectionPassThrough(t *testing.T) {
 }
 
 // TestRunWorkloadErrorMessages pins both error branches of the workload
-// input check: no input names both fields (the old message blamed only
-// the trace), and a double input names the conflict.
+// input check: no input names every input field, and a double input
+// names the conflict.
 func TestRunWorkloadErrorMessages(t *testing.T) {
-	_, err := Run(Spec{})
+	_, err := execute(Spec{})
 	if err == nil {
 		t.Fatal("empty spec accepted")
 	}
-	for _, want := range []string{"Trace", "Source"} {
+	for _, want := range []string{"Workload", "Trace", "Source", "Factory"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("no-workload error %q does not name Spec.%s", err, want)
 		}
 	}
 	tr := smallTrace(t)
-	_, err = Run(Spec{Trace: tr, Source: tr.Source()})
+	_, err = execute(Spec{Trace: tr, Source: tr.Source()})
 	if err == nil {
 		t.Fatal("spec with both Trace and Source accepted")
 	}
-	if !strings.Contains(err.Error(), "both Trace and Source") {
+	if !strings.Contains(err.Error(), "Trace and Source all set") {
 		t.Errorf("double-workload error %q does not name the conflict", err)
-	}
-}
-
-// TestCompileExposesScenario: the legacy Spec adapts onto a compiled
-// scenario whose direct execution is bit-identical to Run.
-func TestCompileExposesScenario(t *testing.T) {
-	tr := smallTrace(t)
-	spec := Spec{Trace: tr, Policy: bsldPolicy(t, 2, core.NoWQLimit)}
-	sc, err := Compile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Hash() == "" || sc.CPUs() != 430 {
-		t.Fatalf("implausible scenario: hash %q cpus %d", sc.Hash(), sc.CPUs())
-	}
-	direct, err := sc.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Results != legacy.Results {
-		t.Fatalf("scenario execution diverged from Run:\n%+v\n%+v",
-			direct.Results, legacy.Results)
 	}
 }

@@ -23,9 +23,10 @@
 //	})
 //	out, err := sc.Execute() // from as many goroutines as you like
 //
-// runner.Run and BaselinePair are thin adapters over this package, the
-// sweep grid expands to scenarios, and cmd/schedd serves scenarios over
-// HTTP with an LRU cache keyed by Scenario.Hash.
+// Every simulation in the repository runs this way: the CLIs, examples,
+// experiments and benchmarks build a Spec and compile it, the sweep grid
+// expands to scenarios, and cmd/schedd serves scenarios over HTTP with an
+// LRU cache keyed by Scenario.Hash.
 package scenario
 
 import (
@@ -41,7 +42,7 @@ import (
 )
 
 // DefaultBeta is the β of the execution time model the paper assumes for
-// all jobs; runner.DefaultBeta aliases it.
+// all jobs.
 const DefaultBeta = 0.5
 
 // PolicyConfig selects the paper's gear policy as pure data. The zero
@@ -139,8 +140,8 @@ func (c ControllerConfig) Label() string {
 // Spec describes a run before compilation. The JSON-visible fields form
 // the data-level description cmd/schedd accepts over the wire and are the
 // ones the canonical hash covers; the `json:"-"` fields are escape
-// hatches for callers that already hold resolved objects (runner's legacy
-// Spec adapts through them).
+// hatches for callers that already hold resolved objects (a generated
+// trace, a streaming source, a pre-built gear policy).
 type Spec struct {
 	// Workload names the workload: a wgen preset (CTC, Million, ...) or a
 	// path ending in .swf. Exactly one of Workload, Trace, Source and
@@ -166,7 +167,7 @@ type Spec struct {
 	// (immutable) job slice, each through its own cursor.
 	Trace *workload.Trace `json:"-"`
 	// Source is a single pre-built stream. The scheduler rewinds it per
-	// execution, so sequential re-execution works (BaselinePair), but a
+	// execution, so sequential re-execution works (ExecutePair), but a
 	// scenario compiled from one shared cursor is NOT safe for concurrent
 	// Execute — see Scenario.ConcurrentSafe.
 	Source workload.JobSource `json:"-"`
@@ -229,7 +230,7 @@ type Spec struct {
 	ExtraRecorders []sched.Recorder `json:"-"`
 }
 
-// Outcome is the result of one execution. runner.Outcome aliases it.
+// Outcome is the result of one execution.
 type Outcome struct {
 	Results   metrics.Results
 	Collector *metrics.Collector // nil unless Spec.KeepCollector

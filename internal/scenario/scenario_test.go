@@ -43,6 +43,7 @@ func TestCompileValidation(t *testing.T) {
 
 	wantErr(t, Spec{}, "no workload input")
 	wantErr(t, Spec{Workload: "CTC", Trace: tr}, "Workload and Trace all set")
+	wantErr(t, Spec{Trace: tr, Source: tr.Source()}, "Trace and Source all set")
 
 	s := ctcSpec()
 	s.Beta = &zero

@@ -1,4 +1,4 @@
-package runner
+package scenario
 
 import (
 	"testing"
@@ -53,18 +53,18 @@ func TestRunSourceMatchesTrace(t *testing.T) {
 		mutate func(*Spec)
 	}{
 		{"easy-nodvfs", nil},
-		{"easy-policy", func(s *Spec) { s.Policy = policy(t) }},
-		{"conservative", func(s *Spec) { s.Variant = sched.Conservative }},
-		{"sjf-sized", func(s *Spec) { s.Order = sched.SJFOrder; s.SizeFactor = 1.2 }},
+		{"easy-policy", func(s *Spec) { s.GearPolicy = policy(t) }},
+		{"conservative", func(s *Spec) { s.Variant = "conservative" }},
+		{"sjf-sized", func(s *Spec) { s.Order = "sjf"; s.SizeFactor = 1.2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := streamSpecPair(t, 600, tc.mutate)
-			outA, err := Run(a)
+			outA, err := execute(a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			outB, err := Run(b)
+			outB, err := execute(b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,27 +79,28 @@ func TestRunSourceMatchesTrace(t *testing.T) {
 	}
 }
 
-// TestRunSourceRepeatable: Run rewinds the source, so the same Spec (and
-// BaselinePair, which reuses it) executes any number of times.
+// TestRunSourceRepeatable: Execute rewinds the source, so a scenario
+// compiled from one Spec (and ExecutePair, which reuses it) executes any
+// number of times.
 func TestRunSourceRepeatable(t *testing.T) {
-	_, b := streamSpecPair(t, 400, func(s *Spec) { s.Policy = policy(t) })
-	first, err := Run(b)
+	_, b := streamSpecPair(t, 400, func(s *Spec) { s.GearPolicy = policy(t) })
+	first, err := execute(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Run(b)
+	second, err := execute(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Results != second.Results {
 		t.Fatal("rerun over the same source diverged")
 	}
-	withPol, base, err := BaselinePair(b)
+	withPol, base, err := executePair(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if withPol.Results != first.Results {
-		t.Fatal("BaselinePair policy run diverged")
+		t.Fatal("ExecutePair policy run diverged")
 	}
 	if base.Results == first.Results {
 		t.Fatal("baseline unexpectedly identical to the policy run")
@@ -108,12 +109,12 @@ func TestRunSourceRepeatable(t *testing.T) {
 
 // TestRunWorkloadInputValidation: exactly one of Trace and Source.
 func TestRunWorkloadInputValidation(t *testing.T) {
-	if _, err := Run(Spec{}); err == nil {
+	if _, err := execute(Spec{}); err == nil {
 		t.Fatal("accepted a spec with no workload")
 	}
 	a, b := streamSpecPair(t, 10, nil)
 	both := Spec{Trace: a.Trace, Source: b.Source}
-	if _, err := Run(both); err == nil {
+	if _, err := execute(both); err == nil {
 		t.Fatal("accepted a spec with both Trace and Source")
 	}
 }
@@ -123,11 +124,11 @@ func TestRunWorkloadInputValidation(t *testing.T) {
 // collector).
 func TestRunSourceKeepCollector(t *testing.T) {
 	a, b := streamSpecPair(t, 300, func(s *Spec) { s.KeepCollector = true })
-	outA, err := Run(a)
+	outA, err := execute(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outB, err := Run(b)
+	outB, err := execute(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,6 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/dvfs"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -59,7 +56,7 @@ type Grid struct {
 	CapFracs []float64 `json:"cap_fracs,omitempty"`
 }
 
-// Point is one expanded grid cell: pure data, resolvable to a runner.Spec.
+// Point is one expanded grid cell: pure data, compiled by Resolver.Scenario.
 type Point struct {
 	// Index is the cell's position in grid order; Pool results keep it.
 	Index int `json:"index"`
@@ -158,7 +155,7 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("sweep: negative CPUs override %d", c)
 		}
 	}
-	// A CPUs override makes runner.Run ignore the size factor, so crossing
+	// A CPUs override makes the scenario ignore the size factor, so crossing
 	// the two axes would run duplicate cells whose size_factor column lies.
 	for _, c := range d.CPUs {
 		if c == 0 {
@@ -247,12 +244,10 @@ func (g Grid) Points() []Point {
 	return pts
 }
 
-// Resolver materializes Points into compiled scenarios (or legacy
-// runner.Specs): it owns workload loading and the gear/power model shared
-// by every cell of a sweep. With neither a Trace nor a Source loader set,
+// Resolver compiles Points into scenarios: it owns workload loading for
+// every cell of a sweep. With neither a Trace nor a Source loader set,
 // Scenario resolves workload names through the scenario layer's shared
-// arena cache — SWF logs parse once, presets generate or stream once —
-// while the legacy Spec method still requires an explicit loader.
+// arena cache — SWF logs parse once, presets generate or stream once.
 type Resolver struct {
 	// Trace loads a workload by name. Optional: without it (and without
 	// Source) the Scenario method resolves names through the scenario
@@ -267,19 +262,11 @@ type Resolver struct {
 	// (wgen.Stream) workers regenerate on the fly and a sweep's memory
 	// stays O(workers · running jobs) instead of O(trace).
 	Source func(name string) (workload.JobSource, error)
-	// Gears is the DVFS gear set (nil → paper gear set).
-	Gears dvfs.GearSet
-	// Beta is the β of the execution time model (0 → runner.DefaultBeta).
-	Beta float64
-	// KeepCollector retains per-job records in every outcome.
-	KeepCollector bool
 
-	// Jobs, SWFCPUs, Filter and Materialize parameterize name-based
-	// workload resolution (loader-less Scenario calls only): they are the
-	// scenario.Spec fields of the same names.
+	// Jobs and Materialize parameterize name-based workload resolution
+	// (loader-less Scenario calls only): they are the scenario.Spec
+	// fields of the same names.
 	Jobs        int
-	SWFCPUs     int
-	Filter      workload.SWFFilter
 	Materialize bool
 
 	// comp is the shared scenario compiler: every cell of the sweep
@@ -287,111 +274,25 @@ type Resolver struct {
 	comp scenario.Compiler
 }
 
-// gears returns the effective gear set.
-func (r *Resolver) gears() dvfs.GearSet {
-	if r.Gears != nil {
-		return r.Gears
-	}
-	return dvfs.PaperGearSet()
-}
-
-// beta returns the effective dilation exponent.
-func (r *Resolver) beta() float64 {
-	if r.Beta != 0 {
-		return r.Beta
-	}
-	return runner.DefaultBeta
-}
-
-// Spec resolves one grid point into a runnable spec. With a Source
-// loader every call builds a fresh, independent source, so the returned
-// specs can execute concurrently.
-func (r *Resolver) Spec(p Point) (runner.Spec, error) {
-	var (
-		tr  *workload.Trace
-		src workload.JobSource
-		err error
-	)
-	switch {
-	case r.Source != nil:
-		src, err = r.Source(p.Trace)
-	case r.Trace != nil:
-		tr, err = r.Trace(p.Trace)
-	default:
-		return runner.Spec{}, fmt.Errorf("sweep: resolver has no trace loader")
-	}
-	if err != nil {
-		return runner.Spec{}, fmt.Errorf("sweep: trace %q: %w", p.Trace, err)
-	}
-	variant, err := sched.ParseVariant(p.Variant)
-	if err != nil {
-		return runner.Spec{}, err
-	}
-	selection, err := cluster.ParseSelection(p.Selection)
-	if err != nil {
-		return runner.Spec{}, err
-	}
-	order, err := sched.ParseOrder(p.Order)
-	if err != nil {
-		return runner.Spec{}, err
-	}
-	spec := runner.Spec{
-		Trace:         tr,
-		Source:        src,
-		SizeFactor:    p.SizeFactor,
-		CPUs:          p.CPUs,
-		Variant:       variant,
-		Selection:     selection,
-		Order:         order,
-		Reservations:  p.Reservations,
-		Gears:         r.Gears,
-		Beta:          r.Beta,
-		KeepCollector: r.KeepCollector,
-	}
-	if p.CapFrac > 0 {
-		spec.Controller = scenario.ControllerConfig{CapFrac: p.CapFrac}
-	}
-	if !p.Policy.Baseline() {
-		gears := r.gears()
-		pol, err := core.NewPolicy(core.Params{
-			BSLDThreshold: p.Policy.BSLDThr,
-			WQThreshold:   p.Policy.WQThr,
-			Boost:         p.Policy.Boost,
-			BoostWQ:       p.Policy.BoostWQ,
-		}, gears, dvfs.NewTimeModel(r.beta(), gears))
-		if err != nil {
-			return runner.Spec{}, fmt.Errorf("sweep: point %s: %w", p.Label(), err)
-		}
-		spec.Policy = pol
-	}
-	return spec, nil
-}
-
 // Scenario compiles one grid point into an immutable scenario through
 // the resolver's shared compiler. A custom Trace loader feeds the
 // compiled scenario a shared arena; a custom Source loader becomes the
 // scenario's per-execution factory; with neither, the workload name
 // resolves through the compiler's own arena cache (parameterized by the
-// resolver's Jobs/SWFCPUs/Filter/Materialize), so every cell over the
-// same workload shares one parse/generation.
+// resolver's Jobs and Materialize), so every cell over the same workload
+// shares one parse/generation.
 func (r *Resolver) Scenario(p Point) (*scenario.Scenario, error) {
 	ss := scenario.Spec{
-		Policy:        p.Policy,
-		SizeFactor:    p.SizeFactor,
-		CPUs:          p.CPUs,
-		Variant:       p.Variant,
-		Selection:     p.Selection,
-		Order:         p.Order,
-		Reservations:  p.Reservations,
-		Gears:         r.Gears,
-		KeepCollector: r.KeepCollector,
+		Policy:       p.Policy,
+		SizeFactor:   p.SizeFactor,
+		CPUs:         p.CPUs,
+		Variant:      p.Variant,
+		Selection:    p.Selection,
+		Order:        p.Order,
+		Reservations: p.Reservations,
 	}
 	if p.CapFrac > 0 {
 		ss.Controller = scenario.ControllerConfig{CapFrac: p.CapFrac}
-	}
-	if r.Beta != 0 {
-		beta := r.Beta
-		ss.Beta = &beta
 	}
 	switch {
 	case r.Source != nil:
@@ -406,8 +307,6 @@ func (r *Resolver) Scenario(p Point) (*scenario.Scenario, error) {
 	default:
 		ss.Workload = p.Trace
 		ss.Jobs = r.Jobs
-		ss.SWFCPUs = r.SWFCPUs
-		ss.Filter = r.Filter
 		ss.Materialize = r.Materialize
 	}
 	sc, err := r.comp.Compile(ss)

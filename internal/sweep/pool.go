@@ -6,18 +6,14 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
-// Run pairs a grid point with its resolved work, ready for execution: a
-// compiled scenario (preferred — Sweep produces these), or a legacy
-// runner.Spec when Scenario is nil.
+// Run pairs a grid point with its compiled scenario, ready for execution.
 type Run struct {
 	Point    Point
 	Scenario *scenario.Scenario
-	Spec     runner.Spec
 }
 
 // Result is one executed cell. Err carries the per-run failure (or the
@@ -25,7 +21,7 @@ type Run struct {
 // meaningful when Err is nil.
 type Result struct {
 	Point   Point
-	Outcome runner.Outcome
+	Outcome scenario.Outcome
 	Err     error
 }
 
@@ -89,10 +85,8 @@ func (p *Pool) Execute(ctx context.Context, runs []Run) ([]Result, error) {
 				if err := ctx.Err(); err != nil {
 					r.Err = err
 					atomic.AddInt64(&skipped, 1)
-				} else if sc := runs[i].Scenario; sc != nil {
-					r.Outcome, r.Err = sc.Execute()
 				} else {
-					r.Outcome, r.Err = runner.Run(runs[i].Spec)
+					r.Outcome, r.Err = runs[i].Scenario.Execute()
 				}
 				results[i] = r
 				if p.OnProgress != nil {

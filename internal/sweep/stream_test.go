@@ -100,11 +100,3 @@ func TestSweepStreamingRepeatable(t *testing.T) {
 		}
 	}
 }
-
-// TestResolverRequiresLoader keeps the no-loader diagnostic.
-func TestResolverRequiresLoader(t *testing.T) {
-	r := &Resolver{}
-	if _, err := r.Spec(Point{Trace: "CTC"}); err == nil {
-		t.Fatal("resolver without loaders built a spec")
-	}
-}

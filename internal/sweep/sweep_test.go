@@ -13,10 +13,24 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/wgen"
 	"repro/internal/workload"
 )
+
+// traceScenario compiles the baseline scenario over a loaded trace.
+func traceScenario(t *testing.T, loader func(string) (*workload.Trace, error), name string) *scenario.Scenario {
+	t.Helper()
+	tr, err := loader(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.Compile(scenario.Spec{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
 
 // testLoader generates short preset segments, cached across a test.
 func testLoader(jobs int) func(string) (*workload.Trace, error) {
@@ -212,14 +226,10 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 // context error, and leave no worker goroutines behind.
 func TestPoolCancellationPromptNoLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
-	loader := testLoader(300)
-	tr, err := loader("CTC")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := traceScenario(t, testLoader(300), "CTC")
 	runs := make([]Run, 64)
 	for i := range runs {
-		runs[i] = Run{Point: Point{Index: i, Trace: "CTC"}, Spec: runner.Spec{Trace: tr}}
+		runs[i] = Run{Point: Point{Index: i, Trace: "CTC"}, Scenario: sc}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	pool := &Pool{Workers: 2}
@@ -268,15 +278,30 @@ func TestPoolCancellationPromptNoLeaks(t *testing.T) {
 }
 
 func TestPoolPerRunErrorCapture(t *testing.T) {
-	loader := testLoader(100)
-	tr, err := loader("CTC")
+	tr, err := testLoader(100)("CTC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy, err := scenario.Compile(scenario.Spec{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A workload whose factory serves Compile's identity probe and then
+	// fails: the execution, not the compilation, must fail.
+	var calls atomic.Int32
+	failing, err := scenario.Compile(scenario.Spec{Factory: func() (workload.JobSource, error) {
+		if calls.Add(1) > 1 {
+			return nil, errors.New("source unavailable")
+		}
+		return tr.Source(), nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runs := []Run{
-		{Point: Point{Index: 0}, Spec: runner.Spec{Trace: tr}},
-		{Point: Point{Index: 1}, Spec: runner.Spec{}}, // nil trace: must fail
-		{Point: Point{Index: 2}, Spec: runner.Spec{Trace: tr}},
+		{Point: Point{Index: 0}, Scenario: healthy},
+		{Point: Point{Index: 1}, Scenario: failing},
+		{Point: Point{Index: 2}, Scenario: healthy},
 	}
 	results, err := (&Pool{Workers: 3}).Execute(context.Background(), runs)
 	if err != nil {
@@ -286,10 +311,10 @@ func TestPoolPerRunErrorCapture(t *testing.T) {
 		t.Errorf("healthy runs failed: %v, %v", results[0].Err, results[2].Err)
 	}
 	if results[1].Err == nil {
-		t.Error("nil-trace run reported no error")
+		t.Error("failing-source run reported no error")
 	}
 	if !reflect.DeepEqual(results[0].Outcome.Results, results[2].Outcome.Results) {
-		t.Error("identical specs produced different results")
+		t.Error("one scenario produced different results")
 	}
 }
 
@@ -347,14 +372,10 @@ func TestForEachEmptyAndCompletes(t *testing.T) {
 }
 
 func TestProgressCallbackSequence(t *testing.T) {
-	loader := testLoader(100)
-	tr, err := loader("CTC")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := traceScenario(t, testLoader(100), "CTC")
 	runs := make([]Run, 10)
 	for i := range runs {
-		runs[i] = Run{Point: Point{Index: i}, Spec: runner.Spec{Trace: tr}}
+		runs[i] = Run{Point: Point{Index: i}, Scenario: sc}
 	}
 	var seen []int
 	pool := &Pool{Workers: 4, OnProgress: func(done, total int, r Result) {
@@ -414,39 +435,39 @@ func TestCachedLoaderLoadsOnce(t *testing.T) {
 
 func TestResolverSpecBuildsPolicy(t *testing.T) {
 	r := &Resolver{Trace: testLoader(100)}
-	base, err := r.Spec(Point{Trace: "CTC", SizeFactor: 1})
+	base, err := r.Scenario(Point{Trace: "CTC", SizeFactor: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Policy != nil {
+	if !base.Baseline() {
 		t.Error("baseline point resolved with a gear policy")
 	}
-	pol, err := r.Spec(Point{Trace: "CTC", SizeFactor: 1,
+	pol, err := r.Scenario(Point{Trace: "CTC", SizeFactor: 1,
 		Policy: PolicyConfig{BSLDThr: 2, WQThr: 16}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pol.Policy == nil {
+	if pol.Baseline() {
 		t.Fatal("policy point resolved without a gear policy")
 	}
-	if _, err := r.Spec(Point{Trace: "nosuch", SizeFactor: 1}); err == nil {
+	if _, err := r.Scenario(Point{Trace: "nosuch", SizeFactor: 1}); err == nil {
 		t.Error("unknown trace accepted")
 	}
-	if _, err := r.Spec(Point{Trace: "CTC", SizeFactor: 1, Variant: "bogus"}); err == nil {
+	if _, err := r.Scenario(Point{Trace: "CTC", SizeFactor: 1, Variant: "bogus"}); err == nil {
 		t.Error("bogus variant accepted")
 	}
 }
 
-// A sweep through runner.BaselinePair semantics: the grid's baseline cell
-// must equal what BaselinePair computes as the denominator run.
+// The grid's baseline cell must equal the denominator run ExecutePair
+// computes for the policy cell's scenario.
 func TestSweepBaselineMatchesBaselinePair(t *testing.T) {
 	r := &Resolver{Trace: testLoader(150)}
-	spec, err := r.Spec(Point{Trace: "SDSC", SizeFactor: 1,
+	sc, err := r.Scenario(Point{Trace: "SDSC", SizeFactor: 1,
 		Policy: PolicyConfig{BSLDThr: 2, WQThr: core.NoWQLimit}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPol, base, err := runner.BaselinePair(spec)
+	withPol, base, err := sc.ExecutePair()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,10 +480,10 @@ func TestSweepBaselineMatchesBaselinePair(t *testing.T) {
 		t.Fatal(err)
 	}
 	if results[0].Outcome.Results != base.Results {
-		t.Error("grid baseline cell differs from BaselinePair baseline")
+		t.Error("grid baseline cell differs from the ExecutePair baseline")
 	}
 	if results[1].Outcome.Results != withPol.Results {
-		t.Error("grid policy cell differs from BaselinePair policy run")
+		t.Error("grid policy cell differs from the ExecutePair policy run")
 	}
 }
 
@@ -470,14 +491,10 @@ func TestSweepBaselineMatchesBaselinePair(t *testing.T) {
 // completed must not surface the context error — the result set is fully
 // valid and callers would otherwise discard it.
 func TestPoolLateCancellationKeepsResults(t *testing.T) {
-	loader := testLoader(40)
-	tr, err := loader("CTC")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := traceScenario(t, testLoader(40), "CTC")
 	runs := make([]Run, 6)
 	for i := range runs {
-		runs[i] = Run{Point: Point{Index: i, Trace: "CTC"}, Spec: runner.Spec{Trace: tr}}
+		runs[i] = Run{Point: Point{Index: i, Trace: "CTC"}, Scenario: sc}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -126,7 +126,7 @@ const TenMillionJobs = 10_000_000
 // stresses queue scans rather than the streaming pipeline this preset
 // exists for. A trace this long cannot reasonably be materialized (~1 GB
 // of Job structs plus the generation arrays); it is meant to be replayed
-// through wgen.Stream → runner.Spec.Source, which holds O(running jobs)
+// through wgen.Stream → scenario.Spec.Source, which holds O(running jobs)
 // peak heap regardless of trace length.
 func TenMillion() Model {
 	m := Million()
