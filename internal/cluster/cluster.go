@@ -3,11 +3,14 @@
 // paper's simulator architecture (§3.1) — First Fit, as used in the
 // paper's experiments, plus contiguous best-fit and next-fit — and
 // integrates busy CPU-time over the run, which the energy accounting
-// needs to charge idle power to unused processors.
+// needs to charge idle power to unused processors. Occupancy is kept as
+// the list of maximal free runs, so allocation and release cost is per
+// run of processors, not per processor.
 package cluster
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Run is a maximal contiguous interval of processor IDs: every processor
@@ -39,24 +42,11 @@ func (a Alloc) Count() int {
 	return n
 }
 
-// IDs materializes the allocation's processor identifiers in ascending
-// order. It allocates and exists for tests and debugging; hot paths
-// iterate Runs directly.
-func (a Alloc) IDs() []int {
-	ids := make([]int, 0, a.Count())
-	for _, r := range a.Runs {
-		for id := r.Lo; id <= r.Hi; id++ {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
 // AllocOf builds an allocation from explicit processor IDs, merging
 // consecutive ascending IDs into runs. IDs are taken in the given order,
-// so a duplicated or descending ID produces an extra (possibly
-// overlapping) run — Release rejects such allocations, which is exactly
-// what the double-release tests construct. Test helper; production
+// so a duplicated or descending ID produces an extra run out of order —
+// Release rejects such allocations, which is exactly what the
+// double-release tests construct. Test helper; production
 // allocations come from Cluster.Allocate.
 func AllocOf(ids ...int) Alloc {
 	var a Alloc
@@ -80,73 +70,24 @@ func appendRunInterval(runs []Run, lo, hi int) []Run {
 // appendRun is appendRunInterval for a single processor ID.
 func appendRun(runs []Run, id int) []Run { return appendRunInterval(runs, id, id) }
 
-// intHeap is a min-heap of processor IDs backing the First Fit free list.
-// It is hand-rolled rather than built on container/heap: the interface
-// indirection and per-int boxing of the generic heap dominated the
-// allocation profile of million-job replays (two boxed ints per processor
-// per job). Pop order is identical — a min-heap over distinct ints always
-// yields them ascending.
-type intHeap []int
-
-func (h *intHeap) push(v int) {
-	*h = append(*h, v)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *intHeap) pop() int {
-	s := *h
-	n := len(s) - 1
-	v := s[0]
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		min := l
-		if r := l + 1; r < n && s[r] < s[l] {
-			min = r
-		}
-		if s[i] <= s[min] {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return v
-}
-
 // Cluster tracks processor occupancy over simulated time. All mutating
 // calls carry the current simulation time so the busy integral stays
-// exact. The zero value is not usable; construct with New or
-// NewWithSelection.
+// exact. The zero value is not usable; construct with NewWithSelection.
 type Cluster struct {
 	total int
 	sel   Selection
 
-	// First Fit uses a min-heap free list (O(log n) per processor); the
-	// other policies scan the bitmap. freeMap is maintained for every
-	// policy as the ownership ledger: it is what detects double releases
-	// before they corrupt nfree/busy or duplicate IDs in the free heap.
-	free    intHeap
-	freeMap []bool
-	nfree   int
-	cursor  int // next-fit scan position
+	// free is the whole occupancy state: the maximal runs of free
+	// processors, ascending, disjoint and never adjacent. Every selection
+	// policy takes from it and Release merges back into it, so work is
+	// per run, never per processor, and the same list is the ownership
+	// ledger that rejects a double release before it corrupts the counts.
+	free   []Run
+	nfree  int
+	cursor int // next-fit scan position
 
-	// scanScratch stages the runs of a next-fit circular scan so the
-	// final run list can be emitted in ascending order without allocating.
+	// scanScratch stages the high segment of a wrapping next-fit take so
+	// the result can be emitted in ascending order without allocating.
 	scanScratch []Run
 
 	busy         int
@@ -154,37 +95,18 @@ type Cluster struct {
 	busyIntegral float64 // Σ busy · dt, CPU-seconds
 }
 
-// New returns a cluster of total processors under First Fit selection.
-func New(total int) *Cluster {
-	c, err := NewWithSelection(total, FirstFit)
-	if err != nil {
-		panic("cluster: " + err.Error())
-	}
-	return c
-}
-
-// NewWithSelection returns a cluster using the given selection policy.
+// NewWithSelection returns a cluster of total processors using the given
+// selection policy.
 func NewWithSelection(total int, sel Selection) (*Cluster, error) {
 	if total < 1 {
 		return nil, fmt.Errorf("invalid size %d", total)
 	}
-	c := &Cluster{total: total, sel: sel, nfree: total}
 	switch sel {
-	case FirstFit:
-		// Ascending initialization is already a valid min-heap.
-		c.free = make(intHeap, total)
-		for i := range c.free {
-			c.free[i] = i
-		}
-	case ContiguousBestFit, NextFit:
+	case FirstFit, ContiguousBestFit, NextFit:
 	default:
 		return nil, fmt.Errorf("unknown selection policy %v", sel)
 	}
-	c.freeMap = make([]bool, total)
-	for i := range c.freeMap {
-		c.freeMap[i] = true
-	}
-	return c, nil
+	return &Cluster{total: total, sel: sel, nfree: total, free: []Run{{Lo: 0, Hi: total - 1}}}, nil
 }
 
 // Total returns the number of processors in the machine.
@@ -214,44 +136,21 @@ func (c *Cluster) Allocate(n int, now float64) (Alloc, error) {
 // capacity. It is the zero-allocation path the scheduler uses with pooled
 // run states; any previous contents of a are discarded.
 func (c *Cluster) AllocateInto(a *Alloc, n int, now float64) error {
+	a.Runs = a.Runs[:0]
 	if n < 1 || n > c.nfree {
-		a.Runs = a.Runs[:0]
 		return fmt.Errorf("cluster: cannot allocate %d of %d free processors", n, c.nfree)
 	}
 	if now < c.lastChange {
-		a.Runs = a.Runs[:0]
 		return fmt.Errorf("cluster: time moved backwards (%v < %v)", now, c.lastChange)
 	}
 	c.advance(now)
-	runs := a.Runs[:0]
 	switch c.sel {
 	case FirstFit:
-		// Min-heap pops yield IDs ascending, so runs build canonically.
-		for i := 0; i < n; i++ {
-			id := c.free.pop()
-			c.freeMap[id] = false
-			runs = appendRun(runs, id)
-		}
+		a.Runs = c.selectFirstFit(a.Runs, n)
 	case ContiguousBestFit:
-		runs = c.selectContiguous(runs, n)
+		a.Runs = c.selectContiguous(a.Runs, n)
 	case NextFit:
-		runs = c.selectNextFit(runs, n)
-	}
-	a.Runs = runs
-	got := a.Count()
-	if got != n {
-		// Selection invariant broken: undo the marks and leave the
-		// cluster untouched.
-		for _, r := range runs {
-			for id := r.Lo; id <= r.Hi; id++ {
-				c.freeMap[id] = true
-				if c.sel == FirstFit {
-					c.free.push(id)
-				}
-			}
-		}
-		a.Runs = a.Runs[:0]
-		return fmt.Errorf("cluster: selection %v produced %d of %d processors", c.sel, got, n)
+		a.Runs = c.selectNextFit(a.Runs, n)
 	}
 	c.nfree -= n
 	c.busy += n
@@ -259,56 +158,85 @@ func (c *Cluster) AllocateInto(a *Alloc, n int, now float64) error {
 }
 
 // Release returns an allocation's processors to the free pool at time now.
-// Every selection policy tracks per-processor ownership, so releasing a
-// processor that is already free — including overlapping runs within the
-// same allocation — is rejected without mutating the cluster state.
+// The runs must be strictly ascending, inside the machine and busy: a run
+// list out of order, a foreign run, or one overlapping a free processor
+// (a double release) is rejected without mutating the cluster state.
 func (c *Cluster) Release(a Alloc, now float64) error {
 	if now < c.lastChange {
 		return fmt.Errorf("cluster: time moved backwards (%v < %v)", now, c.lastChange)
 	}
-	n := a.Count()
-	if c.busy < n {
-		return fmt.Errorf("cluster: releasing %d processors with only %d busy", n, c.busy)
-	}
-	// Check-and-mark in one pass so an overlap inside a.Runs is caught;
-	// roll the marks back on error to leave the ledger untouched.
-	for ri, r := range a.Runs {
+	// Merge as we validate: the runs ascend, so each search resumes where
+	// the previous one stopped. A bad run takes the merged ones back.
+	n, prev, i := 0, -1, 0
+	for k, r := range a.Runs {
+		var err error
 		if r.Lo < 0 || r.Hi >= c.total || r.Lo > r.Hi {
-			c.rollbackRelease(a.Runs[:ri], r, r.Lo-1)
-			return fmt.Errorf("cluster: releasing foreign processor run [%d,%d]", r.Lo, r.Hi)
+			err = fmt.Errorf("cluster: releasing foreign processor run [%d,%d]", r.Lo, r.Hi)
+		} else if r.Lo <= prev {
+			err = fmt.Errorf("cluster: released runs not strictly ascending at [%d,%d]", r.Lo, r.Hi)
+		} else if i = c.search(i, r.Lo); i < len(c.free) && c.free[i].Lo <= r.Hi {
+			err = fmt.Errorf("cluster: double release of processor %d", max(r.Lo, c.free[i].Lo))
 		}
-		for id := r.Lo; id <= r.Hi; id++ {
-			if c.freeMap[id] {
-				c.rollbackRelease(a.Runs[:ri], r, id-1)
-				return fmt.Errorf("cluster: double release of processor %d", id)
+		if err != nil {
+			for _, m := range a.Runs[:k] {
+				j := c.search(0, m.Lo)
+				c.take(nil, j, j+1, m.Lo, m.Hi)
 			}
-			c.freeMap[id] = true
+			return err
 		}
+		i = c.merge(i, r)
+		n += r.Len()
+		prev = r.Hi
 	}
 	c.advance(now)
-	if c.sel == FirstFit {
-		for _, r := range a.Runs {
-			for id := r.Lo; id <= r.Hi; id++ {
-				c.free.push(id)
-			}
-		}
-	}
 	c.nfree += n
 	c.busy -= n
 	return nil
 }
 
-// rollbackRelease un-marks the fully processed runs plus the partial run
-// cur up to and including lastDone (exclusive marks are restored).
-func (c *Cluster) rollbackRelease(done []Run, cur Run, lastDone int) {
-	for _, r := range done {
-		for id := r.Lo; id <= r.Hi; id++ {
-			c.freeMap[id] = false
+// search returns the index of the first free run at or after from with
+// Hi >= id, or len(c.free) if there is none. It gallops from from, so a
+// caller walking ascending IDs pays for the distance it moves, not for
+// the length of the list.
+func (c *Cluster) search(from, id int) int {
+	lo, hi, step := from, from, 1
+	for hi < len(c.free) && c.free[hi].Hi < id {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	hi = min(hi, len(c.free))
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.free[m].Hi < id {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	for id := cur.Lo; id <= lastDone; id++ {
-		c.freeMap[id] = false
+	return lo
+}
+
+// merge returns the busy run r to the free list, joining it with the free
+// runs it touches, and returns the index of the free run now holding it.
+// i must be search's answer for r.Lo, and r must not overlap a free run.
+func (c *Cluster) merge(i int, r Run) int {
+	left := i > 0 && c.free[i-1].Hi+1 == r.Lo
+	right := i < len(c.free) && c.free[i].Lo == r.Hi+1
+	switch {
+	case left && right:
+		c.free[i-1].Hi = c.free[i].Hi
+		c.free = slices.Delete(c.free, i, i+1)
+		return i - 1
+	case left:
+		c.free[i-1].Hi = r.Hi
+		return i - 1
+	case right:
+		c.free[i].Lo = r.Lo
+	default:
+		c.free = slices.Insert(c.free, i, r)
 	}
+	return i
 }
 
 // advance accrues the busy integral up to now.

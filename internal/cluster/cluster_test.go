@@ -3,28 +3,31 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestNewAllFree(t *testing.T) {
-	c := New(8)
+	c := mustCluster(t, 8, FirstFit)
 	if c.Total() != 8 || c.FreeCount() != 8 || c.Busy() != 0 {
 		t.Errorf("fresh cluster state: total=%d free=%d busy=%d", c.Total(), c.FreeCount(), c.Busy())
 	}
 }
 
-func TestNewPanicsOnInvalidSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(0) did not panic")
+func TestNewWithSelectionRejectsInvalidSize(t *testing.T) {
+	for _, total := range []int{0, -1} {
+		if c, err := NewWithSelection(total, FirstFit); err == nil || c != nil {
+			t.Errorf("NewWithSelection(%d) = %v, %v; want an error", total, c, err)
 		}
-	}()
-	New(0)
+	}
+	if _, err := NewWithSelection(4, Selection(99)); err == nil {
+		t.Error("unknown selection policy accepted")
+	}
 }
 
 func TestFirstFitLowestIDs(t *testing.T) {
-	c := New(8)
+	c := mustCluster(t, 8, FirstFit)
 	a, err := c.Allocate(3, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +53,7 @@ func TestFirstFitLowestIDs(t *testing.T) {
 }
 
 func TestAllocateExhaustion(t *testing.T) {
-	c := New(4)
+	c := mustCluster(t, 4, FirstFit)
 	if _, err := c.Allocate(5, 0); err == nil {
 		t.Error("over-allocation accepted")
 	}
@@ -64,7 +67,7 @@ func TestAllocateExhaustion(t *testing.T) {
 }
 
 func TestReleaseValidation(t *testing.T) {
-	c := New(4)
+	c := mustCluster(t, 4, FirstFit)
 	a, _ := c.Allocate(2, 0)
 	if err := c.Release(AllocOf(99), 1); err == nil {
 		t.Error("foreign processor release accepted")
@@ -78,7 +81,7 @@ func TestReleaseValidation(t *testing.T) {
 }
 
 func TestTimeMonotonicity(t *testing.T) {
-	c := New(4)
+	c := mustCluster(t, 4, FirstFit)
 	c.Allocate(1, 10)
 	if _, err := c.Allocate(1, 5); err == nil {
 		t.Error("backwards allocation time accepted")
@@ -90,7 +93,7 @@ func TestTimeMonotonicity(t *testing.T) {
 }
 
 func TestBusyIntegral(t *testing.T) {
-	c := New(10)
+	c := mustCluster(t, 10, FirstFit)
 	a, _ := c.Allocate(4, 0)  // 4 busy from t=0
 	b, _ := c.Allocate(2, 10) // 6 busy from t=10
 	c.Release(a, 20)          // 2 busy from t=20
@@ -106,7 +109,7 @@ func TestBusyIntegral(t *testing.T) {
 }
 
 func TestBusyIntegralMidAllocation(t *testing.T) {
-	c := New(4)
+	c := mustCluster(t, 4, FirstFit)
 	c.Allocate(3, 0)
 	if got := c.BusyCPUSeconds(10); math.Abs(got-30) > 1e-9 {
 		t.Errorf("BusyCPUSeconds(10) = %v, want 30", got)
@@ -114,7 +117,7 @@ func TestBusyIntegralMidAllocation(t *testing.T) {
 }
 
 func TestIdleCPUSeconds(t *testing.T) {
-	c := New(10)
+	c := mustCluster(t, 10, FirstFit)
 	a, _ := c.Allocate(5, 0)
 	c.Release(a, 10)
 	// Window [0,20]: total 200 CPU-s, busy 50, idle 150.
@@ -132,7 +135,7 @@ func TestQuickAllocReleaseInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		total := 1 + r.Intn(64)
-		c := New(total)
+		c := mustCluster(t, total, FirstFit)
 		var live []Alloc
 		now := 0.0
 		for step := 0; step < 200; step++ {
@@ -175,7 +178,7 @@ func TestQuickAllocReleaseInvariants(t *testing.T) {
 // allocation, re-allocating through the same Alloc performs no new slice
 // allocation and fully overwrites the previous contents.
 func TestAllocateIntoReusesCapacity(t *testing.T) {
-	c := New(16)
+	c := mustCluster(t, 16, FirstFit)
 	var a Alloc
 	if err := c.AllocateInto(&a, 4, 0); err != nil {
 		t.Fatal(err)
@@ -203,7 +206,7 @@ func TestAllocateIntoReusesCapacity(t *testing.T) {
 func TestQuickBusyIntegralMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		c := New(8)
+		c := mustCluster(t, 8, FirstFit)
 		now, prev := 0.0, 0.0
 		var live []Alloc
 		for step := 0; step < 100; step++ {
@@ -285,6 +288,71 @@ func TestDoubleReleaseRejectedAllPolicies(t *testing.T) {
 				t.Fatalf("%v: processor %d allocated twice", sel, id)
 			}
 			seen[id] = true
+		}
+	}
+}
+
+// Release accepts only strictly ascending run lists: a disjoint list out
+// of order is rejected like an overlapping one, and neither touches the
+// cluster.
+func TestReleaseRejectsRunsOutOfOrder(t *testing.T) {
+	for _, sel := range []Selection{FirstFit, ContiguousBestFit, NextFit} {
+		c := mustCluster(t, 8, sel)
+		if _, err := c.Allocate(8, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []Alloc{AllocOf(5, 6, 0, 1), AllocOf(2, 2), {Runs: []Run{{Lo: 0, Hi: 3}, {Lo: 3, Hi: 4}}}} {
+			free := append([]Run(nil), c.free...)
+			if err := c.Release(bad, 1); err == nil {
+				t.Errorf("%v: Release(%v) accepted", sel, bad.Runs)
+			}
+			if c.FreeCount() != 0 || c.Busy() != 8 || c.BusyCPUSeconds(0) != 0 || !slices.Equal(c.free, free) {
+				t.Errorf("%v: rejected Release(%v) changed the cluster: free=%d busy=%d runs=%v",
+					sel, bad.Runs, c.FreeCount(), c.Busy(), c.free)
+			}
+		}
+		if err := c.Release(AllocOf(0, 1, 5, 6), 1); err != nil {
+			t.Errorf("%v: ascending release rejected: %v", sel, err)
+		}
+	}
+}
+
+// The steady state allocates nothing under any policy: once the free list
+// and the scratch have grown to the working set, taking and merging runs
+// reuses their backing arrays.
+func TestAllocateIntoReleaseAllocateNothing(t *testing.T) {
+	for _, sel := range []Selection{FirstFit, ContiguousBestFit, NextFit} {
+		c := mustCluster(t, 256, sel)
+		// Fragment the machine: hold every other pair of processors.
+		var held []Alloc
+		for c.FreeCount() > 0 {
+			a, err := c.Allocate(min(2, c.FreeCount()), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, a)
+		}
+		for i := 0; i < len(held); i += 2 {
+			if err := c.Release(held[i], 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var as [4]Alloc
+		cycle := func() {
+			for i, n := range []int{1, 5, 2, 9} {
+				if err := c.AllocateInto(&as[i], n, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, i := range []int{2, 0, 3, 1} {
+				if err := c.Release(as[i], 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		cycle() // warm-up: grow every backing array to the working set
+		if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
+			t.Errorf("%v: %.1f allocations per allocate/release cycle, want 0", sel, allocs)
 		}
 	}
 }

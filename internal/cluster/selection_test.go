@@ -61,6 +61,18 @@ func TestAllocRuns(t *testing.T) {
 	}
 }
 
+// IDs materializes the allocation's processor identifiers in ascending
+// order, for assertions that read easier per processor.
+func (a Alloc) IDs() []int {
+	ids := make([]int, 0, a.Count())
+	for _, r := range a.Runs {
+		for id := r.Lo; id <= r.Hi; id++ {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
