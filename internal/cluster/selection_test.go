@@ -163,17 +163,6 @@ func TestNextFitWrapsAround(t *testing.T) {
 	}
 }
 
-func TestDoubleReleaseDetectedOnBitmapPolicies(t *testing.T) {
-	c := mustCluster(t, 4, ContiguousBestFit)
-	a, _ := c.Allocate(2, 0)
-	if err := c.Release(a, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Release(a, 2); err == nil {
-		t.Error("double release accepted")
-	}
-}
-
 // Property: all selection policies preserve the free+busy invariant and
 // never hand out duplicate or out-of-range processors.
 func TestQuickSelectionInvariants(t *testing.T) {

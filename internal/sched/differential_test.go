@@ -71,13 +71,16 @@ func tieTrace(seed int64, cpus, n int) *workload.Trace {
 // the production scheduler: the streamed, pooled, tombstoned,
 // index-backed implementation with its persistent profile must replay
 // every trace exactly like the reference simulator (reference_test.go),
-// which stands in for the superseded implementations the name recalls.
-// It runs every base variant, both queue orders, gear policies that flip
-// gears with queue depth and earliest start, and per-pass controllers
-// that re-gear running jobs up and down, over random traces and over
-// tie-heavy ones with zero-ReqTime jobs. Start and end times are compared
-// exactly — any ordering drift in the run-list iteration, the event heap
-// or the retained reservations shows up as a changed schedule.
+// which stands in for the superseded implementations the name recalls
+// and asks every scheduling question afresh: it asks the gear policy
+// about every backfill candidate and recomputes every reservation's
+// slot. It runs every base variant, both queue orders, gear policies
+// that flip gears with queue depth and earliest start, and per-pass
+// controllers that re-gear running jobs up and down, over random traces
+// and over tie-heavy ones with zero-ReqTime jobs. Start and end times
+// are compared exactly — any ordering drift in the run-list iteration,
+// the event heap or the retained reservations shows up as a changed
+// schedule.
 func TestCompatModesProduceIdenticalSchedules(t *testing.T) {
 	type fixture struct {
 		name    string
@@ -158,6 +161,14 @@ func FuzzScheduleMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 5, 7, 0, 2, 0, 4, 1, 8, 2, 9})
 	f.Add([]byte{2, 0x21, 0, 8, 9, 9, 0, 1, 0, 3, 0, 4, 4, 4, 1, 2, 2, 2, 0, 8, 6, 6})
 	f.Add([]byte{3, 0x47, 0, 5, 7, 9, 0, 5, 7, 9, 0, 5, 7, 9, 1, 3, 0, 1, 0, 8, 3, 3})
+	// Conservative under varyingPolicy: job 2 reserves at the lowest
+	// gear, and job 3's top-gear start (now, beside job 1) does not hold
+	// its dilated duration, so its slot must be asked for again.
+	f.Add([]byte{2, 0x08, 0, 3, 10, 10, 0, 7, 5, 5, 0, 3, 12, 12, 1, 1, 3, 3})
+	// EASY with a hopeless candidate: job 3 fits the free processors but
+	// ends after the head's shadow at every gear and no processors are
+	// left over there; job 4 behind it backfills at the top gear only.
+	f.Add([]byte{0, 0, 0, 3, 10, 10, 0, 7, 5, 5, 0, 1, 15, 15, 0, 1, 8, 8})
 	const cpus = 8
 	gears := dvfs.PaperGearSet()
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -133,8 +133,8 @@ func TestEASYIndexMatchesReferencesAtScale(t *testing.T) {
 	}
 }
 
-// countingGear is the fixed top-gear policy counting the feasibility
-// checks it makes.
+// countingGear is a fixed-gear policy counting the BackfillGear calls it
+// answers (each makes one feasibility check).
 type countingGear struct {
 	FixedGear
 	checks int
@@ -145,13 +145,24 @@ func (p *countingGear) BackfillGear(j *workload.Job, now float64, wqOthers int, 
 	return p.Gear, feasible(p.Gear)
 }
 
+// Backfill candidates of blockedPassSystem, by requested time: a
+// declined one can start at the top gear but not at the lowest, a
+// hopeless one at no gear.
+const (
+	declinedReq = 500
+	hopelessReq = 1e5
+)
+
 // blockedPassSystem builds a 64-CPU system mid-run whose queue head is
 // blocked and whose backfill candidates each fit the free processors but
-// can never start: they run far past the shadow time and are wider than
-// the processors left over there. Every pass therefore reaches the
-// backfill scan, asks the gear policy (which calls feasible) for every
-// candidate, and leaves the system unchanged, so it can be repeated.
-func blockedPassSystem(t *testing.T, pol *countingGear, resv, heads, candidates int) *System {
+// are wider than the processors left over once the first head starts
+// (800 s, the last release), and request candReq seconds at the top
+// gear. With declinedReq they end before that start at the top gear
+// only, so under countingGear at the lowest gear every pass reaches the
+// backfill scan, asks the policy for every candidate and starts none;
+// with hopelessReq the scan asks nobody. Either way the pass leaves the
+// system unchanged, so it can be repeated.
+func blockedPassSystem(t *testing.T, pol *countingGear, resv, heads, candidates int, candReq float64) *System {
 	t.Helper()
 	gears := dvfs.PaperGearSet()
 	sys, err := New(Config{
@@ -177,9 +188,33 @@ func blockedPassSystem(t *testing.T, pol *countingGear, resv, heads, candidates 
 		sys.queue = append(sys.queue, job(60, 50))
 	}
 	for k := 0; k < candidates; k++ {
-		sys.queue = append(sys.queue, job(8, 1e5))
+		sys.queue = append(sys.queue, job(8, candReq))
 	}
 	return sys
+}
+
+// blockedPassCases are the backfill scans of blockedPassSystem: classic
+// EASY and flexible EASY protecting four heads.
+var blockedPassCases = []struct {
+	name               string
+	resv, heads, cands int
+}{
+	{"easy", 0, 1, 12},
+	{"flexible-4", 4, 4, 12},
+}
+
+// repeatBlockedPass runs sys's pass runs times (plus AllocsPerRun's
+// warm-up call), requires it to leave the system unchanged and returns
+// its allocations per pass.
+func repeatBlockedPass(t *testing.T, sys *System, runs int) float64 {
+	t.Helper()
+	qlen, running := len(sys.queue), sys.runningCount()
+	allocs := testing.AllocsPerRun(runs, func() { sys.pass(0) })
+	if len(sys.queue) != qlen || sys.runningCount() != running {
+		t.Fatalf("fixture pass changed the system: queue %d -> %d, running %d -> %d",
+			qlen, len(sys.queue), running, sys.runningCount())
+	}
+	return allocs
 }
 
 // TestBlockedPassesAllocateNothing pins the allocation-free steady state
@@ -188,24 +223,12 @@ func blockedPassSystem(t *testing.T, pol *countingGear, resv, heads, candidates 
 // flexible pass that reaches the backfill branch may allocate, however
 // many candidates ask the gear policy for a feasible gear.
 func TestBlockedPassesAllocateNothing(t *testing.T) {
-	cases := []struct {
-		name               string
-		resv, heads, cands int
-	}{
-		{"easy", 0, 1, 12},
-		{"flexible-4", 4, 4, 12},
-	}
-	for _, tc := range cases {
+	for _, tc := range blockedPassCases {
 		t.Run(tc.name, func(t *testing.T) {
-			pol := &countingGear{FixedGear: FixedGear{Gear: dvfs.PaperGearSet().Top()}}
-			sys := blockedPassSystem(t, pol, tc.resv, tc.heads, tc.cands)
-			qlen, running := len(sys.queue), sys.runningCount()
+			pol := &countingGear{FixedGear: FixedGear{Gear: dvfs.PaperGearSet().Lowest()}}
+			sys := blockedPassSystem(t, pol, tc.resv, tc.heads, tc.cands, declinedReq)
 			const runs = 50
-			allocs := testing.AllocsPerRun(runs, func() { sys.pass(0) })
-			if len(sys.queue) != qlen || sys.runningCount() != running {
-				t.Fatalf("fixture pass changed the system: queue %d -> %d, running %d -> %d",
-					qlen, len(sys.queue), running, sys.runningCount())
-			}
+			allocs := repeatBlockedPass(t, sys, runs)
 			// AllocsPerRun adds one warm-up call to the measured runs.
 			if want := (runs + 1) * tc.cands; pol.checks != want {
 				t.Fatalf("gear policy checked %d candidates, want %d: the passes must reach the backfill scan",
@@ -213,6 +236,24 @@ func TestBlockedPassesAllocateNothing(t *testing.T) {
 			}
 			if allocs != 0 {
 				t.Errorf("blocked pass allocates %v times, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestHopelessCandidatesNotAsked pins the backfill scans' top-gear
+// prefilter: a candidate the top gear cannot start is kept queued
+// without a BackfillGear call, and such a pass allocates nothing.
+func TestHopelessCandidatesNotAsked(t *testing.T) {
+	for _, tc := range blockedPassCases {
+		t.Run(tc.name, func(t *testing.T) {
+			pol := &countingGear{FixedGear: FixedGear{Gear: dvfs.PaperGearSet().Top()}}
+			sys := blockedPassSystem(t, pol, tc.resv, tc.heads, tc.cands, hopelessReq)
+			if allocs := repeatBlockedPass(t, sys, 50); allocs != 0 {
+				t.Errorf("blocked pass allocates %v times, want 0", allocs)
+			}
+			if pol.checks != 0 {
+				t.Fatalf("gear policy asked %d times about candidates no gear can start, want 0", pol.checks)
 			}
 		})
 	}

@@ -263,3 +263,71 @@ func TestSetGearPastNowReportsError(t *testing.T) {
 	err := runInvariantFixture(t, EASY, topPolicy(), ctrl)
 	wantRunError(t, err, "rescheduling completion of job")
 }
+
+// aboveTopPolicy breaks GearPolicy's contract by choosing a gear faster
+// than the top gear from ReserveGear (reserve) or from BackfillGear (and
+// the top gear from ReserveGear).
+type aboveTopPolicy struct {
+	gears   dvfs.GearSet
+	reserve bool
+}
+
+func (aboveTopPolicy) Name() string { return "above-top" }
+
+func (p aboveTopPolicy) fast() dvfs.Gear {
+	g := p.gears.Top()
+	g.Freq += 0.3
+	return g
+}
+
+func (p aboveTopPolicy) ReserveGear(*workload.Job, float64, float64, int) dvfs.Gear {
+	if p.reserve {
+		return p.fast()
+	}
+	return p.gears.Top()
+}
+
+func (p aboveTopPolicy) BackfillGear(j *workload.Job, now float64, wq int, feasible func(dvfs.Gear) bool) (dvfs.Gear, bool) {
+	return p.fast(), true
+}
+
+// A gear faster than the top gear, from either GearPolicy method, aborts
+// the run with an error: the backfill scans skip candidates the top gear
+// cannot start, which is exact only if no chosen gear is faster.
+// Conservative backfilling reserves for every queued job, so it never
+// asks BackfillGear.
+func TestGearAboveTopReportsError(t *testing.T) {
+	gears := dvfs.PaperGearSet()
+	cases := []struct {
+		name    string
+		variant Variant
+		resv    int
+		reserve bool
+	}{
+		{"easy/ReserveGear", EASY, 0, true},
+		{"conservative/ReserveGear", Conservative, 0, true},
+		{"easy/BackfillGear", EASY, 0, false},
+		{"flexible-4/BackfillGear", EASY, 4, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := New(Config{
+				CPUs: 16, Gears: gears,
+				TimeModel:    dvfs.NewTimeModel(0.5, gears),
+				Policy:       aboveTopPolicy{gears: gears, reserve: tc.reserve},
+				Variant:      tc.variant,
+				Reservations: tc.resv,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = sys.Simulate(randomTrace(13, 16, 200))
+			method := "BackfillGear"
+			if tc.reserve {
+				method = "ReserveGear"
+			}
+			wantRunError(t, err, method+" chose gear")
+			wantRunError(t, err, "faster than the top gear")
+		})
+	}
+}

@@ -15,7 +15,8 @@ import (
 //
 //   - ReserveGear is called exactly when a job is about to start (the head
 //     of the queue fitting the free processors, or a job arriving into an
-//     idle-enough machine). Whatever gear it returns is used.
+//     idle-enough machine) or to place its reservation. Whatever gear it
+//     returns is used.
 //   - BackfillGear is called when a job could jump ahead of the reserved
 //     head job. feasible(g) reports whether an immediate start at gear g
 //     keeps the head's reservation intact; the policy must only return
@@ -24,6 +25,15 @@ import (
 //     hands the same function value to every candidate of a pass and
 //     re-targets it between calls, so a policy must not retain it or
 //     call it after returning.
+//   - BackfillGear is not called for a candidate that no gear of
+//     Config.Gears can start: the engine asks feasible(Config.Gears.Top())
+//     itself first and keeps the job queued when it fails. No slower gear
+//     could pass, since New requires the time model's β ≥ 0, under which
+//     a gear's planned duration never shrinks as its frequency drops.
+//
+// In return, a gear returned by either method must be no faster than
+// Config.Gears.Top(): a faster one aborts the run with an error, since
+// it could have started a candidate the engine never asked about.
 //
 // Per-pass adjustment of running jobs (the dynamic boost extension,
 // power capping) lives on the PowerController seam, not here: a policy

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cluster"
@@ -221,6 +222,11 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.TimeModel.Fmax <= 0 {
 		return nil, fmt.Errorf("sched: time model missing anchor frequency")
+	}
+	// A β below zero would make slower gears finish sooner, breaking the
+	// backfill scans' top-gear prefilter; a non-finite one has no meaning.
+	if !(cfg.TimeModel.Beta >= 0) || math.IsInf(cfg.TimeModel.Beta, 1) {
+		return nil, fmt.Errorf("sched: time model β %v is not a finite value ≥ 0", cfg.TimeModel.Beta)
 	}
 	cl, err := cluster.NewWithSelection(cfg.CPUs, cfg.Selection)
 	if err != nil {
@@ -512,6 +518,20 @@ func (s *System) fail(err error) {
 	s.engine.Stop()
 }
 
+// aboveTop fails the run when the gear policy's method returned a gear
+// faster than the top gear, which GearPolicy's contract rules out (the
+// backfill scans skip candidates the top gear cannot start), and reports
+// whether it did. A NaN frequency counts as above.
+func (s *System) aboveTop(j *workload.Job, g dvfs.Gear, method string) bool {
+	top := s.cfg.Gears.Top()
+	if g.Freq <= top.Freq {
+		return false
+	}
+	s.fail(fmt.Errorf("sched: %s %s chose gear %v for job %d, faster than the top gear %v",
+		s.cfg.Policy.Name(), method, g, j.ID, top))
+	return true
+}
+
 // PassObserver is an optional extension of Recorder: implementations
 // receive a system-state sample (wait-queue depth, busy processors) after
 // every scheduling pass, enabling utilization and backlog time series.
@@ -550,7 +570,7 @@ func (s *System) pass(now float64) {
 		j := s.queue[started]
 		started++
 		g := s.cfg.Policy.ReserveGear(j, now, now, len(s.queue)-started)
-		if !s.start(j, g, now) {
+		if s.aboveTop(j, g, "ReserveGear") || !s.start(j, g, now) {
 			return
 		}
 	}
@@ -577,11 +597,19 @@ func (s *System) pass(now float64) {
 	free := s.cl.FreeCount()
 	kept := s.queue[:1]
 	qlen := len(s.queue)
+	top := s.cfg.Gears.Top()
 	for _, j := range s.queue[1:] {
 		started := false
-		if j.Procs <= free {
-			bf.j = j
-			if g, ok := s.cfg.Policy.BackfillGear(j, now, qlen-1, s.bfEasy); ok && bf.easy(g) {
+		// A candidate the top gear cannot start is not asked: no gear
+		// may be faster (GearPolicy's contract), and with β ≥ 0 no
+		// slower one finishes sooner.
+		bf.j = j
+		if j.Procs <= free && bf.easy(top) {
+			g, ok := s.cfg.Policy.BackfillGear(j, now, qlen-1, s.bfEasy)
+			if ok && s.aboveTop(j, g, "BackfillGear") {
+				return
+			}
+			if ok && bf.easy(g) {
 				if !s.start(j, g, now) {
 					return
 				}
@@ -674,15 +702,24 @@ func (s *System) profilePass(now float64, maxRes int) {
 	reserved := resume
 	bf := &s.bf
 	bf.now, bf.prof = now, prof
+	top := s.cfg.Gears.Top()
 	for _, j := range s.queue[resume:] {
 		if reserved < maxRes {
 			// Reservation (or immediate start): the gear decision sees
 			// the start the job would get at the top gear; the slot is
-			// then recomputed with the chosen gear's dilated duration.
-			est := prof.EarliestStart(j.Procs, s.reqDur(j, s.cfg.Gears.Top()), now)
+			// then recomputed with the chosen gear's dilated duration,
+			// unless that duration is the top gear's: nothing touched the
+			// profile in between, so the answer would be est again.
+			dTop := s.reqDur(j, top)
+			est := prof.EarliestStart(j.Procs, dTop, now)
 			g := s.cfg.Policy.ReserveGear(j, est, now, qlen-1)
-			d := s.reqDur(j, g)
-			st := prof.EarliestStart(j.Procs, d, now)
+			if s.aboveTop(j, g, "ReserveGear") {
+				return
+			}
+			d, st := s.reqDur(j, g), est
+			if d != dTop {
+				st = prof.EarliestStart(j.Procs, d, now)
+			}
 			if st <= now {
 				if !s.start(j, g, now) { // registers its own occupancy
 					return
@@ -696,14 +733,21 @@ func (s *System) profilePass(now float64, maxRes int) {
 			}
 			continue
 		}
-		// Beyond the protected prefix: immediate backfill or nothing.
+		// Beyond the protected prefix: immediate backfill or nothing,
+		// and as in the EASY scan only if the top gear fits.
 		bf.j = j
-		if g, ok := s.cfg.Policy.BackfillGear(j, now, qlen-1, s.bfProfile); ok && bf.fits(g) {
-			if !s.start(j, g, now) {
+		if bf.fits(top) {
+			g, ok := s.cfg.Policy.BackfillGear(j, now, qlen-1, s.bfProfile)
+			if ok && s.aboveTop(j, g, "BackfillGear") {
 				return
 			}
-			qlen--
-			continue
+			if ok && bf.fits(g) {
+				if !s.start(j, g, now) {
+					return
+				}
+				qlen--
+				continue
+			}
 		}
 		kept = append(kept, j)
 	}

@@ -97,6 +97,11 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{CPUs: 4, Gears: dvfs.GearSet{}, TimeModel: tm, Policy: topPolicy()},
 		{CPUs: 4, Gears: gears, TimeModel: tm, Policy: nil},
 		{CPUs: 4, Gears: gears, Policy: topPolicy()}, // zero time model
+		// β must be finite and ≥ 0: the backfill scans rely on no slower
+		// gear finishing sooner than the top gear.
+		{CPUs: 4, Gears: gears, TimeModel: dvfs.NewTimeModel(-0.5, gears), Policy: topPolicy()},
+		{CPUs: 4, Gears: gears, TimeModel: dvfs.NewTimeModel(math.NaN(), gears), Policy: topPolicy()},
+		{CPUs: 4, Gears: gears, TimeModel: dvfs.NewTimeModel(math.Inf(1), gears), Policy: topPolicy()},
 	}
 	for i, c := range cases {
 		if _, err := New(c); err == nil {

@@ -15,6 +15,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -72,6 +73,8 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("workload: job %d has negative runtime %v", j.ID, j.Runtime)
 	case j.ReqTime <= 0:
 		return fmt.Errorf("workload: job %d has non-positive requested time %v", j.ID, j.ReqTime)
+	case math.IsNaN(j.Beta) || math.IsInf(j.Beta, 1):
+		return fmt.Errorf("workload: job %d has β override %v", j.ID, j.Beta)
 	}
 	return nil
 }

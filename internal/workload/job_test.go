@@ -22,6 +22,8 @@ func TestJobValidate(t *testing.T) {
 		{"negative submit", func(j *Job) { j.Submit = -1 }},
 		{"negative runtime", func(j *Job) { j.Runtime = -5 }},
 		{"zero reqtime", func(j *Job) { j.ReqTime = 0 }},
+		{"NaN beta", func(j *Job) { j.Beta = math.NaN() }},
+		{"infinite beta", func(j *Job) { j.Beta = math.Inf(1) }},
 	}
 	for _, c := range cases {
 		j := validJob()
