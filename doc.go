@@ -172,27 +172,27 @@
 //     / WQ 16, about 1,200 jobs running behind a standing queue)
 //     throughput rises from 10.9k to 275k jobs/s, medians of seeds 1-5
 //     on a 2-vCPU Intel Xeon.
-//   - Chunked profile tiers: the persistent profile's own structures
-//     follow the same idiom (internal/profile/skydex.go, resvindex.go).
-//     The base skyline lives in a directory of bounded chunks holding
-//     deltas with exact in-chunk prefix sums and conservative prefix
-//     extrema, so EarliestStart's feasibility sweep skips whole chunks
-//     whose extrema cannot cross the limit, inserts coalesce equal-time
-//     deltas in one chunk memmove, and expiring history folds away
-//     chunk-at-a-time; reservations live in a parallel chunked ordered
-//     index that replaces the sorted-slice overlay, making
-//     AddReservation and TruncateReservations log-time (a truncate
-//     reprocesses at most min(suffix, prefix) journal entries, and
-//     re-truncating an already-applied prefix is free). Queries resume:
-//     a version-stamped memo keyed on the profile's base tier lets the
-//     replanning loop's ascending EarliestStart calls re-enter the sweep
-//     at the previous cursor — reservation-tier changes never invalidate
-//     it (the overlay re-seeks per query), only base mutations and folds
-//     bump the version. A flat sorted-slice oracle in the profile tests
-//     and FuzzReservationTier pin them. Conservative backfilling runs the
-//     FULL Million preset at 218k jobs/s (2.8x over the flat tiers these
-//     replaced) and the TenMillion preset at 195k jobs/s — near-flat
-//     scaling to ten million jobs (BENCH_sched.json).
+//   - One chunked profile skyline: the persistent profile's own
+//     structure follows the same idiom (internal/profile/skydex.go).
+//     Running jobs, completion credits and reservations share one
+//     directory of bounded chunks holding deltas with in-chunk prefix
+//     sums and prefix extrema; AddReservation pushes a delta pair into
+//     it and TruncateReservations pushes the negated pairs of the dropped
+//     journal suffix (exactly the suffix's cost; re-truncating an
+//     already-applied prefix is free). Inserts coalesce equal-time
+//     deltas in one chunk memmove and leave the chunk's prefix sums for
+//     its next reader, expiring history folds away chunk-at-a-time, and
+//     EarliestStart's feasibility sweep skips whole chunks whose
+//     extrema cannot cross the limit and searches a feasible window only
+//     up to its end. Queries resume: a version-stamped memo lets
+//     consecutive EarliestStart calls from the same time re-enter the
+//     sweep at the previous cursor; every mutation and fold bumps the
+//     version, reservation changes included. A flat sorted-slice oracle
+//     in the profile tests and FuzzProfileMatchesFlatTiers pin it.
+//     Conservative replanning behind a standing queue (eight 1000-job
+//     LLNLThunder traces, BSLD 2 / WQ 16) runs at 55.7k jobs/s against
+//     40.7k with reservations in a separate index, medians of five
+//     rounds on a 2-vCPU Intel Xeon (BENCH_sched.json).
 //   - Free runs as the cluster's occupancy: internal/cluster keeps only
 //     the sorted list of maximal free processor runs. First Fit takes
 //     whole runs off its low end, contiguous best fit and next fit pick

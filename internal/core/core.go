@@ -173,6 +173,8 @@ func (p *Policy) ReserveGear(j *workload.Job, start, now float64, wqOthers int) 
 // lenient mode a feasible top-gear backfill is accepted even when its
 // predicted BSLD exceeds the threshold; StrictBackfillBSLD restores the
 // literal pseudo-code (see DESIGN.md for why the default differs).
+// Feasibility is asked at most once per gear: the loop always ends on the
+// top gear, so the fallback reuses its answer.
 func (p *Policy) BackfillGear(j *workload.Job, now float64, wqOthers int, feasible func(dvfs.Gear) bool) (dvfs.Gear, bool) {
 	wait := now - j.Submit
 	if wait < 0 {
@@ -182,15 +184,15 @@ func (p *Policy) BackfillGear(j *workload.Job, now float64, wqOthers int, feasib
 	if wqOthers > p.params.WQThreshold {
 		candidates = p.gears[len(p.gears)-1:]
 	}
+	topOK := false
 	for _, g := range candidates {
-		if feasible(g) && p.satisfies(j, g, wait) {
+		topOK = feasible(g)
+		if topOK && p.satisfies(j, g, wait) {
 			return g, true
 		}
 	}
-	if !p.params.StrictBackfillBSLD {
-		if top := p.gears.Top(); feasible(top) {
-			return top, true
-		}
+	if topOK && !p.params.StrictBackfillBSLD {
+		return p.gears.Top(), true
 	}
 	return dvfs.Gear{}, false
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -187,6 +188,40 @@ func TestBackfillWQGateRestrictsToTop(t *testing.T) {
 	g, ok := p.BackfillGear(j, 0, 1, allFeasible)
 	if !ok || g.Freq != 2.3 {
 		t.Errorf("backfill above WQ gate = %v,%v, want Ftop", g, ok)
+	}
+}
+
+// TestBackfillGearAsksEachGearOnce pins BackfillGear's feasibility
+// calls: at most one per gear, in lenient and strict mode, below and
+// above the wait-queue threshold, whether the top gear is feasible but
+// fails the BSLD test (the lenient fallback accepts it without asking
+// again) or is infeasible.
+func TestBackfillGearAsksEachGearOnce(t *testing.T) {
+	j := job(7200)
+	wait := 4 * 7200.0 // pred at top = (wait+rq)/rq = 5 > 3: every gear fails BSLD
+	top := dvfs.PaperGearSet().Top()
+	for _, strict := range []bool{false, true} {
+		for _, wqOthers := range []int{0, 2} { // threshold 1: below, above
+			for _, topFeasible := range []bool{true, false} {
+				name := fmt.Sprintf("strict=%v/wq=%d/top-feasible=%v", strict, wqOthers, topFeasible)
+				t.Run(name, func(t *testing.T) {
+					p := testPolicy(t, Params{BSLDThreshold: 3, WQThreshold: 1, StrictBackfillBSLD: strict})
+					calls := map[dvfs.Gear]int{}
+					g, ok := p.BackfillGear(j, wait, wqOthers, func(g dvfs.Gear) bool {
+						calls[g]++
+						return g == top && topFeasible
+					})
+					for cg, n := range calls {
+						if n > 1 {
+							t.Errorf("feasibility of %v asked %d times", cg, n)
+						}
+					}
+					if want := topFeasible && !strict; ok != want || (ok && g != top) {
+						t.Errorf("BackfillGear = %v,%v, want top accepted: %v", g, ok, want)
+					}
+				})
+			}
+		}
 	}
 }
 

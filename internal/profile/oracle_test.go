@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"fmt"
 	"math"
 	"slices"
 )
@@ -27,18 +28,18 @@ func push(ds []delta, d delta) []delta {
 
 func (o *flatTiers) add(e Entry) {
 	if e.End > e.Start && e.CPUs > 0 {
-		o.base = push(push(o.base, delta{e.Start, e.CPUs}), delta{e.End, -e.CPUs})
+		o.base = push(push(o.base, delta{t: e.Start, d: e.CPUs}), delta{t: e.End, d: -e.CPUs})
 	}
 }
 
 func (o *flatTiers) vacate(cpus int, start, end float64) {
-	o.base = push(push(o.base, delta{start, -cpus}), delta{end, cpus})
+	o.base = push(push(o.base, delta{t: start, d: -cpus}), delta{t: end, d: cpus})
 }
 
 func (o *flatTiers) addReservation(e Entry) {
 	o.resvLog = append(o.resvLog, e)
 	if e.End > e.Start && e.CPUs > 0 {
-		o.resv = push(push(o.resv, delta{e.Start, e.CPUs}), delta{e.End, -e.CPUs})
+		o.resv = push(push(o.resv, delta{t: e.Start, d: e.CPUs}), delta{t: e.End, d: -e.CPUs})
 	}
 }
 
@@ -121,40 +122,103 @@ func linearSweep(ds []delta, i, used, limit int, dur, from float64) float64 {
 	return cand
 }
 
-// linearEarliest answers p.EarliestStart by materializing both chunked
-// tiers into one sorted slice and running the linear sweep over it.
+// baseDeltas counts the distinct base change times after the horizon
+// whose net is nonzero: the base skyline's live delta count, which
+// Profile.BaseDeltas must report once a query has folded the horizon.
+func (o *flatTiers) baseDeltas(horizon float64) int {
+	n := 0
+	for i := 0; i < len(o.base); {
+		t, net := o.base[i].t, 0
+		for ; i < len(o.base) && o.base[i].t == t; i++ {
+			net += o.base[i].d
+		}
+		if t > horizon && net != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func deltaCmp(a, b delta) int {
+	switch {
+	case a.t < b.t:
+		return -1
+	case a.t > b.t:
+		return 1
+	}
+	return 0
+}
+
+// linearEarliest answers p.EarliestStart by materializing the chunked
+// skyline into one sorted slice and running the linear sweep over it.
 func linearEarliest(p *Profile, cpus int, dur, from float64) float64 {
 	if cpus > p.Total {
 		return math.Inf(1)
 	}
 	p.prepare()
 	var ds []delta
-	p.dex.each(func(d delta) bool { ds = append(ds, d); return true })
-	p.ridx.each(func(d delta) bool { ds = append(ds, d); return true })
-	slices.SortStableFunc(ds, deltaCmp)
-	return sweepFrom(ds, p.pendBase, p.Total-cpus, dur, from)
+	for i := range p.dex.chunks {
+		ds = append(ds, p.dex.chunks[i].ds...)
+	}
+	return sweepFrom(ds, p.folded, p.Total-cpus, dur, from)
 }
 
-// each calls fn on every skyline delta in time order until fn returns
-// false.
-func (d *skyDex) each(fn func(delta) bool) {
-	for i := range d.chunks {
-		for _, dd := range d.chunks[i].ds {
-			if !fn(dd) {
-				return
-			}
+// checkSkyDexInvariants verifies the skyline index's structural
+// contract: non-empty chunks below the split threshold, strictly
+// increasing times within and across chunks (equal-time deltas coalesce
+// on insert), no entry whose delta and base part are both zero, chunk
+// sums and last keys consistent with the deltas, and so are the prefix sums before a
+// chunk's stale mark and, on a fresh chunk, the extrema; the size and base
+// counts match the entries. It reads without refreshing, so a reader that
+// skipped a refresh is not masked.
+func checkSkyDexInvariants(d *skyDex) error {
+	n, bases := 0, 0
+	lastT := float64(0)
+	for ci := range d.chunks {
+		c := &d.chunks[ci]
+		if len(c.ds) == 0 {
+			return fmt.Errorf("chunk %d empty", ci)
 		}
-	}
-}
-
-// each calls fn on every reservation delta in time order until fn
-// returns false.
-func (ix *resvIndex) each(fn func(delta) bool) {
-	for _, ch := range ix.chunks {
-		for _, d := range ch {
-			if !fn(d) {
-				return
-			}
+		if len(c.ds) >= skyChunkMax {
+			return fmt.Errorf("chunk %d holds %d entries, max %d", ci, len(c.ds), skyChunkMax)
 		}
+		if len(c.ds) != len(c.pre) {
+			return fmt.Errorf("chunk %d: %d deltas, %d prefixes", ci, len(c.ds), len(c.pre))
+		}
+		run, mn, mx := 0, math.MaxInt, math.MinInt
+		for k, dd := range c.ds {
+			if (ci > 0 || k > 0) && dd.t <= lastT {
+				return fmt.Errorf("chunk %d[%d]: key %v not above predecessor %v (uncoalesced?)", ci, k, dd.t, lastT)
+			}
+			lastT = dd.t
+			if dd.d == 0 && dd.b == 0 {
+				return fmt.Errorf("chunk %d[%d]: empty entry survived", ci, k)
+			}
+			if dd.b != 0 {
+				bases++
+			}
+			run += dd.d
+			if k < c.stale && c.pre[k] != run {
+				return fmt.Errorf("chunk %d[%d]: pre %d, recomputed %d", ci, k, c.pre[k], run)
+			}
+			mn, mx = min(mn, run), max(mx, run)
+		}
+		if last := c.ds[len(c.ds)-1].t; c.last != last {
+			return fmt.Errorf("chunk %d: last key %v, cached %v", ci, last, c.last)
+		}
+		if run != c.sum {
+			return fmt.Errorf("chunk %d: sum %d, recomputed %d", ci, c.sum, run)
+		}
+		if c.stale == fresh && (c.minPre != mn || c.maxPre != mx) {
+			return fmt.Errorf("chunk %d: extrema [%d,%d], recomputed [%d,%d]", ci, c.minPre, c.maxPre, mn, mx)
+		}
+		n += len(c.ds)
 	}
+	if n != d.size {
+		return fmt.Errorf("size %d, counted %d", d.size, n)
+	}
+	if bases != d.bases {
+		return fmt.Errorf("base count %d, counted %d", d.bases, bases)
+	}
+	return nil
 }

@@ -1,114 +1,101 @@
 package profile
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
-// The skyline chunk index (skyDex) holds the base tier: the usage
-// deltas of running-job occupancies and completion credits, kept totally
-// ordered and mutation-friendly. It is a directory of small sorted chunks
-// (the relindex.go idiom) where each chunk carries its in-chunk inclusive
-// prefix sums and their min/max. A mutation binary-searches the
-// directory, edits one chunk and re-aggregates it — O(log chunks +
-// chunk). Equal-time deltas coalesce and cancel on contact (an occupancy
-// end and its completion credit annihilate immediately instead of
-// waiting for a merge), so the live size tracks the running set with no
+// The skyline chunk index (skyDex) holds the whole profile: the usage
+// deltas of running-job occupancies, completion credits and reservations,
+// kept totally ordered and mutation-friendly in one directory of small
+// sorted chunks (the relindex.go idiom). Each chunk carries its in-chunk
+// inclusive prefix sums and their min/max. A mutation binary-searches the
+// directory and edits one chunk, O(log chunks + chunk); the chunk's
+// prefix sums and extrema are recomputed lazily by the next reader that
+// needs them, so a truncation dropping a whole reservation suffix pays
+// one recompute per touched chunk rather than one per delta. Equal-time
+// deltas coalesce and cancel on contact (an occupancy end and its
+// completion credit annihilate immediately instead of waiting for a
+// merge), so the live size tracks the running and planned jobs with no
 // deferred compaction. The EarliestStart sweep advances a (chunk, offset,
 // prefix) cursor and uses the per-chunk prefix min/max to skip whole
-// chunks that provably contain no feasibility crossing, scanning inside a
-// chunk only where a crossing or an overlay boundary actually lands.
+// chunks that contain no feasibility crossing, scanning inside a chunk
+// only where a crossing or the window's end actually lands.
 const (
 	// skyChunkMax is the split threshold: a chunk reaching this many
 	// deltas is halved.
-	skyChunkMax = 256
+	skyChunkMax = 64
 	// skyChunkMin is the merge threshold: a chunk draining below it is
 	// folded into a neighbor when the pair fits.
 	skyChunkMin = skyChunkMax / 8
 	// skyChunkFill is the target fill of bulk-loaded chunks.
 	skyChunkFill = skyChunkMax / 2
-	// skyChunkStale caps how many conservative extrema updates a chunk
-	// takes before its exact extrema are recomputed (see skyChunk.shift).
-	skyChunkStale = 16
 )
+
+// fresh marks a chunk whose prefix sums and extrema are current.
+const fresh = math.MaxInt
 
 // skyChunk is one directory entry: a sorted run of deltas with its
 // inclusive prefix sums and their extrema. pre[j] is the sum of
-// ds[:j+1]; minPre/maxPre bound min/max over pre (exactly after a
-// rebuild, conservatively — never tighter than the truth — between
-// them), so a chunk entered with absolute prefix P can be skipped by a
-// crossing search whenever P+minPre..P+maxPre stays on one side of the
-// level.
+// ds[:j+1]; pre[stale:] and minPre/maxPre are out of date until
+// current brings them up to date, which a reader calls first. A chunk
+// entered with absolute prefix P can then be skipped by a crossing
+// search whenever P+minPre..P+maxPre stays on one side of the level.
 type skyChunk struct {
 	ds     []delta
 	pre    []int
 	minPre int
 	maxPre int
-	stale  int // conservative extrema updates since the last exact rebuild
+	sum    int     // Σ ds.d, kept current on every edit
+	last   float64 // ds[len(ds)-1].t, kept current on every edit
+	stale  int     // first out-of-date prefix, or fresh
 }
 
-// sum returns the chunk's total delta.
-func (c *skyChunk) sum() int { return c.pre[len(c.pre)-1] }
+// touch records that the deltas from position k on changed.
+func (c *skyChunk) touch(k int) {
+	if k < c.stale {
+		c.stale = k
+	}
+}
 
-// reagg recomputes pre[from:] and the exact extrema after ds[from:]
-// changed.
-func (c *skyChunk) reagg(from int) {
-	run := 0
+// current brings the prefix sums and extrema up to date. It is small
+// enough to inline, so an up-to-date chunk costs its readers one compare.
+func (c *skyChunk) current() {
+	if c.stale != fresh {
+		c.refresh()
+	}
+}
+
+// refresh recomputes the out-of-date prefix sums and the extrema.
+func (c *skyChunk) refresh() {
+	from := min(c.stale, len(c.ds))
+	mn, mx, run := math.MaxInt, math.MinInt, 0
+	for _, v := range c.pre[:from] {
+		mn, mx = min(mn, v), max(mx, v)
+	}
 	if from > 0 {
 		run = c.pre[from-1]
 	}
 	for j := from; j < len(c.ds); j++ {
 		run += c.ds[j].d
 		c.pre[j] = run
-	}
-	mn, mx := c.pre[0], c.pre[0]
-	for _, v := range c.pre[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
+		mn, mx = min(mn, run), max(mx, run)
 	}
 	c.minPre, c.maxPre = mn, mx
-	c.stale = 0
+	c.stale = fresh
 }
 
-// shift adds dv to pre[k:] — the tail update of a point edit — and
-// loosens the extrema conservatively instead of rescanning the whole
-// chunk: a one-sided widening by dv plus covering pre[k] itself can
-// never claim a tighter range than the truth, which is all a crossing
-// search needs to skip safely. After skyChunkStale loose updates the
-// exact extrema are recomputed, so the drift (and the spurious in-chunk
-// scans it can cause) stays bounded.
-func (c *skyChunk) shift(k, dv int) {
-	for j := k; j < len(c.pre); j++ {
-		c.pre[j] += dv
-	}
-	c.stale++
-	if c.stale >= skyChunkStale {
-		c.reagg(len(c.ds))
-		return
-	}
-	if dv > 0 {
-		c.maxPre += dv
-	} else {
-		c.minPre += dv
-	}
-	if k < len(c.pre) {
-		if c.pre[k] > c.maxPre {
-			c.maxPre = c.pre[k]
-		}
-		if c.pre[k] < c.minPre {
-			c.minPre = c.pre[k]
-		}
-	}
-}
-
-// skyDex is the chunked ordered skyline index over base usage deltas.
-// Every chunk is non-empty with strictly increasing times (equal-time
-// deltas coalesce on insert) and the chunks' key ranges are disjoint and
-// ascending. The zero value is an empty index.
+// skyDex is the chunked ordered skyline index over usage deltas. Every
+// chunk is non-empty with strictly increasing times (equal-time deltas
+// coalesce on insert) and the chunks' key ranges are disjoint and
+// ascending. An entry stays while its delta or its base part is nonzero:
+// bases counts the entries with a nonzero base part, the base skyline's
+// own delta count however reservations coalesce with it. The zero value
+// is an empty index.
 type skyDex struct {
 	chunks []skyChunk
 	size   int
+	bases  int
 	spareD [][]delta
 	spareP [][]int
 }
@@ -125,125 +112,132 @@ func (d *skyDex) reset() {
 	}
 	d.chunks = d.chunks[:0]
 	d.size = 0
+	d.bases = 0
 }
 
-// newChunk pops recycled backings or allocates fresh ones.
-func (d *skyDex) newChunk() ([]delta, []int) {
-	var ds []delta
-	var pre []int
+// newChunk returns an empty, out-of-date chunk on recycled backings or
+// fresh ones.
+func (d *skyDex) newChunk() skyChunk {
+	var c skyChunk // stale 0: out of date until filled and refreshed
 	if n := len(d.spareD); n > 0 {
-		ds = d.spareD[n-1]
+		c.ds = d.spareD[n-1]
 		d.spareD[n-1] = nil
 		d.spareD = d.spareD[:n-1]
 	} else {
-		ds = make([]delta, 0, skyChunkMax)
+		c.ds = make([]delta, 0, skyChunkMax)
 	}
 	if n := len(d.spareP); n > 0 {
-		pre = d.spareP[n-1]
+		c.pre = d.spareP[n-1]
 		d.spareP[n-1] = nil
 		d.spareP = d.spareP[:n-1]
 	} else {
-		pre = make([]int, 0, skyChunkMax)
+		c.pre = make([]int, 0, skyChunkMax)
 	}
-	return ds, pre
+	return c
 }
 
-// load bulk-initializes the index from a time-sorted delta slice,
-// merging equal-time runs and dropping zero nets on the way in — the
-// release schedule may hold several jobs ending at the same instant,
+// load bulk-initializes the index with the base deltas of a time-sorted
+// slice, merging equal-time runs and dropping zero nets on the way in —
+// the release schedule may hold several jobs ending at the same instant,
 // and every chunk must keep strictly increasing keys (cross evaluates
 // per-entry prefixes, so an intermediate prefix inside an equal-time
 // group would masquerade as a zero-width feasibility transition). The
-// slice is not retained.
+// merge runs in place over ds, which is not retained; the chunks' prefix
+// sums are left for their first reader.
 func (d *skyDex) load(ds []delta) {
 	d.reset()
+	w := 0
 	for i := 0; i < len(ds); {
-		t := ds[i].t
-		dv := 0
+		t, dv := ds[i].t, 0
 		for ; i < len(ds) && ds[i].t == t; i++ {
 			dv += ds[i].d
 		}
-		if dv == 0 {
-			continue
+		if dv != 0 {
+			ds[w] = delta{t: t, d: dv, b: dv}
+			w++
 		}
-		if n := len(d.chunks); n == 0 || len(d.chunks[n-1].ds) >= skyChunkFill {
-			cds, cpre := d.newChunk()
-			d.chunks = append(d.chunks, skyChunk{ds: cds[:0], pre: cpre[:0]})
-		}
-		c := &d.chunks[len(d.chunks)-1]
-		c.ds = append(c.ds, delta{t: t, d: dv})
-		c.pre = append(c.pre, 0)
-		d.size++
 	}
-	for i := range d.chunks {
-		d.chunks[i].reagg(0)
+	d.size, d.bases = w, w
+	for ds = ds[:w]; len(ds) > 0; {
+		m := min(len(ds), skyChunkFill)
+		c := d.newChunk()
+		c.ds = append(c.ds, ds[:m]...)
+		c.pre = c.pre[:m]
+		for _, dd := range ds[:m] {
+			c.sum += dd.d
+		}
+		c.last = ds[m-1].t
+		d.chunks = append(d.chunks, c)
+		ds = ds[m:]
 	}
 }
 
 // findChunk returns the index of the first chunk whose last key is at or
 // after t, or len(chunks).
 func (d *skyDex) findChunk(t float64) int {
-	return sort.Search(len(d.chunks), func(i int) bool {
-		ds := d.chunks[i].ds
-		return ds[len(ds)-1].t >= t
-	})
+	return sort.Search(len(d.chunks), func(i int) bool { return d.chunks[i].last >= t })
 }
 
-// insert applies a delta of dv at time t, coalescing with an existing
-// delta at exactly t (and removing the entry when the result is zero —
-// this is how an occupancy end and its completion credit annihilate).
-func (d *skyDex) insert(t float64, dv int) {
+// insert applies a delta of dv at time t, db of it base usage (dv for a
+// running job's occupancy or credit, 0 for a reservation). It coalesces
+// with an existing entry at exactly t and removes the entry when both its
+// delta and its base part reach zero — this is how an occupancy end and
+// its completion credit annihilate.
+func (d *skyDex) insert(t float64, dv, db int) {
 	if dv == 0 {
 		return
 	}
+	ci := 0
 	if len(d.chunks) == 0 {
-		cds, cpre := d.newChunk()
-		c := skyChunk{ds: append(cds, delta{t: t, d: dv}), pre: append(cpre[:0], dv)}
-		c.minPre, c.maxPre = dv, dv
-		d.chunks = append(d.chunks, c)
-		d.size = 1
-		return
-	}
-	ci := d.findChunk(t)
-	if ci == len(d.chunks) {
+		d.chunks = append(d.chunks, d.newChunk())
+	} else if ci = d.findChunk(t); ci == len(d.chunks) {
 		ci--
 	}
 	c := &d.chunks[ci]
 	k := sort.Search(len(c.ds), func(i int) bool { return c.ds[i].t >= t })
+	c.sum += dv
+	c.touch(k)
 	if k < len(c.ds) && c.ds[k].t == t {
-		c.ds[k].d += dv
-		if c.ds[k].d == 0 {
-			copy(c.ds[k:], c.ds[k+1:])
-			c.ds = c.ds[:len(c.ds)-1]
-			copy(c.pre[k:], c.pre[k+1:])
-			c.pre = c.pre[:len(c.pre)-1]
-			d.size--
-			switch {
-			case len(c.ds) == 0:
-				d.dropChunk(ci)
-			case len(c.ds) < skyChunkMin:
-				c.shift(k, dv)
-				d.mergeAt(ci)
-			default:
-				c.shift(k, dv)
+		e := &c.ds[k]
+		wasBase := e.b != 0
+		e.d += dv
+		e.b += db
+		if isBase := e.b != 0; isBase != wasBase {
+			if isBase {
+				d.bases++
+			} else {
+				d.bases--
 			}
+		}
+		if e.d != 0 || e.b != 0 {
 			return
 		}
-		c.shift(k, dv)
+		copy(c.ds[k:], c.ds[k+1:])
+		c.ds = c.ds[:len(c.ds)-1]
+		c.pre = c.pre[:len(c.pre)-1]
+		d.size--
+		if k == len(c.ds) && k > 0 {
+			c.last = c.ds[k-1].t
+		}
+		switch {
+		case len(c.ds) == 0:
+			d.dropChunk(ci)
+		case len(c.ds) < skyChunkMin:
+			d.mergeAt(ci)
+		}
 		return
+	}
+	if k == len(c.ds) {
+		c.last = t
 	}
 	c.ds = append(c.ds, delta{})
 	copy(c.ds[k+1:], c.ds[k:])
-	c.ds[k] = delta{t: t, d: dv}
+	c.ds[k] = delta{t: t, d: dv, b: db}
 	c.pre = append(c.pre, 0)
-	copy(c.pre[k+1:], c.pre[k:])
-	if k > 0 {
-		c.pre[k] = c.pre[k-1]
-	} else {
-		c.pre[k] = 0
-	}
-	c.shift(k, dv)
 	d.size++
+	if db != 0 {
+		d.bases++
+	}
 	if len(c.ds) >= skyChunkMax {
 		d.split(ci)
 	}
@@ -251,25 +245,27 @@ func (d *skyDex) insert(t float64, dv int) {
 
 // split halves the chunk at ci.
 func (d *skyDex) split(ci int) {
+	right := d.newChunk()
 	c := &d.chunks[ci]
 	mid := len(c.ds) / 2
-	rds, rpre := d.newChunk()
-	rds = append(rds, c.ds[mid:]...)
-	rpre = rpre[:0]
-	for range rds {
-		rpre = append(rpre, 0)
+	right.ds = append(right.ds, c.ds[mid:]...)
+	right.pre = append(right.pre, c.pre[mid:]...)
+	for _, dd := range right.ds {
+		right.sum += dd.d
 	}
-	right := skyChunk{ds: rds, pre: rpre}
-	right.reagg(0)
+	right.last = c.last
+	c.last = c.ds[mid-1].t
 	c.ds = c.ds[:mid]
 	c.pre = c.pre[:mid]
-	c.reagg(0)
+	c.sum -= right.sum
+	c.touch(mid)
 	d.chunks = append(d.chunks, skyChunk{})
 	copy(d.chunks[ci+2:], d.chunks[ci+1:])
 	d.chunks[ci+1] = right
 }
 
-// dropChunk removes the (empty) directory entry at ci.
+// dropChunk removes the directory entry at ci; its deltas must already
+// be accounted for.
 func (d *skyDex) dropChunk(ci int) {
 	d.spareD = append(d.spareD, d.chunks[ci].ds[:0])
 	d.spareP = append(d.spareP, d.chunks[ci].pre[:0])
@@ -291,44 +287,51 @@ func (d *skyDex) mergeAt(ci int) {
 	if into < 0 || len(d.chunks[ci].ds)+len(d.chunks[into].ds) > 3*skyChunkMax/4 {
 		return
 	}
-	lo, hi := into, ci
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	c := &d.chunks[lo]
-	c.ds = append(c.ds, d.chunks[hi].ds...)
-	for range d.chunks[hi].ds {
-		c.pre = append(c.pre, 0)
-	}
-	c.reagg(0)
+	lo, hi := min(ci, into), max(ci, into)
+	c, h := &d.chunks[lo], &d.chunks[hi]
+	c.touch(len(c.ds))
+	c.ds = append(c.ds, h.ds...)
+	c.pre = append(c.pre, h.pre...)
+	c.sum += h.sum
+	c.last = h.last
 	d.dropChunk(hi)
 }
 
 // foldTo removes every delta with time at or before h — indistinguishable
 // to queries past the horizon — and returns their sum, which the caller
-// folds into its base offset. Whole expired chunks drop in O(1) each;
-// only the boundary chunk is edited.
+// folds into its offset. Whole expired chunks drop in O(1) plus a count
+// of their base entries; only the boundary chunk is edited.
 func (d *skyDex) foldTo(h float64) int {
 	folded := 0
 	for len(d.chunks) > 0 {
 		c := &d.chunks[0]
-		if c.ds[len(c.ds)-1].t <= h {
-			folded += c.sum()
-			d.size -= len(c.ds)
+		j := len(c.ds)
+		if c.last > h {
+			j = sort.Search(len(c.ds), func(i int) bool { return c.ds[i].t > h })
+			if j == 0 {
+				break
+			}
+		}
+		part := 0
+		for _, dd := range c.ds[:j] {
+			part += dd.d
+			if dd.b != 0 {
+				d.bases--
+			}
+		}
+		folded += part
+		d.size -= j
+		if j == len(c.ds) {
 			d.dropChunk(0)
 			continue
 		}
-		j := sort.Search(len(c.ds), func(i int) bool { return c.ds[i].t > h })
-		if j > 0 {
-			folded += c.pre[j-1]
-			copy(c.ds, c.ds[j:])
-			c.ds = c.ds[:len(c.ds)-j]
-			c.pre = c.pre[:len(c.pre)-j]
-			c.reagg(0)
-			d.size -= j
-			if len(c.ds) < skyChunkMin {
-				d.mergeAt(0)
-			}
+		copy(c.ds, c.ds[j:])
+		c.ds = c.ds[:len(c.ds)-j]
+		c.pre = c.pre[:len(c.pre)-j]
+		c.sum -= part
+		c.stale = 0
+		if len(c.ds) < skyChunkMin {
+			d.mergeAt(0)
 		}
 		break
 	}
@@ -341,13 +344,14 @@ func (d *skyDex) foldTo(h float64) int {
 func (d *skyDex) seek(from float64) (ci, k, sum int) {
 	for ci < len(d.chunks) {
 		c := &d.chunks[ci]
-		if c.ds[len(c.ds)-1].t <= from {
-			sum += c.sum()
+		if c.last <= from {
+			sum += c.sum
 			ci++
 			continue
 		}
 		k = sort.Search(len(c.ds), func(i int) bool { return c.ds[i].t > from })
 		if k > 0 {
+			c.current()
 			sum += c.pre[k-1]
 		}
 		return ci, k, sum
@@ -362,6 +366,48 @@ func (d *skyDex) sumAt(t float64) int {
 	return sum
 }
 
+// earliest is the feasibility sweep behind EarliestStart: from the
+// cursor (ci, k) with prefix P — the usage at `from` — it returns the
+// earliest time at or after `from` at which the prefix stays at or below
+// L for dur seconds, or +Inf when it never again does. It alternates two
+// crossing searches: a violated stretch ends at the first prefix at or
+// below L, which becomes the candidate; a feasible one is searched for a
+// rise above L only up to the window's end cand+dur. A delta time at or
+// beyond the rounded cand+dur can still sit less than dur after cand in
+// floating point, so when the delta the bounded search stops at fails
+// t-cand >= dur the search resumes unbounded; the answer is then exactly
+// the plain merge sweep's (linearSweep), which the profile tests hold it
+// to.
+func (d *skyDex) earliest(ci, k, P, L int, dur, from float64) float64 {
+	inf := math.Inf(1)
+	cand := from
+	for {
+		var t float64
+		var found bool
+		if P > L {
+			ci, k, P, t, found = d.cross(ci, k, P, L, false, inf)
+			if !found {
+				return inf
+			}
+			cand = t
+			continue
+		}
+		ci, k, P, t, found = d.cross(ci, k, P, L, true, cand+dur)
+		if !found {
+			if ci == len(d.chunks) || d.chunks[ci].ds[k].t-cand >= dur {
+				return cand
+			}
+			ci, k, P, t, found = d.cross(ci, k, P, L, true, inf)
+			if !found {
+				return cand
+			}
+		}
+		if t-cand >= dur {
+			return cand
+		}
+	}
+}
+
 // cross scans forward from position (ci, k) — entered with absolute
 // prefix P, the sum of every delta strictly before it — for the first
 // delta with time before tLimit whose inclusive prefix crosses level L
@@ -372,54 +418,84 @@ func (d *skyDex) sumAt(t float64) int {
 // may come up empty — the cursor still advances, so the total scan work
 // of a sweep is bounded by the deltas it traverses).
 //
-// On a hit it returns the crossing's time and inclusive prefix with the
-// cursor advanced one past it. Otherwise found is false and the cursor
-// lands on the first delta with time at or after tLimit (or the end),
-// with P the prefix before it.
-func (d *skyDex) cross(ci, k, P, L int, above bool, tLimit float64) (nci, nk, nP int, t float64, pre int, found bool) {
+// On a hit it returns the crossing's time with P its inclusive prefix and
+// the cursor one past it. Otherwise found is false and the cursor lands
+// on the first delta with time at or after tLimit (or the end), with P
+// the prefix before it. A returned cursor is normalized: ci <
+// len(chunks) implies k < len(chunks[ci].ds).
+func (d *skyDex) cross(ci, k, P, L int, above bool, tLimit float64) (nci, nk, nP int, t float64, found bool) {
 	for ci < len(d.chunks) {
+		if k == 0 {
+			if ci, P = d.skip(ci, P, L, above, tLimit); ci == len(d.chunks) {
+				break
+			}
+		}
 		c := &d.chunks[ci]
+		bounded := c.last >= tLimit
+		if bounded && c.ds[k].t >= tLimit {
+			return ci, k, P, 0, false // the common bounded stop; no prefix needed
+		}
+		c.current()
 		n := len(c.ds)
 		base := P
 		if k > 0 {
 			base = P - c.pre[k-1]
 		}
-		bounded := c.ds[n-1].t >= tLimit
-		hit := (above && base+c.maxPre > L) || (!above && base+c.minPre <= L)
-		if !hit && !bounded {
-			P = base + c.pre[n-1]
-			ci, k = ci+1, 0
-			continue
-		}
-		if !hit {
-			// tLimit lands in this chunk and no crossing precedes it.
-			j := k + sort.Search(n-k, func(i int) bool { return c.ds[k+i].t >= tLimit })
-			if j > 0 {
-				P = base + c.pre[j-1]
-			} else {
-				P = base
-			}
-			return ci, j, P, 0, 0, false
-		}
-		for j := k; j < n; j++ {
-			if c.ds[j].t >= tLimit {
-				if j > 0 {
-					P = base + c.pre[j-1]
-				} else {
-					P = base
+		if (above && base+c.maxPre > L) || (!above && base+c.minPre <= L) {
+			// A crossing may lie in this chunk: scan for it, stopping at
+			// tLimit in the chunk it lands in.
+			j := k
+			switch {
+			case bounded:
+				for j < n && c.ds[j].t < tLimit && (above && base+c.pre[j] <= L || !above && base+c.pre[j] > L) {
+					j++
 				}
-				return ci, j, P, 0, 0, false
+			case above:
+				for j < n && base+c.pre[j] <= L {
+					j++
+				}
+			default:
+				for j < n && base+c.pre[j] > L {
+					j++
+				}
 			}
-			ip := base + c.pre[j]
-			if (above && ip > L) || (!above && ip <= L) {
+			if j < n {
+				if c.ds[j].t >= tLimit {
+					return ci, j, base + c.pre[j-1], 0, false
+				}
 				if j+1 == n {
-					return ci + 1, 0, ip, c.ds[j].t, ip, true
+					return ci + 1, 0, base + c.pre[j], c.ds[j].t, true
 				}
-				return ci, j + 1, ip, c.ds[j].t, ip, true
+				return ci, j + 1, base + c.pre[j], c.ds[j].t, true
 			}
+		} else if bounded {
+			// tLimit lands in this chunk past ds[k], and no crossing
+			// precedes it.
+			j := k + sort.Search(n-k, func(i int) bool { return c.ds[k+i].t >= tLimit })
+			return ci, j, base + c.pre[j-1], 0, false
 		}
-		P = base + c.pre[n-1]
+		P = base + c.sum
 		ci, k = ci+1, 0
 	}
-	return ci, 0, P, 0, 0, false
+	return ci, 0, P, 0, false
+}
+
+// skip is cross's fast path from a chunk boundary: it walks the headers
+// of fresh chunks wholly before tLimit whose prefix extrema admit no
+// crossing, adding their sums to P, and returns the first chunk it cannot
+// skip.
+func (d *skyDex) skip(ci, P, L int, above bool, tLimit float64) (int, int) {
+	cs := d.chunks
+	if above {
+		for ci < len(cs) && cs[ci].stale == fresh && cs[ci].last < tLimit && P+cs[ci].maxPre <= L {
+			P += cs[ci].sum
+			ci++
+		}
+	} else {
+		for ci < len(cs) && cs[ci].stale == fresh && cs[ci].last < tLimit && P+cs[ci].minPre > L {
+			P += cs[ci].sum
+			ci++
+		}
+	}
+	return ci, P
 }
