@@ -1,8 +1,9 @@
 package repro
 
 // One benchmark per table and figure of the paper's evaluation, plus
-// engine-throughput benches and ablations of the design decisions called
-// out in DESIGN.md. Each artifact bench rebuilds its table from the shared
+// engine-throughput benches and ablations of the implementation's design
+// decisions (each ablation's comment names the decision and its reason).
+// Each artifact bench rebuilds its table from the shared
 // simulation grid (warmed once outside the timed region) and reports the
 // headline quantity through b.ReportMetric; run with -v to see the full
 // rows, or use cmd/experiments for the canonical reproduction.
@@ -340,9 +341,10 @@ func BenchmarkSweepSerialVsParallel(b *testing.B) {
 		},
 		SizeFactors: []float64{1, 1.2},
 	}
-	resolver := &sweep.Resolver{Trace: sweep.CachedLoader(func(name string) (*workload.Trace, error) {
+	// benchTrace caches, so every grid point shares one trace per name.
+	resolver := &sweep.Resolver{Trace: func(name string) (*workload.Trace, error) {
 		return benchTrace(b, name, 1000), nil
-	})}
+	}}
 	var serial []sweep.Result
 	for _, tc := range []struct {
 		name    string
@@ -748,7 +750,10 @@ func ablationPolicy(b *testing.B, params core.Params) sched.GearPolicy {
 
 // BenchmarkAblationStrictBackfillBSLD compares the default lenient
 // backfill semantics against the literal Figure 2 pseudo-code on the
-// saturated SDSC workload, where the difference is largest (DESIGN.md).
+// saturated SDSC workload, where the difference is largest: the literal
+// reading never backfills a job whose wait alone already puts its
+// predicted BSLD over the threshold, and on 2000 SDSC jobs its average
+// wait is about five times the lenient one's.
 func BenchmarkAblationStrictBackfillBSLD(b *testing.B) {
 	tr := benchTrace(b, "SDSC", ablationJobs)
 	for _, strict := range []bool{false, true} {
@@ -830,7 +835,7 @@ func BenchmarkAblationDynamicBoost(b *testing.B) {
 // BenchmarkAblationWQCounting explores the WQsize interpretation: counting
 // the job under decision itself is equivalent to lowering WQthreshold by
 // one, so the pair (1, 0) brackets the ambiguity at the paper's strictest
-// setting (DESIGN.md).
+// setting (the paper does not say whether the job itself counts).
 func BenchmarkAblationWQCounting(b *testing.B) {
 	tr := benchTrace(b, "CTC", ablationJobs)
 	base, err := runSpec(scenario.Spec{Trace: tr})
@@ -867,7 +872,7 @@ func BenchmarkAblationGearSet(b *testing.B) {
 		gears dvfs.GearSet
 	}{
 		{"all-six", full},
-		{"top-three", full.AtOrAbove(1.7)},
+		{"top-three", full[len(full)-3:]}, // 1.7, 2.0 and 2.3 GHz
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			pol, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit},

@@ -1,6 +1,6 @@
 // Command reprocheck verifies that the repository still reproduces the
 // paper: it runs the evaluation grid and checks every qualitative claim
-// of DESIGN.md §6, printing a ✓/✗ checklist. Exit status 1 means the
+// that internal/experiments/checks.go encodes, printing a ✓/✗ checklist. Exit status 1 means the
 // reproduction is broken.
 //
 // Usage:

@@ -6,9 +6,10 @@
 // It machine-checks the correctness contracts the runtime verification
 // spine cannot see: RunState pooling (retain), scenario-hash coverage
 // (hashcover), nondeterminism sources in the deterministic core
-// (determinism) and swallowed stream errors (srcerr). See the package
-// documentation of internal/analysis for the contract each enforces and
-// the //lint:<analyzer> escape-comment syntax.
+// (determinism), swallowed stream errors (srcerr) and exported names
+// under internal/ that nothing in the module references (deadexport).
+// See the package documentation of internal/analysis for the contract
+// each enforces and the //lint:<analyzer> escape-comment syntax.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 //

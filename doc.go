@@ -86,10 +86,8 @@
 //   - Streaming workloads: workload.JobSource streams jobs one at a time
 //     end to end — wgen.Stream generates presets lazily from replayed
 //     RNG cursors (byte-identical to the materialized Generate),
-//     workload.SWFSource reads logs incrementally with the same filter
-//     hooks, and combinators (Concat, Repeat, MergeByArrival, Scale,
-//     Filter) compose scenarios without materializing them. The
-//     scheduler (sched.System.SimulateSource, scenario.Spec.Source) pulls
+//     and workload.SWFSource reads logs incrementally with the same
+//     filter hooks. The scheduler (sched.System.SimulateSource, scenario.Spec.Source) pulls
 //     from the cursor, so a ten-million-job replay peaks below 20 MB
 //     where the trace slice alone would cost ~920 MB; sweeps give every
 //     worker an independent source instead of one shared slice.
@@ -240,7 +238,7 @@
 // as the driver test in internal/analysis under plain `go test ./...`,
 // as `go run ./cmd/reprovet ./...` in CI (-json for machine-readable
 // diagnostics), and per-analyzer against fixtures under
-// internal/analysis/testdata/src. Four analyzers:
+// internal/analysis/testdata/src. Five analyzers:
 //
 //   - retain: sched.Recorder / sched.GearObserver implementations must
 //     not store a pooled *sched.RunState (or pooled memory reachable
@@ -255,6 +253,12 @@
 //     time, the global math/rand source and goroutine spawns.
 //   - srcerr: workload.JobSource drain loops must check Err(), and
 //     error results must never be blank-discarded in non-test code.
+//   - deadexport: an exported package-level name under internal/ must be
+//     referenced by a non-test file of the module outside its own
+//     declaration (a blank interface assertion does not count), so
+//     library surface no CLI, Spec field or example reaches does not
+//     accumulate. References are read from the whole module even when
+//     only some packages are analyzed.
 //
 // A finding is waived only by `//lint:<analyzer> <justification>` on the
 // flagged line or the line above (determinism uses //lint:nondeterm);

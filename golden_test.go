@@ -3,8 +3,9 @@ package repro
 // Golden regression tests: exact metric values for fixed seeds. Every
 // layer of the pipeline is deterministic (seeded generators, totally
 // ordered events), so any drift here means the scheduling, power or
-// accounting semantics changed — recalibrate EXPERIMENTS.md if the change
-// is intentional.
+// accounting semantics changed. If the change is intentional, regenerate
+// the golden tables (`go run ./cmd/experiments -outdir testdata/golden`)
+// and confirm the paper's claims still hold (`go run ./cmd/reprocheck`).
 
 import (
 	"io"

@@ -182,10 +182,6 @@ func TestControllerConfigHashAndNeutrality(t *testing.T) {
 	if explicit.Hash() != capped.Hash() {
 		t.Error("explicit default gains hash apart from omitted gains")
 	}
-	// Stripping the controller recovers the uncapped scenario exactly.
-	if got := capped.WithoutController().Hash(); got != plain.Hash() {
-		t.Errorf("WithoutController hash %s, want %s", got, plain.Hash())
-	}
 
 	a, err := plain.Execute()
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dvfs"
 	"repro/internal/nodepower"
 	"repro/internal/sched"
-	"repro/internal/workload"
 )
 
 // Default PI gains of the power-cap controller: a velocity-form loop on
@@ -331,19 +330,4 @@ func (p *PowerCap) Report() CapReport {
 		r.OverFrac = p.overT / p.statT
 	}
 	return r
-}
-
-// EcoShare reports the fraction of jobs in tr carrying the Eco flag,
-// a convenience for sizing eco-mode experiments.
-func EcoShare(tr *workload.Trace) float64 {
-	if len(tr.Jobs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, j := range tr.Jobs {
-		if j.Eco {
-			n++
-		}
-	}
-	return float64(n) / float64(len(tr.Jobs))
 }

@@ -329,9 +329,6 @@ func TestPowerCapEcoOnly(t *testing.T) {
 	if rep := pcEco.Report(); rep.Actuations == 0 {
 		t.Error("eco-only cap never throttled a consenting job")
 	}
-	if EcoShare(eco) != 1 {
-		t.Errorf("EcoShare = %v, want 1", EcoShare(eco))
-	}
 }
 
 // CloneController must copy configuration and drop bound state.

@@ -4,7 +4,7 @@
 // suites, golden tables) cannot see because they are conventions between packages, not
 // behaviors of one run.
 //
-// Four analyzers (see All):
+// Five analyzers (see All):
 //
 //   - retain: recorders must not retain pooled *sched.RunState values (or
 //     slices reachable from them) past their lifecycle callbacks — the
@@ -17,6 +17,9 @@
 //     global math/rand, goroutine spawns).
 //   - srcerr: workload.JobSource drain loops must check Err(), and error
 //     results must not be discarded with a blank identifier.
+//   - deadexport: an exported package-level identifier under internal/
+//     must be referenced by a non-test file of the module outside its own
+//     declaration.
 //
 // The suite runs three ways: `go test ./internal/analysis` (the clean-run
 // driver test, so tier-1 catches violations), `go run ./cmd/reprovet ./...`
@@ -28,7 +31,9 @@
 //
 //	//lint:<analyzer> <justification>
 //
-// The justification is mandatory: an escape without one does not suppress
+// deadexport also accepts a justified escape on or above the line that
+// opens a parenthesized const/var/type group, waiving every name in it. The
+// justification is mandatory: an escape without one does not suppress
 // the finding and the diagnostic calls the omission out.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
@@ -200,7 +205,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 
 // All returns the full reprovet suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Retain, HashCover, Determinism, SrcErr}
+	return []*Analyzer{Retain, HashCover, Determinism, SrcErr, DeadExport}
 }
 
 // unparen strips parentheses (ast.Unparen needs a newer toolchain than

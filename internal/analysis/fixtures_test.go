@@ -59,3 +59,38 @@ func TestSrcErrFixture(t *testing.T) {
 	antest.Run(t, analysis.SrcErr, fixture("srcerr"),
 		"repro/internal/analysis/testdata/src/srcerr")
 }
+
+func TestDeadExportFixture(t *testing.T) {
+	// Through All(), so dropping the analyzer from the suite fails here
+	// as well as in TestRepoClean's silence.
+	var a *analysis.Analyzer
+	for _, x := range analysis.All() {
+		if x.Name == "deadexport" {
+			a = x
+		}
+	}
+	if a == nil {
+		t.Fatal("deadexport is not in analysis.All()")
+	}
+	// The fixture poses as a package under internal/; nothing in the
+	// module imports it, so only its own references count.
+	antest.Run(t, a, fixture("deadexport"),
+		"repro/internal/analysis/testdata/src/deadexport")
+}
+
+func TestDeadExportOnSubset(t *testing.T) {
+	// Every export of these packages is referenced only from other
+	// packages, none of which is loaded: the references come from the
+	// module scan, not from the analyzed set.
+	pkgs, err := antest.Loader().Load("repro/internal/stats", "repro/internal/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{analysis.DeadExport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("deadexport on a subset: %s", d)
+	}
+}

@@ -33,6 +33,7 @@ type Package struct {
 type listPkg struct {
 	Dir        string
 	ImportPath string
+	Name       string
 	Export     string
 	Standard   bool
 	DepOnly    bool

@@ -48,6 +48,8 @@ func (a Alloc) Count() int {
 // Release rejects such allocations, which is exactly what the
 // double-release tests construct. Test helper; production
 // allocations come from Cluster.Allocate.
+//
+//lint:deadexport test accessor shared by the tests of cluster, metrics and nodepower
 func AllocOf(ids ...int) Alloc {
 	var a Alloc
 	for _, id := range ids {

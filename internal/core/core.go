@@ -44,7 +44,9 @@ type Params struct {
 	// StrictBackfillBSLD selects the literal Figure 2 pseudo-code, which
 	// requires the BSLD test to pass even at the top gear for a backfill.
 	// The default (false) gates only reduced gears, which matches the
-	// wait-time behaviour of Table 3 (see DESIGN.md).
+	// wait-time behaviour of Table 3: the literal reading never backfills
+	// a job whose wait alone already puts its predicted BSLD over the
+	// threshold, so waits on saturated workloads grow several-fold.
 	StrictBackfillBSLD bool
 	// Boost enables the paper's future-work extension: after every
 	// scheduling pass, if more than BoostWQ jobs wait, all running
@@ -172,7 +174,8 @@ func (p *Policy) ReserveGear(j *workload.Job, start, now float64, wqOthers int) 
 // the wait-queue threshold only the top gear is considered. In the default
 // lenient mode a feasible top-gear backfill is accepted even when its
 // predicted BSLD exceeds the threshold; StrictBackfillBSLD restores the
-// literal pseudo-code (see DESIGN.md for why the default differs).
+// literal pseudo-code (Params.StrictBackfillBSLD says why the default
+// differs).
 // Feasibility is asked at most once per gear: the loop always ends on the
 // top gear, so the fallback reuses its answer.
 func (p *Policy) BackfillGear(j *workload.Job, now float64, wqOthers int, feasible func(dvfs.Gear) bool) (dvfs.Gear, bool) {

@@ -7,7 +7,6 @@ package dvfs
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Gear is one frequency/voltage operating point of a DVFS processor.
@@ -76,10 +75,4 @@ func (gs GearSet) Index(g Gear) int {
 		}
 	}
 	return -1
-}
-
-// AtOrAbove returns the gears with frequency >= f, preserving order.
-func (gs GearSet) AtOrAbove(f float64) GearSet {
-	i := sort.Search(len(gs), func(i int) bool { return gs[i].Freq >= f })
-	return gs[i:]
 }

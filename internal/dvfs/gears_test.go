@@ -1,9 +1,6 @@
 package dvfs
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestPaperGearSetMatchesTable2(t *testing.T) {
 	gs := PaperGearSet()
@@ -69,43 +66,8 @@ func TestIndex(t *testing.T) {
 	}
 }
 
-func TestAtOrAbove(t *testing.T) {
-	gs := PaperGearSet()
-	sub := gs.AtOrAbove(1.4)
-	if len(sub) != 4 || sub[0].Freq != 1.4 {
-		t.Errorf("AtOrAbove(1.4) = %v", sub)
-	}
-	if len(gs.AtOrAbove(0)) != len(gs) {
-		t.Error("AtOrAbove(0) should return all gears")
-	}
-	if len(gs.AtOrAbove(9)) != 0 {
-		t.Error("AtOrAbove(9) should be empty")
-	}
-}
-
 func TestGearString(t *testing.T) {
 	if s := (Gear{2.3, 1.5}).String(); s != "2.3GHz@1.5V" {
 		t.Errorf("String = %q", s)
-	}
-}
-
-// Property: AtOrAbove never returns a gear below the cutoff and preserves order.
-func TestQuickAtOrAbove(t *testing.T) {
-	gs := PaperGearSet()
-	f := func(raw uint16) bool {
-		cut := float64(raw%300) / 100 // 0.00 .. 2.99
-		sub := gs.AtOrAbove(cut)
-		for i, g := range sub {
-			if g.Freq < cut {
-				return false
-			}
-			if i > 0 && sub[i-1].Freq >= g.Freq {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

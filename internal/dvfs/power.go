@@ -73,9 +73,6 @@ func PaperPowerModel() *PowerModel {
 	return m
 }
 
-// Alpha returns the derived static power coefficient α.
-func (m *PowerModel) Alpha() float64 { return m.alpha }
-
 // Dynamic returns the dynamic power of a running processor at gear g.
 func (m *PowerModel) Dynamic(g Gear) float64 {
 	return m.ACRunning * g.Freq * g.Voltage * g.Voltage
@@ -99,14 +96,4 @@ func (m *PowerModel) Idle() float64 {
 // gear; the paper reports ≈0.21 for its constants.
 func (m *PowerModel) IdleFraction() float64 {
 	return m.Idle() / m.Active(m.Gears.Top())
-}
-
-// Scale returns a copy of the model with all powers multiplied by k, e.g.
-// to express results in watts given a measured top-gear package power.
-func (m *PowerModel) Scale(k float64) *PowerModel {
-	scaled, err := NewPowerModel(m.Gears, m.ACRunning*k, m.ActivityRatio, m.StaticFraction)
-	if err != nil {
-		panic("dvfs: scaling produced invalid model: " + err.Error())
-	}
-	return scaled
 }

@@ -87,18 +87,6 @@ func TestNewPowerModelRejectsBadInputs(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	m := PaperPowerModel()
-	s := m.Scale(95 / m.Active(m.Gears.Top())) // calibrate top active power to 95 W
-	if math.Abs(s.Active(s.Gears.Top())-95) > 1e-9 {
-		t.Errorf("scaled top power = %v, want 95", s.Active(s.Gears.Top()))
-	}
-	// Scaling must preserve all power ratios.
-	if math.Abs(s.IdleFraction()-m.IdleFraction()) > 1e-12 {
-		t.Error("scaling changed the idle fraction")
-	}
-}
-
 // Property: for any valid static fraction and activity ratio, the idle
 // power is positive and below active power at every gear.
 func TestQuickPowerOrdering(t *testing.T) {
@@ -123,14 +111,5 @@ func TestQuickPowerOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAlphaAccessor(t *testing.T) {
-	m := PaperPowerModel()
-	// α must reproduce the static power: P_static(g) = α·V.
-	g := m.Gears.Top()
-	if math.Abs(m.Alpha()*g.Voltage-m.Static(g)) > 1e-12 {
-		t.Errorf("Alpha()·V = %v, Static = %v", m.Alpha()*g.Voltage, m.Static(g))
 	}
 }

@@ -42,11 +42,3 @@ func (tm TimeModel) CoefWithBeta(beta float64, g Gear) float64 {
 	}
 	return beta*(tm.Fmax/g.Freq-1) + 1
 }
-
-// EnergyPerJob returns the CPU energy a job consumes on cpus processors
-// running for t seconds (top-frequency time) at gear g under power model
-// pm: cpus × P_active(g) × dilated time. This is the "computational
-// energy" contribution of one job.
-func (tm TimeModel) EnergyPerJob(pm *PowerModel, cpus int, t float64, g Gear) float64 {
-	return float64(cpus) * pm.Active(g) * tm.Dilate(t, g)
-}

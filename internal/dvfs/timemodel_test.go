@@ -82,9 +82,9 @@ func TestCoefWithBetaOverride(t *testing.T) {
 func TestEnergyPerJobAlwaysSavedAtReducedGears(t *testing.T) {
 	pm := PaperPowerModel()
 	tm := NewTimeModel(0.5, pm.Gears)
-	top := tm.EnergyPerJob(pm, 4, 3600, pm.Gears.Top())
+	top := jobEnergy(tm, pm, 4, 3600, pm.Gears.Top())
 	for _, g := range pm.Gears[:len(pm.Gears)-1] {
-		e := tm.EnergyPerJob(pm, 4, 3600, g)
+		e := jobEnergy(tm, pm, 4, 3600, g)
 		if e >= top {
 			t.Errorf("energy at %v (%v) not below top-gear energy (%v)", g, e, top)
 		}
@@ -100,9 +100,9 @@ func TestQuickEnergySavedForAllBeta(t *testing.T) {
 		tm := NewTimeModel(beta, pm.Gears)
 		n := int(cpus%64) + 1
 		rt := float64(tRaw) + 1
-		top := tm.EnergyPerJob(pm, n, rt, pm.Gears.Top())
+		top := jobEnergy(tm, pm, n, rt, pm.Gears.Top())
 		for _, g := range pm.Gears {
-			if tm.EnergyPerJob(pm, n, rt, g) > top+1e-9 {
+			if jobEnergy(tm, pm, n, rt, g) > top+1e-9 {
 				return false
 			}
 		}
@@ -129,4 +129,11 @@ func TestQuickCoefAtLeastOne(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// jobEnergy is the computational energy of one job on cpus processors
+// running for t seconds (top-frequency time) at gear g:
+// cpus × P_active(g) × dilated time.
+func jobEnergy(tm TimeModel, pm *PowerModel, cpus int, t float64, g Gear) float64 {
+	return float64(cpus) * pm.Active(g) * tm.Dilate(t, g)
 }

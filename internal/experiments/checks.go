@@ -14,8 +14,8 @@ type Check struct {
 	Pass   bool
 }
 
-// RunChecks evaluates every qualitative claim of DESIGN.md §6 against the
-// suite's grid and returns the checklist. It is the programmatic form of
+// RunChecks evaluates every qualitative claim of the paper listed below
+// against the suite's grid and returns the checklist. It is the programmatic form of
 // the reproduction: cmd/reprocheck prints it, tests assert it.
 func RunChecks(s *Suite) ([]Check, error) {
 	var checks []Check

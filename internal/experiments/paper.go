@@ -3,9 +3,9 @@ package experiments
 import "repro/internal/sweep"
 
 // Reference values transcribed from the paper, used to annotate the
-// reproduction's output and to fill EXPERIMENTS.md with paper-vs-measured
-// comparisons, plus the paper's parameter axes as declarative sweep
-// configurations.
+// reproduction's output with paper-vs-measured comparisons and by the
+// Table 1 anchor check in checks.go, plus the paper's parameter axes as
+// declarative sweep configurations.
 
 // PaperPolicies returns the Figures 3–5 policy axis — every BSLD
 // threshold × wait-queue threshold combination of the evaluation — in
@@ -31,6 +31,8 @@ var PaperTable1BSLD = map[string]float64{
 }
 
 // PaperTable1CPUs is the system size column of Table 1.
+//
+//lint:deadexport paper data kept for the fidelity ledger planned in ROADMAP.md
 var PaperTable1CPUs = map[string]int{
 	"CTC":         430,
 	"SDSC":        128,
@@ -51,8 +53,8 @@ var PaperTable3Wait = map[string][5]float64{
 	"LLNLAtlas":   {69, 1841, 6691, 708, 2807},
 }
 
-// Headline claims of the abstract and Section 5, recorded for
-// EXPERIMENTS.md:
+// Headline claims of the abstract and Section 5, recorded as data for
+// paper-vs-measured comparisons (checks.go tests their qualitative form):
 //
 //   - CPU energy decreases by 7%–18% on average depending on the allowed
 //     performance penalty.
@@ -71,6 +73,8 @@ var PaperTable3Wait = map[string][5]float64{
 //     computational energy.
 //   - SDSCBlue needs only a 10% size increase to beat the original
 //     no-DVFS performance.
+//
+//lint:deadexport paper data kept for the fidelity ledger planned in ROADMAP.md
 const (
 	PaperThunderSavings15_4   = 8.95 // % computational energy saved at (1.5, 4)
 	PaperThunderSavings2_4    = 3.79 // % at (2, 4)

@@ -1,7 +1,7 @@
 package experiments
 
-// Shape assertions: the qualitative results of the paper (DESIGN.md §6),
-// checked on the shared shortened grid. These are the tests that fail if
+// Shape assertions: the qualitative results of the paper (the claims
+// RunChecks encodes in checks.go), checked on the shared shortened grid. These are the tests that fail if
 // a change breaks the reproduction rather than just the plumbing.
 
 import (

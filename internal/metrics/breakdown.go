@@ -7,8 +7,8 @@ import (
 	"repro/internal/stats"
 )
 
-// ErrStreaming is returned by the per-job analyses (percentiles,
-// breakdowns, fairness) when the collector ran in streaming mode and
+// ErrStreaming is returned by the per-job analyses (percentiles and
+// breakdowns) when the collector ran in streaming mode and
 // therefore retained no records. Callers that need these analyses must
 // build the collector with NewCollector (scenario.Spec.KeepCollector).
 // Before this sentinel existed the analyses silently returned all-zero

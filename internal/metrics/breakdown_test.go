@@ -165,10 +165,4 @@ func TestAnalysesRejectStreamingCollector(t *testing.T) {
 	if _, err := c.Breakdown(128); err != ErrStreaming {
 		t.Errorf("Breakdown err = %v, want ErrStreaming", err)
 	}
-	if _, err := c.PerUser(); err != ErrStreaming {
-		t.Errorf("PerUser err = %v, want ErrStreaming", err)
-	}
-	if _, err := c.BSLDFairness(); err != ErrStreaming {
-		t.Errorf("BSLDFairness err = %v, want ErrStreaming", err)
-	}
 }

@@ -72,8 +72,5 @@ func (w *HeapWatermark) Sample() {
 	}
 }
 
-// PeakBytes returns the high-water mark of live heap above the baseline.
-func (w *HeapWatermark) PeakBytes() uint64 { return w.peak }
-
 // PeakMB returns the high-water mark in mebibytes.
 func (w *HeapWatermark) PeakMB() float64 { return float64(w.peak) / (1 << 20) }

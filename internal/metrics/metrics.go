@@ -6,8 +6,8 @@
 // processors at low power ("Eidle=low").
 //
 // The collector has two modes. With retention on (NewCollector) it keeps
-// one JobRecord per finished job, which the distribution, fairness and
-// breakdown analyses need. With retention off (NewStreamingCollector) it
+// one JobRecord per finished job, which the distribution and breakdown
+// analyses need. With retention off (NewStreamingCollector) it
 // folds every job into running aggregates as it finishes and holds no
 // per-job state at all — the mode million-job replays use, where O(trace)
 // live records would otherwise dominate the heap. Both modes accumulate
@@ -74,7 +74,7 @@ var _ sched.Recorder = (*Collector)(nil)
 // NewCollector returns a collector charging energy with pm and computing
 // BSLD with short-job threshold th (600 s in the paper). It retains one
 // JobRecord per finished job for the per-job analyses (Records,
-// WaitSeries, percentiles, fairness, breakdowns).
+// WaitSeries, percentiles, breakdowns).
 func NewCollector(pm *dvfs.PowerModel, th float64) *Collector {
 	return &Collector{pm: pm, th: th, retain: true}
 }
@@ -86,9 +86,6 @@ func NewCollector(pm *dvfs.PowerModel, th float64) *Collector {
 func NewStreamingCollector(pm *dvfs.PowerModel, th float64) *Collector {
 	return &Collector{pm: pm, th: th}
 }
-
-// Retaining reports whether the collector keeps per-job records.
-func (c *Collector) Retaining() bool { return c.retain }
 
 // JobStarted implements sched.Recorder.
 func (c *Collector) JobStarted(rs *sched.RunState, now float64) {

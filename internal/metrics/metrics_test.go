@@ -140,9 +140,6 @@ func TestStreamingMatchesRetainedOnRandomTrace(t *testing.T) {
 	if str.Records() != nil {
 		t.Errorf("streaming collector retained %d records", len(str.Records()))
 	}
-	if !ret.Retaining() || str.Retaining() {
-		t.Error("Retaining() flags wrong")
-	}
 	if len(str.WaitSeries()) != 0 {
 		t.Error("streaming WaitSeries not empty")
 	}

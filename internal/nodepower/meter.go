@@ -85,9 +85,6 @@ func (m *Meter) Draw() float64 {
 	return m.drawActive + float64(m.total-m.busy)*m.pm.Idle()
 }
 
-// ActiveDraw is the running jobs' share of Draw.
-func (m *Meter) ActiveDraw() float64 { return m.drawActive }
-
 // BusyCPUs is the number of processors currently executing jobs.
 func (m *Meter) BusyCPUs() int { return m.busy }
 

@@ -15,25 +15,27 @@ import (
 // jump proportional to the live-job count, which stays fixed here.
 func BenchmarkMeterEvents(b *testing.B) {
 	pm := dvfs.PaperPowerModel()
-	tr := NewMeteredTracker(64, pm)
+	tr := NewTracker(64)
+	m := NewMeter(64, pm)
 	gears := pm.Gears
 	rs := &sched.RunState{
 		Job:   &workload.Job{ID: 1, Procs: 4},
 		Gear:  gears.Top(),
 		Alloc: cluster.AllocOf(0, 1, 2, 3),
 	}
-	m := tr.Meter()
 	b.ReportAllocs()
 	now := 0.0
 	for i := 0; i < b.N; i++ {
 		now += 1
 		tr.JobStarted(rs, now)
+		m.JobStarted(rs, now)
 		now += 1
 		old := rs.Gear
 		rs.Gear = gears[len(gears)-1]
-		tr.JobRegeared(rs, old, now)
+		m.JobRegeared(rs, old, now)
 		now += 1
 		tr.JobFinished(rs, now)
+		m.JobFinished(rs, now)
 		rs.Gear = gears.Top()
 	}
 	if m.Draw() < 0 {

@@ -14,8 +14,8 @@ import (
 // The meter's O(1) accumulators must integrate to exactly what the
 // post-hoc Evaluate replay reports. Random lifecycle schedules — starts,
 // finishes, gear switches, and jobs left running at the window end (the
-// still-open-interval edge fixed in PR 3) — are fed to a metered
-// tracker; the meter's idle energy is then compared against Evaluate
+// still-open-interval edge fixed in PR 3) — are fed to a tracker and a
+// meter from the same callbacks; the meter's idle energy is then compared against Evaluate
 // with an infinite power-down delay (pure idle-power accounting), its
 // busy bookkeeping against the tracker's interval record, and its
 // active energy against a test-side replay of the same event sequence.
@@ -27,8 +27,8 @@ func TestMeterMatchesEvaluateRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		total := 8 + rng.Intn(24)
-		tr := NewMeteredTracker(total, pm)
-		m := tr.Meter()
+		tr := NewTracker(total)
+		m := NewMeter(total, pm)
 
 		type liveJob struct {
 			rs      *sched.RunState
@@ -66,6 +66,7 @@ func TestMeterMatchesEvaluateRandomized(t *testing.T) {
 			}
 			advance(at)
 			tr.JobStarted(rs, at)
+			m.JobStarted(rs, at)
 			live = append(live, &liveJob{rs: rs, gearIdx: gi})
 		}
 		for ev := 0; ev < 400; ev++ {
@@ -78,6 +79,7 @@ func TestMeterMatchesEvaluateRandomized(t *testing.T) {
 				l := live[k]
 				advance(now)
 				tr.JobFinished(l.rs, now)
+				m.JobFinished(l.rs, now)
 				for _, r := range l.rs.Alloc.Runs {
 					for p := r.Lo; p <= r.Hi; p++ {
 						free = append(free, p)
@@ -91,7 +93,7 @@ func TestMeterMatchesEvaluateRandomized(t *testing.T) {
 				old := gears[l.gearIdx]
 				l.gearIdx = rng.Intn(len(gears))
 				l.rs.Gear = gears[l.gearIdx]
-				tr.JobRegeared(l.rs, old, now)
+				m.JobRegeared(l.rs, old, now) // occupancy intervals are gear-agnostic
 			}
 		}
 		// Final event: a start that pushes the tracker's window end and is
@@ -102,6 +104,7 @@ func TestMeterMatchesEvaluateRandomized(t *testing.T) {
 			l := live[0]
 			advance(now)
 			tr.JobFinished(l.rs, now)
+			m.JobFinished(l.rs, now)
 			for _, r := range l.rs.Alloc.Runs {
 				for p := r.Lo; p <= r.Hi; p++ {
 					free = append(free, p)
@@ -155,18 +158,20 @@ func TestMeterMatchesEvaluateRandomized(t *testing.T) {
 	}
 }
 
-// A metered tracker riding a real simulation (with mid-run gear
-// switches) must agree with the post-hoc replay of its own record.
+// A tracker and a meter riding the same real simulation (with mid-run
+// gear switches) must agree: the meter's integral with the post-hoc
+// replay of the tracker's record.
 func TestMeterOnRealSimulation(t *testing.T) {
 	pm := dvfs.PaperPowerModel()
 	gears := pm.Gears
-	tr := NewMeteredTracker(16, pm)
+	tr := NewTracker(16)
+	m := NewMeter(16, pm)
 	sys, err := sched.New(sched.Config{
 		CPUs: 16, Gears: gears,
 		TimeModel:  dvfs.NewTimeModel(defaultBeta, gears),
 		Policy:     sched.FixedGear{Gear: gears.Lowest()},
 		Variant:    sched.EASY,
-		Recorder:   tr,
+		Recorder:   sched.MultiRecorder{tr, m},
 		Controller: boostAll{gears: gears},
 	})
 	if err != nil {
@@ -189,7 +194,6 @@ func TestMeterOnRealSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := tr.Meter()
 	if diff := math.Abs(m.IdleEnergy() - rep.IdleEnergy); diff > 1e-9*(1+rep.IdleEnergy) {
 		t.Errorf("meter idle energy %v, Evaluate %v", m.IdleEnergy(), rep.IdleEnergy)
 	}

@@ -36,11 +36,6 @@ type Tracker struct {
 	busyStart []float64 // processor -> open interval's start time
 	spans     [][]span  // processor -> closed busy intervals
 	end       float64   // last observed event time
-
-	// meter, when attached (NewMeteredTracker), maintains the online
-	// draw/energy accumulator alongside the interval record, fed from
-	// the same callbacks.
-	meter *Meter
 }
 
 type span struct{ start, end float64 }
@@ -55,30 +50,10 @@ func NewTracker(total int) *Tracker {
 	}
 }
 
-var (
-	_ sched.Recorder     = (*Tracker)(nil)
-	_ sched.GearObserver = (*Tracker)(nil)
-)
-
-// NewMeteredTracker returns a tracker with an online Meter attached:
-// the interval record for post-hoc Evaluate and the O(1) draw/energy
-// accumulator are fed from the same lifecycle callbacks, which is what
-// lets the differential test pin one against the other.
-func NewMeteredTracker(total int, pm *dvfs.PowerModel) *Tracker {
-	t := NewTracker(total)
-	t.meter = NewMeter(total, pm)
-	return t
-}
-
-// Meter returns the attached online accumulator, nil for a plain
-// Tracker.
-func (t *Tracker) Meter() *Meter { return t.meter }
+var _ sched.Recorder = (*Tracker)(nil)
 
 // JobStarted implements sched.Recorder.
 func (t *Tracker) JobStarted(rs *sched.RunState, now float64) {
-	if t.meter != nil {
-		t.meter.JobStarted(rs, now)
-	}
 	for _, r := range rs.Alloc.Runs {
 		for id := r.Lo; id <= r.Hi; id++ {
 			t.busyOpen[id] = true
@@ -92,9 +67,6 @@ func (t *Tracker) JobStarted(rs *sched.RunState, now float64) {
 
 // JobFinished implements sched.Recorder.
 func (t *Tracker) JobFinished(rs *sched.RunState, now float64) {
-	if t.meter != nil {
-		t.meter.JobFinished(rs, now)
-	}
 	for _, r := range rs.Alloc.Runs {
 		for id := r.Lo; id <= r.Hi; id++ {
 			if t.busyOpen[id] {
@@ -105,15 +77,6 @@ func (t *Tracker) JobFinished(rs *sched.RunState, now float64) {
 	}
 	if now > t.end {
 		t.end = now
-	}
-}
-
-// JobRegeared implements sched.GearObserver: occupancy intervals are
-// gear-agnostic, so the event only feeds the attached meter's draw
-// bookkeeping.
-func (t *Tracker) JobRegeared(rs *sched.RunState, old dvfs.Gear, now float64) {
-	if t.meter != nil {
-		t.meter.JobRegeared(rs, old, now)
 	}
 }
 

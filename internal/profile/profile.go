@@ -51,8 +51,7 @@ type delta struct {
 
 // Profile is a set of occupancy entries on a machine of Total processors.
 type Profile struct {
-	Total    int
-	nentries int
+	Total int
 
 	// horizon is the latest BeginPass time (−Inf until the first one);
 	// deltas at or before it fold into folded.
@@ -96,7 +95,6 @@ func New(total int) *Profile {
 // the storage capacity of previous use, with the horizon back at −Inf.
 func (p *Profile) reset(total int) {
 	p.Total = total
-	p.nentries = 0
 	p.horizon = math.Inf(-1)
 	p.folded = 0
 	p.dex.reset()
@@ -112,7 +110,6 @@ func (p *Profile) Add(e Entry) {
 	if e.End <= e.Start || e.CPUs <= 0 {
 		return
 	}
-	p.nentries++
 	p.pushPair(e.Start, e.End, e.CPUs, e.CPUs)
 }
 
@@ -168,7 +165,6 @@ func (p *Profile) LoadReleases(total int, now float64, rels []Release) {
 	}
 	p.dex.load(ds)
 	p.scratch = ds[:0]
-	p.nentries = len(rels)
 }
 
 // BeginPass advances the query horizon to the current pass time: queries
@@ -191,7 +187,6 @@ func (p *Profile) AddReservation(e Entry) {
 	if e.End <= e.Start || e.CPUs <= 0 {
 		return
 	}
-	p.nentries++
 	p.pushPair(e.Start, e.End, e.CPUs, 0)
 }
 
@@ -211,7 +206,6 @@ func (p *Profile) TruncateReservations(n int) {
 	}
 	for _, e := range p.resvLog[n:] {
 		if e.End > e.Start && e.CPUs > 0 {
-			p.nentries--
 			p.pushPair(e.Start, e.End, -e.CPUs, 0)
 		}
 	}
@@ -235,18 +229,12 @@ func (p *Profile) prepare() {
 	}
 }
 
-// Len returns the number of entries.
-func (p *Profile) Len() int { return p.nentries }
-
 // UsedAt returns the number of processors busy at time t, which must be
 // at or after the latest BeginPass time.
 func (p *Profile) UsedAt(t float64) int {
 	p.prepare()
 	return p.folded + p.dex.sumAt(t)
 }
-
-// FreeAt returns the number of processors free at time t.
-func (p *Profile) FreeAt(t float64) int { return p.Total - p.UsedAt(t) }
 
 // CanPlace reports whether cpus processors are continuously available
 // during [start, start+dur). A non-positive dur degenerates to the

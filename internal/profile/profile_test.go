@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func TestUsedAtAndFreeAt(t *testing.T) {
+func TestUsedAt(t *testing.T) {
 	p := New(10)
 	p.Add(Entry{Start: 0, End: 10, CPUs: 4})
 	p.Add(Entry{Start: 5, End: 15, CPUs: 3})
@@ -21,9 +21,6 @@ func TestUsedAtAndFreeAt(t *testing.T) {
 		if got := p.UsedAt(c.t); got != c.used {
 			t.Errorf("UsedAt(%v) = %d, want %d", c.t, got, c.used)
 		}
-		if got := p.FreeAt(c.t); got != 10-c.used {
-			t.Errorf("FreeAt(%v) = %d, want %d", c.t, got, 10-c.used)
-		}
 	}
 }
 
@@ -32,8 +29,8 @@ func TestAddIgnoresDegenerate(t *testing.T) {
 	p.Add(Entry{Start: 5, End: 5, CPUs: 2})
 	p.Add(Entry{Start: 5, End: 4, CPUs: 2})
 	p.Add(Entry{Start: 0, End: 10, CPUs: 0})
-	if p.Len() != 0 {
-		t.Errorf("degenerate entries stored: %d", p.Len())
+	if n := p.dex.len(); n != 0 {
+		t.Errorf("degenerate entries stored: %d skyline deltas", n)
 	}
 }
 
@@ -254,9 +251,6 @@ func TestQuickUsedAtMatchesNaiveScan(t *testing.T) {
 				if p.UsedAt(q) != naiveUsedAt(entries, q) {
 					return false
 				}
-				if p.FreeAt(q) != total-naiveUsedAt(entries, q) {
-					return false
-				}
 			}
 			return true
 		}
@@ -295,7 +289,7 @@ func TestLoadReleasesMatchesAdds(t *testing.T) {
 		for _, rel := range rels {
 			ref.Add(Entry{Start: now, End: rel.Time, CPUs: rel.CPUs})
 		}
-		if bulk.Len() != ref.Len() {
+		if bulk.dex.len() != ref.dex.len() || bulk.BaseDeltas() != ref.BaseDeltas() {
 			return false
 		}
 		for trial := 0; trial < 30; trial++ {

@@ -146,21 +146,3 @@ var hashNeutral = map[string]string{
 	"KeepCollector":  "retained per-job records never change Results: the streaming collector folds them online bit-identically (streaming-vs-retained collector tests)",
 	"ExtraRecorders": "recorders observe the run; one that mutated scheduling state would break its own Recorder contract, not the hash",
 }
-
-// HashCoverage returns copies of the hash-coverage declaration: the
-// Spec-field→Scenario-field map the canonical hash covers, and the
-// result-neutral allowlist with its justifications. Exposed for tests
-// and tooling; the authoritative check is reprovet's hashcover analyzer.
-func HashCoverage() (hashed, neutral map[string]string) {
-	hashed = make(map[string]string, len(hashedVia))
-	//lint:nondeterm copying map→map is order-insensitive
-	for k, v := range hashedVia {
-		hashed[k] = v
-	}
-	neutral = make(map[string]string, len(hashNeutral))
-	//lint:nondeterm copying map→map is order-insensitive
-	for k, v := range hashNeutral {
-		neutral[k] = v
-	}
-	return hashed, neutral
-}

@@ -367,20 +367,6 @@ func (s *Scenario) WithBaseline() *Scenario {
 	return &b
 }
 
-// WithoutController returns a derived scenario identical but for the
-// control loop, which is removed — the uncapped reference a capped run's
-// BSLD degradation is measured against.
-func (s *Scenario) WithoutController() *Scenario {
-	if s.controller == nil {
-		return s
-	}
-	b := *s
-	b.controller = nil
-	b.controllerDesc = ""
-	b.hash = b.contentHash()
-	return &b
-}
-
 // executionPolicy resolves the gear policy one execution will use: the
 // top-gear fallback for baselines, a per-execution clone for stateful
 // policies implementing sched.PolicyCloner, the shared (immutable) policy

@@ -53,17 +53,3 @@ type RunState struct {
 	// the quantity Figure 4 counts.
 	Reduced bool
 }
-
-// AllPhases returns the closed phases plus the in-progress phase truncated
-// at time now.
-func (rs *RunState) AllPhases(now float64) []Phase {
-	out := make([]Phase, 0, len(rs.Phases)+1)
-	out = append(out, rs.Phases...)
-	if now > rs.phaseStart {
-		out = append(out, Phase{Gear: rs.Gear, Dur: now - rs.phaseStart})
-	}
-	return out
-}
-
-// WallClock returns the job's execution time so far at time now.
-func (rs *RunState) WallClock(now float64) float64 { return now - rs.Start }

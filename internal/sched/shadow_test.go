@@ -82,7 +82,7 @@ func TestShadowMatchesProfileOracle(t *testing.T) {
 		// Extra processors: free capacity at the shadow instant beyond
 		// the head's need. The profile sees releases at exactly shadowT
 		// as done (intervals are half-open), matching the engine.
-		wantExtra := prof.FreeAt(gotShadow) - head.Procs
+		wantExtra := prof.Total - prof.UsedAt(gotShadow) - head.Procs
 		if gotExtra != wantExtra {
 			t.Fatalf("trial %d: extra %d, oracle %d", trial, gotExtra, wantExtra)
 		}

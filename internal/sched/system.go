@@ -950,8 +950,7 @@ func (s *System) finish(rs *RunState, now float64) {
 	if s.runNil*2 > len(s.runList) {
 		s.compactRunList()
 	}
-	// Close the open phase in place (equivalent to rs.AllPhases(now) but
-	// without copying the closed-phase history for every completion).
+	// Close the open phase in place.
 	if now > rs.phaseStart {
 		rs.Phases = append(rs.Phases, Phase{Gear: rs.Gear, Dur: now - rs.phaseStart})
 	}

@@ -506,10 +506,3 @@ func TestMultiRecorderFanOut(t *testing.T) {
 		t.Error("multi-recorder members diverged")
 	}
 }
-
-func TestRunStateWallClock(t *testing.T) {
-	rs := &RunState{Start: 100}
-	if rs.WallClock(150) != 50 {
-		t.Errorf("WallClock = %v", rs.WallClock(150))
-	}
-}

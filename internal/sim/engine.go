@@ -27,9 +27,6 @@ const (
 	EvEnd EventKind = iota
 	// EvArrival is a job submission.
 	EvArrival
-	// EvCustom is available to policies needing extra wake-ups (e.g. the
-	// dynamic frequency boost extension re-evaluating running jobs).
-	EvCustom
 )
 
 // Event is one scheduled occurrence. Payload carries the subject (a job,
@@ -238,9 +235,6 @@ func (e *Engine) compact() {
 // Stop issued before Run makes it return immediately without dispatching;
 // the engine stays stopped either way, so a later Run is also a no-op.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // recycle expires an event's handles and returns it to the pool.
 func (e *Engine) recycle(ev *Event) {

@@ -3,9 +3,9 @@
 //
 // All randomness in the repository flows through *stats.RNG so that every
 // simulation is reproducible from a single integer seed. The distributions
-// implemented here (exponential, gamma, lognormal, Weibull, two-phase
-// hyper-exponential, weighted discrete choice) are the standard building
-// blocks of parallel workload models such as Lublin–Feitelson.
+// implemented here (uniform, exponential, gamma, lognormal, Bernoulli,
+// Zipf) are the standard building blocks of parallel workload models such
+// as Lublin–Feitelson.
 package stats
 
 import (
@@ -36,9 +36,6 @@ func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.src.Float64()
 }
 
-// Normal returns a standard normal variate (mean 0, stddev 1).
-func (r *RNG) Normal() float64 { return r.src.NormFloat64() }
-
 // Exp returns an exponential variate with the given mean. The mean must be
 // positive.
 func (r *RNG) Exp(mean float64) float64 {
@@ -50,14 +47,6 @@ func (r *RNG) Exp(mean float64) float64 {
 // exp(mu).
 func (r *RNG) Lognormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.src.NormFloat64())
-}
-
-// Weibull returns a Weibull variate with the given shape k and scale lambda.
-// shape and scale must be positive.
-func (r *RNG) Weibull(shape, scale float64) float64 {
-	u := r.src.Float64()
-	// Guard against log(0): Float64 is in [0,1), so 1-u is in (0,1].
-	return scale * math.Pow(-math.Log(1-u), 1/shape)
 }
 
 // Gamma returns a gamma variate with the given shape k and scale theta
@@ -91,16 +80,6 @@ func (r *RNG) Gamma(shape, scale float64) float64 {
 	}
 }
 
-// HyperExp2 returns a two-phase hyper-exponential variate: with probability
-// p the variate is exponential with mean1, otherwise exponential with
-// mean2. Hyper-exponentials model the heavy-tailed runtimes of HPC jobs.
-func (r *RNG) HyperExp2(p, mean1, mean2 float64) float64 {
-	if r.src.Float64() < p {
-		return r.Exp(mean1)
-	}
-	return r.Exp(mean2)
-}
-
 // Bernoulli reports true with probability p.
 func (r *RNG) Bernoulli(p float64) bool { return r.src.Float64() < p }
 
@@ -110,25 +89,4 @@ func (r *RNG) Bernoulli(p float64) bool { return r.src.Float64() < p }
 func (r *RNG) Zipf(s float64, n int) func() int {
 	z := rand.NewZipf(r.src, s, 1, uint64(n-1))
 	return func() int { return int(z.Uint64()) }
-}
-
-// Choice draws an index in [0, len(weights)) with probability proportional
-// to the weights. It panics if weights is empty or sums to a non-positive
-// value.
-func (r *RNG) Choice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	if len(weights) == 0 || total <= 0 {
-		panic("stats: Choice requires positive total weight")
-	}
-	x := r.src.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -63,19 +63,6 @@ func TestLognormalMedian(t *testing.T) {
 	}
 }
 
-func TestWeibullMean(t *testing.T) {
-	r := NewRNG(17)
-	// For shape k and scale lambda, the mean is lambda*Gamma(1+1/k).
-	// With k=1 the Weibull reduces to an exponential with mean lambda.
-	var s Summary
-	for i := 0; i < 200000; i++ {
-		s.Add(r.Weibull(1, 4))
-	}
-	if math.Abs(s.Mean()-4) > 0.1 {
-		t.Errorf("Weibull(1,4) mean = %v, want ~4", s.Mean())
-	}
-}
-
 func TestGammaMeanAndVariance(t *testing.T) {
 	r := NewRNG(19)
 	shape, scale := 3.0, 2.0
@@ -107,44 +94,6 @@ func TestGammaSmallShape(t *testing.T) {
 	}
 }
 
-func TestHyperExp2Mean(t *testing.T) {
-	r := NewRNG(29)
-	p, m1, m2 := 0.7, 10.0, 100.0
-	var s Summary
-	for i := 0; i < 300000; i++ {
-		s.Add(r.HyperExp2(p, m1, m2))
-	}
-	want := p*m1 + (1-p)*m2
-	if math.Abs(s.Mean()-want)/want > 0.05 {
-		t.Errorf("HyperExp2 mean = %v, want ~%v", s.Mean(), want)
-	}
-}
-
-func TestChoiceDistribution(t *testing.T) {
-	r := NewRNG(31)
-	weights := []float64{1, 2, 7}
-	counts := make([]int, 3)
-	n := 100000
-	for i := 0; i < n; i++ {
-		counts[r.Choice(weights)]++
-	}
-	for i, w := range weights {
-		want := w / 10 * float64(n)
-		if math.Abs(float64(counts[i])-want) > 0.05*float64(n) {
-			t.Errorf("Choice bucket %d count = %d, want ~%v", i, counts[i], want)
-		}
-	}
-}
-
-func TestChoicePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Choice on empty weights did not panic")
-		}
-	}()
-	NewRNG(1).Choice(nil)
-}
-
 func TestBernoulliExtremes(t *testing.T) {
 	r := NewRNG(37)
 	for i := 0; i < 1000; i++ {
@@ -164,27 +113,8 @@ func TestQuickNonNegativeDraws(t *testing.T) {
 		shape := 0.1 + float64(a%50)/10
 		scale := 0.1 + float64(b%50)/10
 		return r.Exp(scale) >= 0 &&
-			r.Weibull(shape, scale) >= 0 &&
 			r.Gamma(shape, scale) >= 0 &&
 			r.Lognormal(0, scale) > 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Choice always returns a valid index.
-func TestQuickChoiceIndexInRange(t *testing.T) {
-	f := func(seed int64, raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		weights := make([]float64, len(raw))
-		for i, v := range raw {
-			weights[i] = float64(v) + 1 // ensure positive
-		}
-		idx := NewRNG(seed).Choice(weights)
-		return idx >= 0 && idx < len(weights)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -197,17 +127,6 @@ func TestIntnRange(t *testing.T) {
 		if v := r.Intn(7); v < 0 || v >= 7 {
 			t.Fatalf("Intn(7) = %d", v)
 		}
-	}
-}
-
-func TestNormalMoments(t *testing.T) {
-	r := NewRNG(43)
-	var s Summary
-	for i := 0; i < 200000; i++ {
-		s.Add(r.Normal())
-	}
-	if math.Abs(s.Mean()) > 0.02 || math.Abs(s.StdDev()-1) > 0.02 {
-		t.Errorf("Normal moments = %v/%v, want ~0/1", s.Mean(), s.StdDev())
 	}
 }
 

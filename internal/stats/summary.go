@@ -76,15 +76,3 @@ func Quantile(data []float64, q float64) float64 {
 	}
 	return sorted[idx]
 }
-
-// Mean returns the arithmetic mean of data, or 0 when empty.
-func Mean(data []float64) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range data {
-		sum += x
-	}
-	return sum / float64(len(data))
-}

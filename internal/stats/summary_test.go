@@ -68,15 +68,6 @@ func TestQuantileEmpty(t *testing.T) {
 	}
 }
 
-func TestMeanHelper(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean([1 2 3]) != 2")
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-}
-
 // Property: mean lies within [min, max] and variance is non-negative.
 // Inputs are clamped to physically plausible magnitudes (the simulator
 // works in seconds and joules); near ±MaxFloat64 the Welford update

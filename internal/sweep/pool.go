@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/scenario"
-	"repro/internal/workload"
 )
 
 // Run pairs a grid point with its compiled scenario, ready for execution.
@@ -176,24 +175,4 @@ func Sweep(ctx context.Context, g Grid, r *Resolver, p *Pool) ([]Result, error) 
 		p = &Pool{}
 	}
 	return p.Execute(ctx, runs)
-}
-
-// CachedLoader wraps a trace loader so each distinct name is loaded once.
-// The returned function is safe for concurrent use.
-func CachedLoader(load func(name string) (*workload.Trace, error)) func(name string) (*workload.Trace, error) {
-	var mu sync.Mutex
-	cache := make(map[string]*workload.Trace)
-	return func(name string) (*workload.Trace, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if tr, ok := cache[name]; ok {
-			return tr, nil
-		}
-		tr, err := load(name)
-		if err != nil {
-			return nil, err
-		}
-		cache[name] = tr
-		return tr, nil
-	}
 }

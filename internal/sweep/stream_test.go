@@ -37,7 +37,7 @@ func streamResolver(jobs int) *Resolver {
 // traceResolver shares one materialized trace per name across runs (the
 // pre-streaming behavior, kept as the reference).
 func traceResolver(jobs int) *Resolver {
-	return &Resolver{Trace: CachedLoader(func(name string) (*workload.Trace, error) {
+	return &Resolver{Trace: cachedLoader(func(name string) (*workload.Trace, error) {
 		m, err := wgen.Preset(name)
 		if err != nil {
 			return nil, err

@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,9 +33,29 @@ func traceScenario(t *testing.T, loader func(string) (*workload.Trace, error), n
 	return sc
 }
 
+// cachedLoader wraps a trace loader so each distinct name is loaded once.
+// The returned function is safe for concurrent use.
+func cachedLoader(load func(name string) (*workload.Trace, error)) func(name string) (*workload.Trace, error) {
+	var mu sync.Mutex
+	cache := make(map[string]*workload.Trace)
+	return func(name string) (*workload.Trace, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if tr, ok := cache[name]; ok {
+			return tr, nil
+		}
+		tr, err := load(name)
+		if err != nil {
+			return nil, err
+		}
+		cache[name] = tr
+		return tr, nil
+	}
+}
+
 // testLoader generates short preset segments, cached across a test.
 func testLoader(jobs int) func(string) (*workload.Trace, error) {
-	return CachedLoader(func(name string) (*workload.Trace, error) {
+	return cachedLoader(func(name string) (*workload.Trace, error) {
 		m, err := wgen.Preset(name)
 		if err != nil {
 			return nil, err
@@ -395,41 +416,6 @@ func TestProgressCallbackSequence(t *testing.T) {
 		if d != i+1 {
 			t.Fatalf("done sequence %v not 1..%d", seen, len(runs))
 		}
-	}
-}
-
-func TestCachedLoaderLoadsOnce(t *testing.T) {
-	var loads int32
-	load := CachedLoader(func(name string) (*workload.Trace, error) {
-		atomic.AddInt32(&loads, 1)
-		if name == "bad" {
-			return nil, errors.New("no such trace")
-		}
-		return &workload.Trace{Name: name, CPUs: 1}, nil
-	})
-	a, err := load("CTC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := load("CTC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("cache returned distinct traces")
-	}
-	if loads != 1 {
-		t.Errorf("loaded %d times, want 1", loads)
-	}
-	// Errors are not cached.
-	if _, err := load("bad"); err == nil {
-		t.Error("error swallowed")
-	}
-	if _, err := load("bad"); err == nil {
-		t.Error("error swallowed on retry")
-	}
-	if loads != 3 {
-		t.Errorf("loads = %d, want 3", loads)
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 //
 // Each preset generates the 5000-job segment the paper simulates. The
 // Load values below are calibrated against our EASY implementation so
-// the baseline average BSLDs land near Table 1 (see EXPERIMENTS.md).
+// the baseline average BSLDs land near Table 1: cmd/calibrate prints the
+// comparison, and the first check of internal/experiments/checks.go holds
+// them within 35% of the paper's values.
 
 // StandardJobs is the trace segment length the paper simulates.
 const StandardJobs = 5000

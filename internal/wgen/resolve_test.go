@@ -43,16 +43,13 @@ func TestResolvePresetEcoUsers(t *testing.T) {
 	if c, ok := src.(workload.Counted); !ok || c.Len() != jobs {
 		t.Errorf("tagged stream lost its length: %T", src)
 	}
-	streamed, err := workload.Collect(src)
-	if err != nil {
-		t.Fatal(err)
+	streamed := drainSource(t, src)
+	if len(streamed) != len(tr.Jobs) {
+		t.Fatalf("streamed %d jobs vs materialized %d", len(streamed), len(tr.Jobs))
 	}
-	if len(streamed.Jobs) != len(tr.Jobs) {
-		t.Fatalf("streamed %d jobs vs materialized %d", len(streamed.Jobs), len(tr.Jobs))
-	}
-	for i, j := range streamed.Jobs {
-		if *j != *tr.Jobs[i] {
-			t.Fatalf("streamed job %d differs from materialized: %+v vs %+v", i, *j, *tr.Jobs[i])
+	for i, j := range streamed {
+		if j != *tr.Jobs[i] {
+			t.Fatalf("streamed job %d differs from materialized: %+v vs %+v", i, j, *tr.Jobs[i])
 		}
 	}
 
@@ -91,12 +88,8 @@ func TestStreamEcoUsersWithUserPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagged, err := workload.Collect(workload.TagEco(src, set))
-	if err != nil {
-		t.Fatal(err)
-	}
 	matched := 0
-	for _, j := range tagged.Jobs {
+	for _, j := range drainSource(t, workload.TagEco(src, set)) {
 		want := j.User == 0 || j.User == 3
 		if j.Eco != want {
 			t.Fatalf("job %d user %d eco=%v, want %v", j.ID, j.User, j.Eco, want)
@@ -108,4 +101,22 @@ func TestStreamEcoUsersWithUserPool(t *testing.T) {
 	if matched == 0 {
 		t.Error("no jobs matched the ID hook despite a 20-user pool")
 	}
+}
+
+// drainSource reads a source to its end and fails the test on a stream
+// error.
+func drainSource(t *testing.T, src workload.JobSource) []workload.Job {
+	t.Helper()
+	var out []workload.Job
+	for {
+		j, ok := src.Next()
+		if !ok {
+			break
+		}
+		out = append(out, j)
+	}
+	if err := src.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -3,7 +3,6 @@ package wgen
 import (
 	"testing"
 
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -118,7 +117,7 @@ func TestGeneratedTracesAreFlurryFree(t *testing.T) {
 // different workload models are clearly distinguishable. Guards the
 // generators against accidental distribution drift.
 func TestDistributionStabilityAcrossSeeds(t *testing.T) {
-	runtimes := func(m Model, seedDelta int64) stats.ECDF {
+	runtimes := func(m Model, seedDelta int64) ecdf {
 		m.Jobs = 4000
 		m.Seed += seedDelta
 		tr, err := Generate(m)
@@ -129,15 +128,15 @@ func TestDistributionStabilityAcrossSeeds(t *testing.T) {
 		for i, j := range tr.Jobs {
 			xs[i] = j.Runtime
 		}
-		return stats.NewECDF(xs)
+		return newECDF(xs)
 	}
 	a := runtimes(SDSCBlue(), 0)
 	b := runtimes(SDSCBlue(), 1234)
-	if d := stats.KSDistance(a, b); d > 0.05 {
+	if d := ksDistance(a, b); d > 0.05 {
 		t.Errorf("same model, different seeds: KS = %v, want < 0.05", d)
 	}
 	c := runtimes(LLNLThunder(), 0)
-	if d := stats.KSDistance(a, c); d < 0.1 {
+	if d := ksDistance(a, c); d < 0.1 {
 		t.Errorf("different models: KS = %v, want > 0.1", d)
 	}
 }

@@ -68,25 +68,6 @@ func RemoveFlurries(t *Trace, cfg CleanConfig) (*Trace, int) {
 	return out, removed
 }
 
-// RemoveFailed returns a copy of the trace without jobs whose SWF status
-// marks them failed (status 0), plus the number removed. Failed jobs'
-// recorded runtimes measure time-to-crash, not useful work, so cleaned
-// replays usually exclude them; jobs with unknown status are kept. It is
-// the post-parse counterpart of SWFFilter{DropFailed: true} for traces
-// that were loaded unfiltered.
-func RemoveFailed(t *Trace) (*Trace, int) {
-	out := &Trace{Name: t.Name, CPUs: t.CPUs}
-	removed := 0
-	for _, j := range t.Jobs {
-		if j.Status == StatusFailed {
-			removed++
-			continue
-		}
-		out.Jobs = append(out.Jobs, j)
-	}
-	return out, removed
-}
-
 // ScaleLoad returns a copy of the trace with the offered load multiplied
 // by factor: interarrival gaps shrink by 1/factor (factor > 1 compresses
 // arrivals, raising utilization). Jobs themselves are copied so the input

@@ -147,29 +147,3 @@ func TestScaleLoadDegenerate(t *testing.T) {
 		t.Error("empty trace scaling")
 	}
 }
-
-func TestRemoveFailed(t *testing.T) {
-	tr := &Trace{Name: "rf", CPUs: 8, Jobs: []*Job{
-		{ID: 1, Runtime: 10, Procs: 1, ReqTime: 10, Status: StatusCompleted},
-		{ID: 2, Runtime: 10, Procs: 1, ReqTime: 10, Status: StatusFailed},
-		{ID: 3, Runtime: 10, Procs: 1, ReqTime: 10, Status: StatusUnknown},
-		{ID: 4, Runtime: 10, Procs: 1, ReqTime: 10, Status: StatusCanceled},
-		{ID: 5, Runtime: 10, Procs: 1, ReqTime: 10, Status: StatusFailed},
-	}}
-	out, removed := RemoveFailed(tr)
-	if removed != 2 {
-		t.Errorf("removed = %d, want 2", removed)
-	}
-	want := []int{1, 3, 4}
-	if len(out.Jobs) != len(want) {
-		t.Fatalf("kept %d jobs, want %d", len(out.Jobs), len(want))
-	}
-	for i, j := range out.Jobs {
-		if j.ID != want[i] {
-			t.Errorf("kept[%d] = job %d, want %d", i, j.ID, want[i])
-		}
-	}
-	if len(tr.Jobs) != 5 {
-		t.Error("input trace mutated")
-	}
-}

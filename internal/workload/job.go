@@ -8,9 +8,7 @@
 // the streaming JobSource (one job at a time in submit order, the form
 // the scheduler consumes — a replay then holds O(running jobs) live
 // memory regardless of trace length). SliceSource adapts the former to
-// the latter; Collect goes the other way; SWFSource reads logs
-// incrementally; and the combinators (Filter, Concat, Repeat,
-// MergeByArrival, Scale) compose sources without materializing them.
+// the latter, and SWFSource reads logs incrementally.
 package workload
 
 import (
@@ -42,7 +40,7 @@ type Job struct {
 	// and WriteSWF translate to and from the SWF on-disk encoding
 	// (1 completed, 0 failed, 5 canceled, -1 missing). The simulator
 	// itself ignores Status; it only drives the opt-in replay filters
-	// (SWFFilter, RemoveFailed).
+	// (SWFFilter).
 	Status int
 	// Eco marks the job as opted into eco-mode power management
 	// (Angelelli et al.'s user-assisted capping): an eco-only power-cap

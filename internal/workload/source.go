@@ -1,10 +1,5 @@
 package workload
 
-import (
-	"fmt"
-	"math"
-)
-
 // JobSource streams a workload one job at a time in nondecreasing submit
 // order, so consumers (the scheduler above all) never need the whole trace
 // in memory: a million- or ten-million-job replay holds O(running jobs)
@@ -14,8 +9,8 @@ import (
 //
 // Contract:
 //   - Next returns jobs with nondecreasing Submit. The scheduler rejects a
-//     source that regresses (materialize and sort through ParseSWF or
-//     Collect for unsorted inputs).
+//     source that regresses (materialize and sort through ParseSWF for
+//     unsorted inputs).
 //   - Next returning false means the stream ended — either exhausted or
 //     failed; Err distinguishes (nil on clean exhaustion).
 //   - Reset rewinds to the first job and clears Err, so one source can
@@ -115,30 +110,6 @@ func (s *SliceSource) Reset() error {
 // Err implements JobSource; a slice never fails.
 func (s *SliceSource) Err() error { return nil }
 
-// Collect materializes a source into a Trace, consuming it from its
-// current position. The inverse of Trace.Source; the resulting trace is
-// sorted (streamed order is already submit order).
-func Collect(src JobSource) (*Trace, error) {
-	tr := &Trace{Name: src.Name(), CPUs: src.CPUs()}
-	if c, ok := src.(Counted); ok {
-		if n := c.Len(); n >= 0 {
-			tr.Jobs = make([]*Job, 0, n)
-		}
-	}
-	for {
-		j, ok := src.Next()
-		if !ok {
-			break
-		}
-		cp := j
-		tr.Jobs = append(tr.Jobs, &cp)
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
 // StatsOf computes the trace summary statistics in one streaming pass,
 // consuming the source from its current position — the O(1)-memory
 // counterpart of Trace.ComputeStats for workloads too large to hold.
@@ -185,329 +156,4 @@ func StatsOf(src JobSource) (Stats, error) {
 	s.MeanRuntime = rtSum / float64(s.Jobs)
 	s.MeanProcs = procSum / float64(s.Jobs)
 	return s, nil
-}
-
-// --- combinators ----------------------------------------------------------
-
-// filterSource drops jobs a predicate rejects; see Filter.
-type filterSource struct {
-	src  JobSource
-	keep func(Job) bool
-}
-
-// Filter returns a source yielding only the jobs keep accepts. It is the
-// streaming lift of the post-parse trace cleaners (RemoveFailed et al.):
-// order, IDs and metadata pass through untouched.
-func Filter(src JobSource, keep func(Job) bool) JobSource {
-	return &filterSource{src: src, keep: keep}
-}
-
-// FilterStatus lifts the SWF status filter to any source, mirroring
-// ParseSWFFiltered for streams that were produced unfiltered.
-func FilterStatus(src JobSource, f SWFFilter) JobSource {
-	return Filter(src, func(j Job) bool { return f.keep(j.Status) })
-}
-
-// DropFailed is the streaming counterpart of RemoveFailed: jobs whose SWF
-// status marks them failed are skipped, unknown statuses are kept.
-func DropFailed(src JobSource) JobSource {
-	return FilterStatus(src, SWFFilter{DropFailed: true})
-}
-
-func (f *filterSource) Name() string { return f.src.Name() }
-func (f *filterSource) CPUs() int    { return f.src.CPUs() }
-func (f *filterSource) Err() error   { return f.src.Err() }
-func (f *filterSource) Reset() error { return f.src.Reset() }
-
-func (f *filterSource) Next() (Job, bool) {
-	for {
-		j, ok := f.src.Next()
-		if !ok {
-			return Job{}, false
-		}
-		if f.keep(j) {
-			return j, true
-		}
-	}
-}
-
-// concatSource plays sources back to back; see Concat.
-type concatSource struct {
-	name    string
-	cpus    int
-	srcs    []JobSource
-	cur     int
-	entered bool    // current source rewound for its segment
-	offset  float64 // time shift applied to the current source
-	last    float64 // last emitted submit
-	nextID  int
-	err     error
-}
-
-var _ JobSource = (*concatSource)(nil)
-
-// Concat replays the sources one after another as a single workload: each
-// subsequent source is time-shifted by the last emitted submit — its own
-// epoch, including any initial offset before its first job, is preserved
-// on top of that shift — jobs are renumbered sequentially from 1 so IDs
-// stay unique, and the system size is the maximum over the inputs. Every
-// source is rewound as its segment begins, so one source may appear any
-// number of times (Repeat is exactly that). Use it to compose
-// multi-regime scenarios (e.g. a calibration segment followed by a
-// stress segment) without materializing either part.
-func Concat(name string, srcs ...JobSource) JobSource {
-	cpus := 0
-	for _, s := range srcs {
-		if s.CPUs() > cpus {
-			cpus = s.CPUs()
-		}
-	}
-	return &concatSource{name: name, cpus: cpus, srcs: srcs}
-}
-
-// Repeat replays src n times back to back (resetting it between rounds)
-// with the same time-shift and renumbering semantics as Concat — the
-// cheapest way to stretch a calibrated workload model to an arbitrary
-// horizon while holding O(1) memory.
-func Repeat(src JobSource, n int) JobSource {
-	srcs := make([]JobSource, n)
-	for i := range srcs {
-		srcs[i] = src
-	}
-	return &concatSource{
-		name: fmt.Sprintf("%s.x%d", src.Name(), n),
-		cpus: src.CPUs(),
-		srcs: srcs,
-	}
-}
-
-func (c *concatSource) Name() string { return c.name }
-func (c *concatSource) CPUs() int    { return c.cpus }
-func (c *concatSource) Err() error   { return c.err }
-
-// Len implements Counted: the sum of the segment lengths, or -1 when any
-// segment's length is unknown. Repeat aliases one source n times, so
-// each occurrence is counted.
-func (c *concatSource) Len() int {
-	total := 0
-	for _, s := range c.srcs {
-		cnt, ok := s.(Counted)
-		if !ok {
-			return -1
-		}
-		n := cnt.Len()
-		if n < 0 {
-			return -1
-		}
-		total += n
-	}
-	return total
-}
-
-// Reset rewinds the concatenation; segment sources are rewound lazily as
-// each segment begins (Next does), which also keeps a Repeat alias or a
-// source appearing in several segments correct.
-func (c *concatSource) Reset() error {
-	c.cur, c.entered, c.offset, c.last, c.nextID, c.err = 0, false, 0, 0, 0, nil
-	return nil
-}
-
-func (c *concatSource) Next() (Job, bool) {
-	for c.err == nil && c.cur < len(c.srcs) {
-		src := c.srcs[c.cur]
-		if !c.entered {
-			// Rewind the source as its segment begins: aliased sources
-			// (Repeat, one source in several segments) were exhausted by
-			// their previous segment, and after a Reset every segment
-			// must replay from its start.
-			if err := src.Reset(); err != nil {
-				c.err = err
-				return Job{}, false
-			}
-			c.entered = true
-		}
-		j, ok := src.Next()
-		if !ok {
-			if err := src.Err(); err != nil {
-				c.err = err
-				return Job{}, false
-			}
-			// Advance to the next segment, anchored at the last submit.
-			c.cur++
-			c.entered = false
-			c.offset = c.last
-			continue
-		}
-		c.nextID++
-		j.ID = c.nextID
-		j.Submit += c.offset
-		c.last = j.Submit
-		return j, true
-	}
-	return Job{}, false
-}
-
-// mergeSource interleaves sources by arrival; see MergeByArrival.
-type mergeSource struct {
-	name    string
-	cpus    int
-	srcs    []JobSource
-	pending []Job  // one look-ahead job per source
-	alive   []bool // pending[i] valid
-	nextID  int
-	err     error
-	primed  bool
-}
-
-var _ JobSource = (*mergeSource)(nil)
-
-// MergeByArrival interleaves several workloads into one by submit time —
-// a k-way merge with ties broken by source position, so the result is
-// deterministic and sorted whenever every input is. Jobs are renumbered
-// sequentially from 1; the system size is the maximum over the inputs.
-// It models consolidated centers: several machines' traffic replayed onto
-// one shared system, at any scale, without materializing the union.
-func MergeByArrival(name string, srcs ...JobSource) JobSource {
-	cpus := 0
-	for _, s := range srcs {
-		if s.CPUs() > cpus {
-			cpus = s.CPUs()
-		}
-	}
-	return &mergeSource{
-		name:    name,
-		cpus:    cpus,
-		srcs:    srcs,
-		pending: make([]Job, len(srcs)),
-		alive:   make([]bool, len(srcs)),
-	}
-}
-
-func (m *mergeSource) Name() string { return m.name }
-func (m *mergeSource) CPUs() int    { return m.cpus }
-func (m *mergeSource) Err() error   { return m.err }
-
-// Len implements Counted: the sum of the input lengths, or -1 when any
-// input's length is unknown.
-func (m *mergeSource) Len() int {
-	total := 0
-	for _, s := range m.srcs {
-		cnt, ok := s.(Counted)
-		if !ok {
-			return -1
-		}
-		n := cnt.Len()
-		if n < 0 {
-			return -1
-		}
-		total += n
-	}
-	return total
-}
-
-func (m *mergeSource) Reset() error {
-	for _, s := range m.srcs {
-		if err := s.Reset(); err != nil {
-			return err
-		}
-	}
-	for i := range m.alive {
-		m.alive[i] = false
-	}
-	m.nextID, m.err, m.primed = 0, nil, false
-	return nil
-}
-
-// advance refills slot i's look-ahead from its source.
-func (m *mergeSource) advance(i int) {
-	j, ok := m.srcs[i].Next()
-	if !ok {
-		m.alive[i] = false
-		if err := m.srcs[i].Err(); err != nil && m.err == nil {
-			m.err = err
-		}
-		return
-	}
-	m.pending[i], m.alive[i] = j, true
-}
-
-func (m *mergeSource) Next() (Job, bool) {
-	if !m.primed {
-		m.primed = true
-		for i := range m.srcs {
-			m.advance(i)
-		}
-	}
-	if m.err != nil {
-		return Job{}, false
-	}
-	best := -1
-	for i, ok := range m.alive {
-		if ok && (best < 0 || m.pending[i].Submit < m.pending[best].Submit) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Job{}, false
-	}
-	j := m.pending[best]
-	m.advance(best)
-	if m.err != nil {
-		return Job{}, false
-	}
-	m.nextID++
-	j.ID = m.nextID
-	return j, true
-}
-
-// scaleSource rescales interarrival gaps; see Scale.
-type scaleSource struct {
-	src     JobSource
-	factor  float64
-	first   float64
-	started bool
-}
-
-var _ JobSource = (*scaleSource)(nil)
-
-// Scale multiplies the source's offered load by factor: interarrival gaps
-// shrink by 1/factor, anchored at the first submit, exactly like the
-// materialized ScaleLoad transform (factor > 1 compresses arrivals,
-// raising utilization). Jobs themselves are untouched. factor must be
-// positive.
-func Scale(src JobSource, factor float64) (JobSource, error) {
-	if !(factor > 0) || math.IsInf(factor, 1) {
-		return nil, fmt.Errorf("workload: load scale factor %v is not a positive finite number", factor)
-	}
-	return &scaleSource{src: src, factor: factor}, nil
-}
-
-func (s *scaleSource) Name() string { return s.src.Name() }
-func (s *scaleSource) CPUs() int    { return s.src.CPUs() }
-func (s *scaleSource) Err() error   { return s.src.Err() }
-
-// Len implements Counted when the input does.
-func (s *scaleSource) Len() int {
-	if c, ok := s.src.(Counted); ok {
-		return c.Len()
-	}
-	return -1
-}
-
-func (s *scaleSource) Reset() error {
-	s.started = false
-	return s.src.Reset()
-}
-
-func (s *scaleSource) Next() (Job, bool) {
-	j, ok := s.src.Next()
-	if !ok {
-		return Job{}, false
-	}
-	if !s.started {
-		s.started = true
-		s.first = j.Submit
-	}
-	j.Submit = s.first + (j.Submit-s.first)/s.factor
-	return j, true
 }

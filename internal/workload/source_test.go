@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"math"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // testTrace builds a small sorted trace for source tests.
 func testTrace(name string, cpus int, submits ...float64) *Trace {
@@ -50,20 +46,17 @@ func TestSliceSourceRoundTrip(t *testing.T) {
 			t.Fatalf("job %d: %+v, want %+v", i, j, *tr.Jobs[i])
 		}
 	}
-	// Reset and collect back into a trace.
+	// Reset replays the same jobs.
 	if err := src.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Collect(src)
-	if err != nil {
-		t.Fatal(err)
+	again := drain(t, src)
+	if len(again) != len(got) {
+		t.Fatalf("replay drained %d jobs, want %d", len(again), len(got))
 	}
-	if back.Name != tr.Name || back.CPUs != tr.CPUs || len(back.Jobs) != len(tr.Jobs) {
-		t.Fatalf("collected %s/%d/%d jobs", back.Name, back.CPUs, len(back.Jobs))
-	}
-	for i := range back.Jobs {
-		if *back.Jobs[i] != *tr.Jobs[i] {
-			t.Fatalf("collected job %d differs", i)
+	for i := range again {
+		if again[i] != got[i] {
+			t.Fatalf("replay job %d differs", i)
 		}
 	}
 }
@@ -88,227 +81,4 @@ func TestStatsOfMatchesComputeStats(t *testing.T) {
 	if got != want {
 		t.Fatalf("StatsOf = %+v, want %+v", got, want)
 	}
-}
-
-func TestFilterMatchesRemoveFailed(t *testing.T) {
-	tr := testTrace("filt", 4, 0, 1, 2, 3, 4, 5)
-	tr.Jobs[1].Status = StatusFailed
-	tr.Jobs[4].Status = StatusFailed
-	tr.Jobs[2].Status = StatusCanceled
-	want, removed := RemoveFailed(tr)
-	if removed != 2 {
-		t.Fatalf("RemoveFailed removed %d", removed)
-	}
-	got := drain(t, DropFailed(tr.Source()))
-	if len(got) != len(want.Jobs) {
-		t.Fatalf("DropFailed kept %d jobs, want %d", len(got), len(want.Jobs))
-	}
-	for i := range got {
-		if got[i] != *want.Jobs[i] {
-			t.Fatalf("job %d: %+v, want %+v", i, got[i], *want.Jobs[i])
-		}
-	}
-	// FilterStatus with both drops removes the canceled job too.
-	both := drain(t, FilterStatus(tr.Source(), SWFFilter{DropFailed: true, DropCanceled: true}))
-	if len(both) != 3 {
-		t.Fatalf("full filter kept %d jobs, want 3", len(both))
-	}
-}
-
-func TestConcatShiftsRenumbersAndResets(t *testing.T) {
-	a := testTrace("a", 4, 0, 10, 20)
-	b := testTrace("b", 8, 5, 7)
-	src := Concat("a+b", a.Source(), b.Source())
-	if src.CPUs() != 8 {
-		t.Fatalf("CPUs = %d, want max 8", src.CPUs())
-	}
-	if c, ok := src.(Counted); !ok || c.Len() != 5 {
-		t.Fatalf("Len missing or wrong")
-	}
-	jobs := drain(t, src)
-	if len(jobs) != 5 {
-		t.Fatalf("drained %d jobs", len(jobs))
-	}
-	wantSubmits := []float64{0, 10, 20, 25, 27} // b shifted by a's last submit
-	for i, j := range jobs {
-		if j.ID != i+1 {
-			t.Fatalf("job %d renumbered to %d", i, j.ID)
-		}
-		if j.Submit != wantSubmits[i] {
-			t.Fatalf("job %d submit %v, want %v", i, j.Submit, wantSubmits[i])
-		}
-	}
-	// Reset replays identically.
-	if err := src.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	again := drain(t, src)
-	for i := range jobs {
-		if again[i] != jobs[i] {
-			t.Fatalf("replay job %d differs", i)
-		}
-	}
-}
-
-func TestRepeatReplaysWithShift(t *testing.T) {
-	a := testTrace("a", 2, 0, 4)
-	src := Repeat(a.Source(), 3)
-	if c, ok := src.(Counted); !ok || c.Len() != 6 {
-		t.Fatal("Repeat Len wrong")
-	}
-	jobs := drain(t, src)
-	wantSubmits := []float64{0, 4, 4, 8, 8, 12}
-	if len(jobs) != 6 {
-		t.Fatalf("drained %d jobs", len(jobs))
-	}
-	for i, j := range jobs {
-		if j.ID != i+1 || j.Submit != wantSubmits[i] {
-			t.Fatalf("job %d = id %d at %v, want id %d at %v", i, j.ID, j.Submit, i+1, wantSubmits[i])
-		}
-	}
-}
-
-func TestMergeByArrival(t *testing.T) {
-	a := testTrace("a", 4, 0, 10, 20)
-	b := testTrace("b", 16, 5, 10, 30)
-	src := MergeByArrival("a|b", a.Source(), b.Source())
-	if src.CPUs() != 16 {
-		t.Fatalf("CPUs = %d", src.CPUs())
-	}
-	jobs := drain(t, src)
-	wantSubmits := []float64{0, 5, 10, 10, 20, 30}
-	wantProcs := []int{1, 1, 2, 2, 3, 3} // ties go to the earlier source (a first)
-	if len(jobs) != 6 {
-		t.Fatalf("drained %d jobs", len(jobs))
-	}
-	for i, j := range jobs {
-		if j.ID != i+1 {
-			t.Fatalf("job %d renumbered to %d", i, j.ID)
-		}
-		if j.Submit != wantSubmits[i] {
-			t.Fatalf("job %d submit %v, want %v", i, j.Submit, wantSubmits[i])
-		}
-		if j.Procs != wantProcs[i] {
-			t.Fatalf("job %d procs %d, want %d (tie order)", i, j.Procs, wantProcs[i])
-		}
-	}
-	// Reset replays identically.
-	if err := src.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	again := drain(t, src)
-	for i := range jobs {
-		if again[i] != jobs[i] {
-			t.Fatalf("replay job %d differs", i)
-		}
-	}
-}
-
-func TestScaleMatchesScaleLoad(t *testing.T) {
-	tr := testTrace("sc", 4, 3, 10, 20, 100)
-	want := ScaleLoad(tr, 2)
-	src, err := Scale(tr.Source(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, src)
-	for i := range got {
-		if got[i] != *want.Jobs[i] {
-			t.Fatalf("job %d: %+v, want %+v", i, got[i], *want.Jobs[i])
-		}
-	}
-	if _, err := Scale(tr.Source(), 0); err == nil {
-		t.Fatal("Scale accepted factor 0")
-	}
-	if _, err := Scale(tr.Source(), math.Inf(1)); err == nil {
-		t.Fatal("Scale accepted +Inf")
-	}
-}
-
-// TestConcatNonConsecutiveAlias: the same source may appear in several
-// (not necessarily adjacent) segments; each segment replays it from the
-// start, and Reset rewinds the whole concatenation including later
-// distinct sources.
-func TestConcatNonConsecutiveAlias(t *testing.T) {
-	a := testTrace("a", 2, 0, 4).Source()
-	b := testTrace("b", 2, 1).Source()
-	src := Concat("aba", a, b, a)
-	if c, ok := src.(Counted); !ok || c.Len() != 5 {
-		t.Fatalf("Len = %v, want 5", src.(Counted).Len())
-	}
-	jobs := drain(t, src)
-	wantSubmits := []float64{0, 4, 5, 5, 9} // a(0,4), b shifted to 5, a again shifted to 5
-	if len(jobs) != 5 {
-		t.Fatalf("drained %d jobs, want 5 (aliased segment dropped?)", len(jobs))
-	}
-	for i, j := range jobs {
-		if j.ID != i+1 || j.Submit != wantSubmits[i] {
-			t.Fatalf("job %d = id %d at %v, want id %d at %v", i, j.ID, j.Submit, i+1, wantSubmits[i])
-		}
-	}
-	// A full Reset must replay the identical sequence (including b, which
-	// a naive reset-first-source-only would leave exhausted).
-	if err := src.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	again := drain(t, src)
-	if len(again) != len(jobs) {
-		t.Fatalf("replay yielded %d jobs, want %d", len(again), len(jobs))
-	}
-	for i := range jobs {
-		if again[i] != jobs[i] {
-			t.Fatalf("replay job %d differs", i)
-		}
-	}
-}
-
-// TestUnknownLengthPropagation: a Counted wrapper over a non-Counted
-// input reports -1, aggregates propagate the sentinel instead of summing
-// it, Collect does not trust it, and the streaming writer omits MaxJobs.
-func TestUnknownLengthPropagation(t *testing.T) {
-	tr := testTrace("u", 2, 0, 1, 2)
-	hidden := Filter(tr.Source(), func(Job) bool { return true }) // not Counted
-	scaled, err := Scale(hidden, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := scaled.(Counted).Len(); n != -1 {
-		t.Fatalf("Scale over unknown length: Len = %d, want -1", n)
-	}
-	cat := Concat("c", tr.Source(), mustScale(t, Filter(tr.Source(), func(Job) bool { return true }), 2))
-	if n := cat.(Counted).Len(); n != -1 {
-		t.Fatalf("Concat with unknown segment: Len = %d, want -1", n)
-	}
-	mrg := MergeByArrival("m", tr.Source(), mustScale(t, Filter(tr.Source(), func(Job) bool { return true }), 2))
-	if n := mrg.(Counted).Len(); n != -1 {
-		t.Fatalf("Merge with unknown input: Len = %d, want -1", n)
-	}
-	// Collect must not panic on the -1 capacity hint.
-	got, err := Collect(scaled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Jobs) != 3 {
-		t.Fatalf("collected %d jobs, want 3", len(got.Jobs))
-	}
-	// The streaming writer omits the MaxJobs header rather than lying.
-	if err := scaled.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if _, err := WriteSWFStream(&buf, scaled); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "MaxJobs") {
-		t.Fatalf("unknown-length stream wrote a MaxJobs header:\n%s", buf.String())
-	}
-}
-
-func mustScale(t *testing.T, src JobSource, f float64) JobSource {
-	t.Helper()
-	s, err := Scale(src, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }

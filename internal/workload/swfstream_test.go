@@ -123,6 +123,10 @@ func TestSWFSourceOpenFailure(t *testing.T) {
 	}
 }
 
+// uncounted hides a source's length: it embeds only the JobSource
+// methods, so it does not implement Counted.
+type uncounted struct{ JobSource }
+
 // TestWriteSWFStreamUnknownLength: without a Counted source the MaxJobs
 // header is omitted but the job lines are identical.
 func TestWriteSWFStreamUnknownLength(t *testing.T) {
@@ -131,9 +135,8 @@ func TestWriteSWFStreamUnknownLength(t *testing.T) {
 	if err := WriteSWF(&want, tr); err != nil {
 		t.Fatal(err)
 	}
-	// Filter hides the length but passes everything through.
 	var got bytes.Buffer
-	n, err := WriteSWFStream(&got, Filter(tr.Source(), func(Job) bool { return true }))
+	n, err := WriteSWFStream(&got, uncounted{tr.Source()})
 	if err != nil {
 		t.Fatal(err)
 	}
