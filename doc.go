@@ -129,11 +129,17 @@
 //     occupancy/credit deltas; cancelling pairs annihilate on contact and
 //     expired history folds behind the pass horizon), reservations placed in earlier passes are
 //     retained and reused verbatim up to the first queue position whose
-//     replan could differ (the changed-prefix invariant: an untouched
-//     base, the same job at the same position, planning inputs still in
-//     the future, and the gear policy re-confirming its choice — for
-//     policies declaring sched.EstMonotonePolicy, re-asking only the two
-//     endpoints of the start interval). A pass pays one gear-policy
+//     replan could differ (the changed-prefix invariant: a base changed
+//     only in ways the proof covers, the same job at the same position,
+//     planning inputs still in the future, and the gear policy
+//     re-confirming its choice — for policies declaring
+//     sched.EstMonotonePolicy, re-asking only the two endpoints of the
+//     start interval). A completion does not invalidate the plan: each
+//     reservation records the violated stretches that kept it from
+//     starting earlier (profile.Blocking), a completion credits its
+//     processors to them, and the next pass keeps a credited reservation
+//     while replaying the sweep's rule over what is left still returns
+//     its recorded starts. A pass pays one gear-policy
 //     re-ask per retained reservation plus full replanning of the
 //     changed suffix — no O(running) profile rebuild and no profile
 //     queries for the reused prefix; conservative backfilling on the

@@ -27,12 +27,6 @@ func (tm TimeModel) Coef(f float64) float64 {
 // CoefGear returns the run-time multiplier for gear g.
 func (tm TimeModel) CoefGear(g Gear) float64 { return tm.Coef(g.Freq) }
 
-// Dilate returns the run time at gear g of a job whose run time at the top
-// frequency is t.
-func (tm TimeModel) Dilate(t float64, g Gear) float64 {
-	return t * tm.CoefGear(g)
-}
-
 // CoefWithBeta returns the multiplier using a per-job β override, keeping
 // the model's anchor frequency. Negative beta falls back to the model's β,
 // which lets callers store "unset" per-job values as -1.

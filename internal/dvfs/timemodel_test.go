@@ -54,9 +54,9 @@ func TestCoefMonotoneDecreasingInFreq(t *testing.T) {
 
 func TestDilate(t *testing.T) {
 	tm := NewTimeModel(0.5, PaperGearSet())
-	got := tm.Dilate(1000, Gear{0.8, 1.0})
+	got := 1000 * tm.CoefGear(Gear{0.8, 1.0})
 	if math.Abs(got-1937.5) > 1e-9 {
-		t.Errorf("Dilate(1000, 0.8GHz) = %v, want 1937.5", got)
+		t.Errorf("1000 s dilated to 0.8GHz = %v, want 1937.5", got)
 	}
 }
 
@@ -135,5 +135,5 @@ func TestQuickCoefAtLeastOne(t *testing.T) {
 // running for t seconds (top-frequency time) at gear g:
 // cpus × P_active(g) × dilated time.
 func jobEnergy(tm TimeModel, pm *PowerModel, cpus int, t float64, g Gear) float64 {
-	return float64(cpus) * pm.Active(g) * tm.Dilate(t, g)
+	return float64(cpus) * pm.Active(g) * t * tm.CoefGear(g)
 }

@@ -24,7 +24,7 @@ func collectorWith(t *testing.T, jobs []struct {
 			ID: i + 1, Submit: 0, Runtime: spec.runtime, Procs: spec.procs,
 			ReqTime: spec.runtime, Beta: -1,
 		}
-		dur := tm.Dilate(spec.runtime, spec.gear)
+		dur := spec.runtime * tm.CoefGear(spec.gear)
 		rs, end := finishedState(j, spec.wait, []sched.Phase{{Gear: spec.gear, Dur: dur}})
 		c.JobStarted(rs, spec.wait)
 		c.JobFinished(rs, end)

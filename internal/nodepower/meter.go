@@ -85,18 +85,9 @@ func (m *Meter) Draw() float64 {
 	return m.drawActive + float64(m.total-m.busy)*m.pm.Idle()
 }
 
-// BusyCPUs is the number of processors currently executing jobs.
-func (m *Meter) BusyCPUs() int { return m.busy }
-
 // Total is the machine size the meter was built for.
 func (m *Meter) Total() int { return m.total }
-
-// ActiveEnergy is the execution energy integrated through the frontier.
-func (m *Meter) ActiveEnergy() float64 { return m.activeE }
 
 // IdleEnergy is the idle-state energy integrated through the frontier
 // (every unoccupied processor charged pm.Idle(), no power-down).
 func (m *Meter) IdleEnergy() float64 { return m.idleE }
-
-// Frontier is the time the energy integrals are valid through.
-func (m *Meter) Frontier() float64 { return m.lastT }

@@ -114,15 +114,15 @@ func TestMeterMatchesEvaluateRandomized(t *testing.T) {
 		}
 		start(now)
 
-		if got, want := m.Frontier(), now; got != want {
+		if got, want := m.lastT, now; got != want {
 			t.Fatalf("seed %d: meter frontier %v, want %v", seed, got, want)
 		}
 		busy := 0
 		for _, l := range live {
 			busy += l.rs.Job.Procs
 		}
-		if m.BusyCPUs() != busy {
-			t.Fatalf("seed %d: meter busy %d, want %d", seed, m.BusyCPUs(), busy)
+		if m.busy != busy {
+			t.Fatalf("seed %d: meter busy %d, want %d", seed, m.busy, busy)
 		}
 
 		// Idle energy: Evaluate with an infinite delay charges every idle
@@ -144,8 +144,8 @@ func TestMeterMatchesEvaluateRandomized(t *testing.T) {
 			t.Errorf("seed %d: meter-implied busy %v, tracker %v", seed, gotBusySec, wantBusySec)
 		}
 		// Active energy against the replayed integral.
-		if diff := math.Abs(m.ActiveEnergy() - wantActive); diff > 1e-9*(1+wantActive) {
-			t.Errorf("seed %d: meter active energy %v, replay %v", seed, m.ActiveEnergy(), wantActive)
+		if diff := math.Abs(m.activeE - wantActive); diff > 1e-9*(1+wantActive) {
+			t.Errorf("seed %d: meter active energy %v, replay %v", seed, m.activeE, wantActive)
 		}
 		// Draw is the instantaneous decomposition of the same state.
 		wantDraw := float64(total-busy) * pm.Idle()
@@ -197,14 +197,14 @@ func TestMeterOnRealSimulation(t *testing.T) {
 	if diff := math.Abs(m.IdleEnergy() - rep.IdleEnergy); diff > 1e-9*(1+rep.IdleEnergy) {
 		t.Errorf("meter idle energy %v, Evaluate %v", m.IdleEnergy(), rep.IdleEnergy)
 	}
-	if m.ActiveEnergy() <= 0 {
+	if m.activeE <= 0 {
 		t.Error("no active energy metered")
 	}
 	// The active-draw accumulator returns to zero modulo float dust from
 	// the +=/−= round trips, so the drained machine sits at the idle
 	// floor within tolerance.
-	if m.BusyCPUs() != 0 || math.Abs(m.Draw()-16*pm.Idle()) > 1e-6 {
-		t.Errorf("drained machine still drawing: busy=%d draw=%v", m.BusyCPUs(), m.Draw())
+	if m.busy != 0 || math.Abs(m.Draw()-16*pm.Idle()) > 1e-6 {
+		t.Errorf("drained machine still drawing: busy=%d draw=%v", m.busy, m.Draw())
 	}
 }
 

@@ -89,12 +89,16 @@ func TestQuickIncrementalMatchesFreshOracle(t *testing.T) {
 				if trial%2 == 1 {
 					from = now + float64(r.Intn(150))
 				}
-				want := oracle.earliestStart(cpus, dur, from)
+				want, wantRec := oracle.earliestBlocked(cpus, dur, from)
 				got := p.EarliestStart(cpus, dur, from)
-				lin := linearEarliest(p, cpus, dur, from)
+				lin, _ := linearEarliest(p, cpus, dur, from)
 				if got != want || lin != want {
 					t.Logf("seed %d: EarliestStart(%d, %v, %v) indexed=%v linear=%v oracle=%v (dex=%d)",
 						seed, cpus, dur, from, got, lin, want, p.dex.len())
+					return false
+				}
+				if err := blockedMatches(p, cpus, dur, from, want, wantRec); err != nil {
+					t.Logf("seed %d: %v", seed, err)
 					return false
 				}
 				if p.CanPlace(cpus, from, dur) != oracle.canPlace(cpus, from, dur) {
@@ -190,10 +194,14 @@ func TestQuickSkylineIndexMatchesLinearSweep(t *testing.T) {
 			dur := float64(r.Intn(600))
 			from := now + float64(r.Intn(100))
 			got := p.EarliestStart(cpus, dur, from)
-			lin := linearEarliest(p, cpus, dur, from)
+			lin, linRec := linearEarliest(p, cpus, dur, from)
 			if got != lin {
 				t.Logf("seed %d step %d: EarliestStart(%d, %v, %v) indexed=%v linear=%v",
 					seed, step, cpus, dur, from, got, lin)
+				return false
+			}
+			if err := blockedMatches(p, cpus, dur, from, lin, linRec); err != nil {
+				t.Logf("seed %d step %d: %v", seed, step, err)
 				return false
 			}
 		}
@@ -323,10 +331,14 @@ func TestQuickProfileMatchesFlatTiers(t *testing.T) {
 				dur := float64(r.Intn(90))
 				from := now + float64(r.Intn(40))
 				ie := idx.EarliestStart(cpus, dur, from)
-				fe := flat.earliestStart(cpus, dur, from)
+				fe, feRec := flat.earliestBlocked(cpus, dur, from)
 				if ie != fe {
 					t.Logf("seed %d pass %d: EarliestStart(%d,%v,%v) indexed=%v flat=%v (dex=%d)",
 						seed, pass, cpus, dur, from, ie, fe, idx.dex.len())
+					return false
+				}
+				if err := blockedMatches(idx, cpus, dur, from, fe, feRec); err != nil {
+					t.Logf("seed %d pass %d: %v", seed, pass, err)
 					return false
 				}
 			}
@@ -438,8 +450,10 @@ func fuzzDur(x byte) float64 {
 // FuzzProfileMatchesFlatTiers drives a Profile and the flat sorted-slice
 // oracle (flatTiers) from one byte-encoded op stream and, after every
 // op, checks the skyline invariants, UsedAt, EarliestStart (also against
-// the linear sweep over the materialized index), CanPlace and the base
-// delta count. The first byte sizes the machine; each op then takes three
+// the linear sweep over the materialized index), the stretches
+// EarliestStartBlocked records (the same bounds as the linear sweep's
+// violated stretches, each excess positive and at most the true
+// minimum), CanPlace and the base delta count. The first byte sizes the machine; each op then takes three
 // bytes (op, a, b), at most 400 ops, with op%8 selecting LoadReleases, Add, Vacate,
 // BeginPass, AddReservation or TruncateReservations (6 and 7 only query)
 // and op>>3 an extra argument. Times are small integers, so reservation
@@ -560,12 +574,15 @@ func FuzzProfileMatchesFlatTiers(f *testing.F) {
 			cpus := 1 + int(a)%total
 			dur := fuzzDur(b)
 			from := now + float64(c&0x07)
-			want := flat.earliestStart(cpus, dur, from)
+			want, wantRec := flat.earliestBlocked(cpus, dur, from)
 			if got := p.EarliestStart(cpus, dur, from); got != want {
 				t.Fatalf("op %d: EarliestStart(%d, %v, %v) = %v, oracle %v", i/3, cpus, dur, from, got, want)
 			}
-			if lin := linearEarliest(p, cpus, dur, from); lin != want {
+			if lin, _ := linearEarliest(p, cpus, dur, from); lin != want {
 				t.Fatalf("op %d: linear sweep EarliestStart(%d, %v, %v) = %v, oracle %v", i/3, cpus, dur, from, lin, want)
+			}
+			if err := blockedMatches(p, cpus, dur, from, want, wantRec); err != nil {
+				t.Fatalf("op %d: %v", i/3, err)
 			}
 			if got, want := p.CanPlace(cpus, from, dur), flat.canPlace(cpus, from, dur); got != want {
 				t.Fatalf("op %d: CanPlace(%d, %v, %v) = %v, oracle %v", i/3, cpus, from, dur, got, want)

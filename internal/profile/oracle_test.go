@@ -72,10 +72,20 @@ func (o *flatTiers) usedAt(t float64) int {
 }
 
 func (o *flatTiers) earliestStart(cpus int, dur, from float64) float64 {
+	st, _ := o.earliestBlocked(cpus, dur, from)
+	return st
+}
+
+// earliestBlocked answers EarliestStartBlocked on the oracle: the start
+// and the violated stretches the linear sweep crossed, each with its
+// exact excess.
+func (o *flatTiers) earliestBlocked(cpus int, dur, from float64) (float64, Blocking) {
 	if cpus > o.total {
-		return math.Inf(1)
+		return math.Inf(1), nil
 	}
-	return sweepFrom(o.merged(), 0, o.total-cpus, dur, from)
+	var rec Blocking
+	st := sweepFrom(o.merged(), 0, o.total-cpus, dur, from, &rec)
+	return st, rec
 }
 
 // canPlace mirrors Profile.CanPlace's contract on the oracle.
@@ -91,35 +101,80 @@ func (o *flatTiers) canPlace(cpus int, start, dur float64) bool {
 
 // sweepFrom applies every change at or before from to base usage u0 and
 // runs linearSweep over the rest.
-func sweepFrom(ds []delta, u0, limit int, dur, from float64) float64 {
+func sweepFrom(ds []delta, u0, limit int, dur, from float64, rec *Blocking) float64 {
 	i, used := 0, u0
 	for ; i < len(ds) && ds[i].t <= from; i++ {
 		used += ds[i].d
 	}
-	return linearSweep(ds, i, used, limit, dur, from)
+	return linearSweep(ds, i, used, limit, dur, from, rec)
 }
 
 // linearSweep is the plain merge sweep over time-sorted usage changes:
 // walking the segments from `from`, a segment above the limit moves the
 // candidate to its end, and the candidate wins once a feasible stretch
 // reaches dur. used is the usage at from, ds[i:] the changes after it.
-// The chunk-skipping sweep must agree with it exactly.
-func linearSweep(ds []delta, i, used, limit int, dur, from float64) float64 {
-	cand := from
+// The chunk-skipping sweep must agree with it exactly. A non-nil rec
+// receives each maximal run of segments above the limit that the sweep
+// walks through before it returns — a violated stretch — with its exact
+// excess, the minimum of used−limit over the run.
+func linearSweep(ds []delta, i, used, limit int, dur, from float64, rec *Blocking) float64 {
+	cand, segStart := from, from
+	var viol *Stretch
 	for i < len(ds) {
 		t := ds[i].t
-		// The segment ending at t has constant usage `used`.
+		// The segment [segStart, t) has constant usage `used`.
 		if used > limit {
+			if viol == nil {
+				viol = &Stretch{From: segStart, Excess: used - limit}
+			}
+			viol.Excess = min(viol.Excess, used-limit)
 			cand = t
-		} else if t-cand >= dur {
-			return cand
+		} else {
+			if viol != nil {
+				viol.To = segStart
+				appendStretch(rec, viol)
+				viol = nil
+			}
+			if t-cand >= dur {
+				return cand
+			}
 		}
 		for ; i < len(ds) && ds[i].t == t; i++ {
 			used += ds[i].d
 		}
+		segStart = t
 	}
 	// Past the last change the machine is empty, so the candidate holds.
+	if viol != nil {
+		viol.To = segStart
+		appendStretch(rec, viol)
+	}
 	return cand
+}
+
+func appendStretch(rec *Blocking, s *Stretch) {
+	if rec != nil {
+		*rec = append(*rec, *s)
+	}
+}
+
+// checkBlocking holds a recorded blocking to the oracle's stretches: the
+// same stretches with the same bounds, each recorded excess positive and
+// no greater than the stretch's true minimum.
+func checkBlocking(got, want Blocking) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("recorded %d stretches %v, oracle %d %v", len(got), got, len(want), want)
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.From != w.From || g.To != w.To {
+			return fmt.Errorf("stretch %d spans [%v, %v), oracle [%v, %v)", i, g.From, g.To, w.From, w.To)
+		}
+		if g.Excess <= 0 || g.Excess > w.Excess {
+			return fmt.Errorf("stretch %d [%v, %v) records excess %d, true minimum %d", i, g.From, g.To, g.Excess, w.Excess)
+		}
+	}
+	return nil
 }
 
 // baseDeltas counts the distinct base change times after the horizon
@@ -149,18 +204,34 @@ func deltaCmp(a, b delta) int {
 	return 0
 }
 
-// linearEarliest answers p.EarliestStart by materializing the chunked
-// skyline into one sorted slice and running the linear sweep over it.
-func linearEarliest(p *Profile, cpus int, dur, from float64) float64 {
+// linearEarliest answers p.EarliestStartBlocked by materializing the
+// chunked skyline into one sorted slice and running the linear sweep
+// over it.
+func linearEarliest(p *Profile, cpus int, dur, from float64) (float64, Blocking) {
 	if cpus > p.Total {
-		return math.Inf(1)
+		return math.Inf(1), nil
 	}
 	p.prepare()
 	var ds []delta
 	for i := range p.dex.chunks {
 		ds = append(ds, p.dex.chunks[i].ds...)
 	}
-	return sweepFrom(ds, p.folded, p.Total-cpus, dur, from)
+	var rec Blocking
+	st := sweepFrom(ds, p.folded, p.Total-cpus, dur, from, &rec)
+	return st, rec
+}
+
+// blockedMatches runs EarliestStartBlocked on p and holds its start and
+// recorded stretches to the given oracle answer.
+func blockedMatches(p *Profile, cpus int, dur, from, want float64, wantRec Blocking) error {
+	var rec Blocking
+	if got := p.EarliestStartBlocked(cpus, dur, from, &rec); got != want {
+		return fmt.Errorf("EarliestStartBlocked(%d, %v, %v) = %v, oracle %v", cpus, dur, from, got, want)
+	}
+	if err := checkBlocking(rec, wantRec); err != nil {
+		return fmt.Errorf("EarliestStartBlocked(%d, %v, %v): %v", cpus, dur, from, err)
+	}
+	return nil
 }
 
 // checkSkyDexInvariants verifies the skyline index's structural

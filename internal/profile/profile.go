@@ -24,6 +24,12 @@
 // that never sees BeginPass answers queries at any time. The
 // EarliestStart sweep skips whole skyline chunks per feasibility
 // transition via per-chunk prefix extrema and stops at the window's end.
+//
+// EarliestStartBlocked has the same sweep record the violated stretches
+// it crossed (a Blocking, blocking.go). A scheduler keeping a
+// reservation across passes credits that record with each completion
+// and replays it: while the replay still returns the recorded start,
+// the reservation is provably unchanged and need not be replanned.
 package profile
 
 import "math"
@@ -258,8 +264,20 @@ func (p *Profile) CanPlace(cpus int, start, dur float64) bool {
 // memoized under the version counter; the sweep (skyDex.earliest) then
 // jumps between feasibility transitions, skipping whole chunks of the
 // skyline via their prefix extrema, and searches a feasible window only
-// up to its end.
+// up to its end. It runs without a recorder; EarliestStartBlocked is the
+// same sweep with one.
 func (p *Profile) EarliestStart(cpus int, dur, from float64) float64 {
+	return p.earliestStart(cpus, dur, from, nil)
+}
+
+// EarliestStartBlocked is EarliestStart that also appends to *rec the
+// violated stretches the sweep crossed between from and its answer: what
+// kept the placement from starting earlier (see Blocking).
+func (p *Profile) EarliestStartBlocked(cpus int, dur, from float64, rec *Blocking) float64 {
+	return p.earliestStart(cpus, dur, from, rec)
+}
+
+func (p *Profile) earliestStart(cpus int, dur, from float64, rec *Blocking) float64 {
 	if cpus > p.Total {
 		return math.Inf(1)
 	}
@@ -272,5 +290,5 @@ func (p *Profile) EarliestStart(cpus int, dur, from float64) float64 {
 		p.memoVer, p.memoFrom = p.ver, from
 		p.memoCi, p.memoK, p.memoP = ci, k, P
 	}
-	return p.dex.earliest(ci, k, P, p.Total-cpus-p.folded, dur, from)
+	return p.dex.earliest(ci, k, P, p.Total-cpus-p.folded, dur, from, rec)
 }

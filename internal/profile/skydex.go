@@ -20,7 +20,8 @@ import (
 // deferred compaction. The EarliestStart sweep advances a (chunk, offset,
 // prefix) cursor and uses the per-chunk prefix min/max to skip whole
 // chunks that contain no feasibility crossing, scanning inside a chunk
-// only where a crossing or the window's end actually lands.
+// only where a crossing or the window's end actually lands. The same
+// sweep can record the violated stretches it crosses (Blocking).
 const (
 	// skyChunkMax is the split threshold: a chunk reaching this many
 	// deltas is halved.
@@ -139,7 +140,7 @@ func (d *skyDex) newChunk() skyChunk {
 // load bulk-initializes the index with the base deltas of a time-sorted
 // slice, merging equal-time runs and dropping zero nets on the way in —
 // the release schedule may hold several jobs ending at the same instant,
-// and every chunk must keep strictly increasing keys (cross evaluates
+// and every chunk must keep strictly increasing keys (rise and drop evaluate
 // per-entry prefixes, so an intermediate prefix inside an equal-time
 // group would masquerade as a zero-width feasibility transition). The
 // merge runs in place over ds, which is not retained; the chunks' prefix
@@ -370,34 +371,40 @@ func (d *skyDex) sumAt(t float64) int {
 // cursor (ci, k) with prefix P — the usage at `from` — it returns the
 // earliest time at or after `from` at which the prefix stays at or below
 // L for dur seconds, or +Inf when it never again does. It alternates two
-// crossing searches: a violated stretch ends at the first prefix at or
-// below L, which becomes the candidate; a feasible one is searched for a
+// searches: a violated stretch ends at the first prefix at or below L
+// (drop), which becomes the candidate; a feasible one is searched for a
 // rise above L only up to the window's end cand+dur. A delta time at or
 // beyond the rounded cand+dur can still sit less than dur after cand in
 // floating point, so when the delta the bounded search stops at fails
 // t-cand >= dur the search resumes unbounded; the answer is then exactly
 // the plain merge sweep's (linearSweep), which the profile tests hold it
-// to.
-func (d *skyDex) earliest(ci, k, P, L int, dur, from float64) float64 {
+// to. A non-nil rec receives every violated stretch the sweep crosses on
+// the way to its answer, in order, each with drop's lower bound on its
+// excess over L; a stretch the sweep starts inside begins at `from`.
+func (d *skyDex) earliest(ci, k, P, L int, dur, from float64, rec *Blocking) float64 {
 	inf := math.Inf(1)
-	cand := from
+	cand, rose := from, from
 	for {
 		var t float64
 		var found bool
 		if P > L {
-			ci, k, P, t, found = d.cross(ci, k, P, L, false, inf)
+			var low int
+			ci, k, P, t, low, found = d.drop(ci, k, P, L)
 			if !found {
 				return inf
+			}
+			if rec != nil {
+				*rec = append(*rec, Stretch{From: rose, To: t, Excess: low - L})
 			}
 			cand = t
 			continue
 		}
-		ci, k, P, t, found = d.cross(ci, k, P, L, true, cand+dur)
+		ci, k, P, t, found = d.rise(ci, k, P, L, cand+dur)
 		if !found {
 			if ci == len(d.chunks) || d.chunks[ci].ds[k].t-cand >= dur {
 				return cand
 			}
-			ci, k, P, t, found = d.cross(ci, k, P, L, true, inf)
+			ci, k, P, t, found = d.rise(ci, k, P, L, inf)
 			if !found {
 				return cand
 			}
@@ -405,32 +412,40 @@ func (d *skyDex) earliest(ci, k, P, L int, dur, from float64) float64 {
 		if t-cand >= dur {
 			return cand
 		}
+		rose = t
 	}
 }
 
-// cross scans forward from position (ci, k) — entered with absolute
+// rise scans forward from position (ci, k) — entered with absolute
 // prefix P, the sum of every delta strictly before it — for the first
-// delta with time before tLimit whose inclusive prefix crosses level L
-// (above: prefix > L; otherwise: prefix <= L). Whole chunks whose prefix
-// extrema exclude a crossing are skipped in O(1); a chunk is scanned
-// only when its aggregates admit a crossing or tLimit lands inside it
-// (the aggregate test is conservative for mid-chunk entries, so a scan
-// may come up empty — the cursor still advances, so the total scan work
-// of a sweep is bounded by the deltas it traverses).
+// delta with time before tLimit whose inclusive prefix rises above level
+// L. Whole chunks whose prefix maximum stays at or below L are skipped
+// in O(1); a chunk is scanned only when its maximum admits a rise or
+// tLimit lands inside it (the aggregate test is conservative for
+// mid-chunk entries, so a scan may come up empty — the cursor still
+// advances, so the total scan work of a sweep is bounded by the deltas
+// it traverses).
 //
-// On a hit it returns the crossing's time with P its inclusive prefix and
+// On a hit it returns the rise's time with P its inclusive prefix and
 // the cursor one past it. Otherwise found is false and the cursor lands
 // on the first delta with time at or after tLimit (or the end), with P
 // the prefix before it. A returned cursor is normalized: ci <
 // len(chunks) implies k < len(chunks[ci].ds).
-func (d *skyDex) cross(ci, k, P, L int, above bool, tLimit float64) (nci, nk, nP int, t float64, found bool) {
-	for ci < len(d.chunks) {
+func (d *skyDex) rise(ci, k, P, L int, tLimit float64) (nci, nk, nP int, t float64, found bool) {
+	cs := d.chunks
+	for ci < len(cs) {
 		if k == 0 {
-			if ci, P = d.skip(ci, P, L, above, tLimit); ci == len(d.chunks) {
+			// Fast path from a chunk boundary: walk the headers of fresh
+			// chunks wholly before tLimit that stay at or below L.
+			for ci < len(cs) && cs[ci].stale == fresh && cs[ci].last < tLimit && P+cs[ci].maxPre <= L {
+				P += cs[ci].sum
+				ci++
+			}
+			if ci == len(cs) {
 				break
 			}
 		}
-		c := &d.chunks[ci]
+		c := &cs[ci]
 		bounded := c.last >= tLimit
 		if bounded && c.ds[k].t >= tLimit {
 			return ci, k, P, 0, false // the common bounded stop; no prefix needed
@@ -441,21 +456,16 @@ func (d *skyDex) cross(ci, k, P, L int, above bool, tLimit float64) (nci, nk, nP
 		if k > 0 {
 			base = P - c.pre[k-1]
 		}
-		if (above && base+c.maxPre > L) || (!above && base+c.minPre <= L) {
-			// A crossing may lie in this chunk: scan for it, stopping at
+		if base+c.maxPre > L {
+			// A rise may lie in this chunk: scan for it, stopping at
 			// tLimit in the chunk it lands in.
 			j := k
-			switch {
-			case bounded:
-				for j < n && c.ds[j].t < tLimit && (above && base+c.pre[j] <= L || !above && base+c.pre[j] > L) {
+			if bounded {
+				for j < n && c.ds[j].t < tLimit && base+c.pre[j] <= L {
 					j++
 				}
-			case above:
+			} else {
 				for j < n && base+c.pre[j] <= L {
-					j++
-				}
-			default:
-				for j < n && base+c.pre[j] > L {
 					j++
 				}
 			}
@@ -469,8 +479,8 @@ func (d *skyDex) cross(ci, k, P, L int, above bool, tLimit float64) (nci, nk, nP
 				return ci, j + 1, base + c.pre[j], c.ds[j].t, true
 			}
 		} else if bounded {
-			// tLimit lands in this chunk past ds[k], and no crossing
-			// precedes it.
+			// tLimit lands in this chunk past ds[k], and no rise precedes
+			// it.
 			j := k + sort.Search(n-k, func(i int) bool { return c.ds[k+i].t >= tLimit })
 			return ci, j, base + c.pre[j-1], 0, false
 		}
@@ -480,22 +490,53 @@ func (d *skyDex) cross(ci, k, P, L int, above bool, tLimit float64) (nci, nk, nP
 	return ci, 0, P, 0, false
 }
 
-// skip is cross's fast path from a chunk boundary: it walks the headers
-// of fresh chunks wholly before tLimit whose prefix extrema admit no
-// crossing, adding their sums to P, and returns the first chunk it cannot
-// skip.
-func (d *skyDex) skip(ci, P, L int, above bool, tLimit float64) (int, int) {
+// drop is rise's counterpart over a violated stretch: entered at (ci, k)
+// with prefix P > L, it scans forward without a time limit for the first
+// delta whose inclusive prefix is at or below L, skipping whole chunks
+// whose prefix minimum stays above it. On a hit it returns the drop's
+// time with P its inclusive prefix and the cursor one past it (found is
+// false only past the last delta). low is a lower bound on every prefix
+// of the stretch, P included: exact over the deltas drop scans, a
+// chunk's prefix minimum over one it skips (entered mid-chunk, that
+// minimum also covers deltas before the entry, so it only bounds).
+func (d *skyDex) drop(ci, k, P, L int) (nci, nk, nP int, t float64, low int, found bool) {
 	cs := d.chunks
-	if above {
-		for ci < len(cs) && cs[ci].stale == fresh && cs[ci].last < tLimit && P+cs[ci].maxPre <= L {
-			P += cs[ci].sum
-			ci++
+	low = P
+	for ci < len(cs) {
+		if k == 0 {
+			for ci < len(cs) && cs[ci].stale == fresh && P+cs[ci].minPre > L {
+				low = min(low, P+cs[ci].minPre)
+				P += cs[ci].sum
+				ci++
+			}
+			if ci == len(cs) {
+				break
+			}
 		}
-	} else {
-		for ci < len(cs) && cs[ci].stale == fresh && cs[ci].last < tLimit && P+cs[ci].minPre > L {
-			P += cs[ci].sum
-			ci++
+		c := &cs[ci]
+		c.current()
+		n := len(c.ds)
+		base := P
+		if k > 0 {
+			base = P - c.pre[k-1]
 		}
+		if base+c.minPre <= L {
+			j := k
+			for j < n && base+c.pre[j] > L {
+				low = min(low, base+c.pre[j])
+				j++
+			}
+			if j < n {
+				if j+1 == n {
+					return ci + 1, 0, base + c.pre[j], c.ds[j].t, low, true
+				}
+				return ci, j + 1, base + c.pre[j], c.ds[j].t, low, true
+			}
+		} else {
+			low = min(low, base+c.minPre)
+		}
+		P = base + c.sum
+		ci, k = ci+1, 0
 	}
-	return ci, P
+	return ci, 0, P, 0, low, false
 }

@@ -53,14 +53,15 @@ type GearPolicy interface {
 // depth, the returned gear moves through the gear order in one
 // direction only as the candidate start grows (constant counts). The
 // scheduler's replanning uses the marker to widen its changed-prefix
-// analysis: when only job starts touched the base skyline since a
-// reservation was planned, the replanned earliest start can only have
-// drifted between the recorded top-gear estimate and the recorded
-// reservation start, so a decision that is monotone over that interval
-// and unchanged at both endpoints is provably unchanged everywhere in
-// it — the reservation is reused without replanning. Policies without
-// the marker keep the conservative analysis (any base mutation replans
-// from the head). A threshold policy over a predicted-slowdown that is
+// analysis: when only job starts (and completions whose credits the
+// reuse proof replays) touched the base skyline since a reservation was
+// planned, the replanned earliest start can only have drifted between
+// the recorded top-gear estimate and the recorded reservation start, so
+// a decision that is monotone over that interval and unchanged at both
+// endpoints is provably unchanged everywhere in it — the reservation is
+// reused without replanning. Policies without the marker keep the
+// conservative analysis (any job start or gear switch replans from the
+// head). A threshold policy over a predicted-slowdown that is
 // nondecreasing in the start qualifies; a policy keying on, say, start
 // parity would not.
 type EstMonotonePolicy interface {

@@ -187,21 +187,28 @@ type System struct {
 	// placed in earlier passes are reused verbatim up to the first queue
 	// position whose reservation could move (the changed-prefix
 	// analysis). resvMeta records, per retained reservation, the inputs
-	// that planned it; profClean is how many leading entries the next
-	// pass may consider reusing; profMut notes a base mutation since they
-	// were planned that invalidates the whole prefix. Under the widened
-	// analysis (profWiden — the gear policy implements EstMonotonePolicy)
-	// only mutations that free capacity set it (completion, gear switch):
-	// a job start's occupancy was feasibility-validated against the full
-	// tier including every retained reservation, so it can neither delay
-	// a retained window nor open an earlier one, and cleanPrefix instead
-	// re-asks the gear decision at both ends of the interval the
-	// top-gear estimate may have drifted across.
+	// that planned it and what blocked it from starting earlier;
+	// profClean is how many leading entries the next pass may consider
+	// reusing; profMut notes a base mutation since they were planned that
+	// invalidates the whole prefix. A completion does not set it: it
+	// credits the retained reservations' recorded blocking (creditPlan),
+	// and cleanPrefix replays a credited blocking to prove the
+	// reservation unchanged. A gear switch sets it (its added occupancy
+	// was never validated against the plan), and so does a job start
+	// under the conservative analysis. Under the widened one (profWiden —
+	// the gear policy implements EstMonotonePolicy) a start's occupancy
+	// was feasibility-validated against the full tier including every
+	// retained reservation, so it can neither delay a retained window nor
+	// open an earlier one, and cleanPrefix instead re-asks the gear
+	// decision at both ends of the interval the top-gear estimate may
+	// have drifted across. replanned counts the reservations passes
+	// dropped to replan them.
 	resvMeta  []resvInfo
 	profLive  bool
 	profMut   bool
 	profWiden bool
 	profClean int
+	replanned int
 
 	// rsPool recycles RunStates after their completion callbacks ran,
 	// together with their Alloc.Runs and Phases capacity, so the steady
@@ -672,12 +679,19 @@ func (c *backfillCheck) fits(g dvfs.Gear) bool {
 // resvInfo records one retained reservation: the inputs that planned it
 // (the top-gear earliest start fed to ReserveGear and the gear it chose)
 // and the resulting slot start, so the next pass can prove a fresh replan
-// would reproduce the reservation verbatim before reusing it.
+// would reproduce the reservation verbatim before reusing it. blocked
+// holds the violated stretches the chosen gear's sweep crossed before
+// the slot, as completions since have credited them; credited notes a
+// credit since the last proof. The chosen gear's sweep has the top
+// gear's level and runs at least as far, so blocked serves the
+// top-gear estimate too.
 type resvInfo struct {
-	job   *workload.Job
-	est   float64
-	start float64
-	gear  dvfs.Gear
+	job      *workload.Job
+	est      float64
+	start    float64
+	gear     dvfs.Gear
+	blocked  profile.Blocking
+	credited bool
 }
 
 // profilePass replans the queue against an availability profile. The
@@ -690,11 +704,12 @@ type resvInfo struct {
 // The profile persists across passes: the base skyline is kept current
 // incrementally and the leading run of reservations whose replan provably
 // reproduces them is reused verbatim. A pass then costs one gear-policy
-// re-ask per retained reservation (the reuse proof) plus full replanning
-// of the changed suffix.
+// re-ask per retained reservation and a blocking replay per credited one
+// (the reuse proof) plus full replanning of the changed suffix.
 func (s *System) profilePass(now float64, maxRes int) {
 	prof := s.persistentProfile(now)
 	resume := s.cleanPrefix(now, maxRes)
+	s.replanned += max(len(s.resvMeta)-resume, 0)
 	prof.TruncateReservations(resume)
 	s.truncResvMeta(resume)
 	kept := s.queue[:resume]
@@ -709,16 +724,19 @@ func (s *System) profilePass(now float64, maxRes int) {
 			// the start the job would get at the top gear; the slot is
 			// then recomputed with the chosen gear's dilated duration,
 			// unless that duration is the top gear's: nothing touched the
-			// profile in between, so the answer would be est again.
+			// profile in between, so the answer would be est again. The
+			// sweep that finds the slot records its blocking.
+			rec := s.spareBlocking()
 			dTop := s.reqDur(j, top)
-			est := prof.EarliestStart(j.Procs, dTop, now)
+			est := prof.EarliestStartBlocked(j.Procs, dTop, now, rec)
 			g := s.cfg.Policy.ReserveGear(j, est, now, qlen-1)
 			if s.aboveTop(j, g, "ReserveGear") {
 				return
 			}
 			d, st := s.reqDur(j, g), est
 			if d != dTop {
-				st = prof.EarliestStart(j.Procs, d, now)
+				*rec = (*rec)[:0]
+				st = prof.EarliestStartBlocked(j.Procs, d, now, rec)
 			}
 			if st <= now {
 				if !s.start(j, g, now) { // registers its own occupancy
@@ -727,7 +745,7 @@ func (s *System) profilePass(now float64, maxRes int) {
 				qlen--
 			} else {
 				prof.AddReservation(profile.Entry{Start: st, End: st + d, CPUs: j.Procs})
-				s.resvMeta = append(s.resvMeta, resvInfo{job: j, est: est, start: st, gear: g})
+				s.resvMeta = append(s.resvMeta, resvInfo{job: j, est: est, start: st, gear: g, blocked: *rec})
 				reserved++
 				kept = append(kept, j)
 			}
@@ -754,9 +772,8 @@ func (s *System) profilePass(now float64, maxRes int) {
 	s.setQueue(kept)
 	if s.profMut {
 		// The base changed under the retained reservations in a way the
-		// reuse proof doesn't cover (under the widened analysis only freed
-		// capacity — a completion or gear switch — raises the flag;
-		// otherwise any start this pass does too): the next pass must
+		// reuse proof doesn't cover (a gear switch, or under the
+		// conservative analysis a start this pass): the next pass must
 		// replan from the head.
 		s.profClean = 0
 		s.profMut = false
@@ -800,32 +817,71 @@ func (s *System) persistentProfile(now float64) *profile.Profile {
 // truncResvMeta drops the reservation metadata suffix, clearing the
 // abandoned entries so completed jobs don't linger reachable behind the
 // backing array's length (the same hygiene setQueue applies to the
-// queue).
+// queue). Their blocking storage stays for the next reservations placed
+// there.
 func (s *System) truncResvMeta(n int) {
 	for i := n; i < len(s.resvMeta); i++ {
-		s.resvMeta[i] = resvInfo{}
+		s.resvMeta[i] = resvInfo{blocked: s.resvMeta[i].blocked[:0]}
 	}
 	s.resvMeta = s.resvMeta[:n]
+}
+
+// spareBlocking returns the emptied blocking storage of the slot past the
+// reservation metadata's end, where the next reservation's record goes.
+// A slot's first use sizes it for a few stretches at once rather than
+// growing it one append at a time.
+func (s *System) spareBlocking() *profile.Blocking {
+	n := len(s.resvMeta)
+	if n == cap(s.resvMeta) {
+		s.resvMeta = append(s.resvMeta, resvInfo{})[:n]
+	}
+	b := &s.resvMeta[:n+1][n].blocked
+	if cap(*b) == 0 {
+		*b = make(profile.Blocking, 0, 8)
+	}
+	*b = (*b)[:0]
+	return b
+}
+
+// creditPlan hands a completion's processors back over [from, to) to the
+// blocking of every reservation the next pass may reuse, marking the
+// reservations whose blocking it lowered for a replay.
+func (s *System) creditPlan(cpus int, from, to float64) {
+	for i := range s.resvMeta[:min(s.profClean, len(s.resvMeta))] {
+		m := &s.resvMeta[i]
+		if m.blocked.Credit(cpus, from, to) {
+			m.credited = true
+		}
+	}
 }
 
 // cleanPrefix returns how many leading queue positions keep their
 // retained reservations verbatim this pass. A position is reusable when
 // nothing its plan depends on can have changed: the base skyline is
-// untouched in any way that could move its reservation (profMut — under
-// the conservative analysis any start, completion or gear switch; under
-// the widened one only completions and gear switches, since a start's
-// occupancy was validated against the full tier), every earlier position
-// is reused, the queue still holds the same job there, its planning
-// inputs are still in the future (est at or after now, start strictly
-// after — otherwise the job must be considered for starting), and the
-// gear policy, re-asked at this pass's queue depth, still picks the same
-// gear. Under the widened analysis added occupancy may have drifted the
-// top-gear estimate anywhere within [est, start] (occupancy only delays
-// it, and it never passes the reservation start the full-duration query
-// reproduces), so the decision is re-asked at both interval ends — for
-// an EstMonotonePolicy, unchanged at both endpoints means unchanged
-// across the interval. The first position that fails dirties everything
-// after it, which the caller replans.
+// untouched in any way the proof does not cover (profMut — a gear
+// switch, or under the conservative analysis any start; under the
+// widened one a start's occupancy was validated against the full tier),
+// every earlier position is reused, the queue still holds the same job
+// there, its planning inputs are still in the future (est at or after
+// now, start strictly after — otherwise the job must be considered for
+// starting), a blocking credited since the last proof still blocks it,
+// and the gear policy, re-asked at this pass's queue depth, still picks
+// the same gear.
+//
+// The blocking proof replays the sweep's rule over the stretches the
+// credits left and requires exactly the recorded est at the top gear's
+// duration and start at the chosen gear's. Credits only lower usage,
+// validated starts cannot open a window and the earlier positions are
+// reproduced, so each stretch left is still violated and the replay is
+// a lower bound on a fresh sweep's answer; the chosen gear's window at
+// start stays free, so a fresh sweep returns start again. The top-gear
+// estimate comes out the same under credits alone, but added occupancy
+// may have drifted it anywhere within [est, start] (it only delays the
+// estimate, and never past the reservation start), so under the widened
+// analysis the decision is re-asked at both interval ends — for an
+// EstMonotonePolicy, unchanged at both endpoints means unchanged across
+// the interval. The first position that fails dirties everything after
+// it, which the caller replans.
 func (s *System) cleanPrefix(now float64, maxRes int) int {
 	limit := s.profClean
 	if s.profMut {
@@ -842,11 +898,22 @@ func (s *System) cleanPrefix(now float64, maxRes int) int {
 		limit = maxRes
 	}
 	wq := len(s.queue) - 1
+	top := s.cfg.Gears.Top()
 	k := 0
 	for k < limit {
 		m := &s.resvMeta[k]
 		if s.queue[k] != m.job || m.est < now || m.start <= now {
 			break
+		}
+		if m.credited {
+			d := s.reqDur(m.job, m.gear)
+			if m.blocked.Earliest(d, now) != m.start {
+				break
+			}
+			if dTop := s.reqDur(m.job, top); dTop != d && m.blocked.Earliest(dTop, now) != m.est {
+				break
+			}
+			m.credited = false
 		}
 		if s.cfg.Policy.ReserveGear(m.job, m.est, now, wq) != m.gear {
 			break
@@ -941,9 +1008,13 @@ func (s *System) finish(rs *RunState, now float64) {
 	if s.profLive {
 		// Hand the planned occupancy tail back to the persistent profile:
 		// the job completed before its kill limit, so the skyline frees
-		// its processors from now on instead of at the planned end.
-		s.profMut = true
+		// its processors from now on instead of at the planned end. The
+		// retained plan is credited the same processors rather than
+		// invalidated.
 		s.prof.Vacate(rs.Job.Procs, now, rs.profEnd)
+		if !s.profMut {
+			s.creditPlan(rs.Job.Procs, now, rs.profEnd)
+		}
 	}
 	s.runList[rs.runIdx] = nil
 	s.runNil++
@@ -1009,7 +1080,9 @@ func (s *System) SetGear(rs *RunState, g dvfs.Gear, now float64) {
 	rs.endEv = h
 	s.relAdd(rs)
 	if s.profLive {
-		// Swap the job's planned occupancy for the re-geared one.
+		// Swap the job's planned occupancy for the re-geared one. The
+		// added occupancy was never validated against the plan, so the
+		// next pass replans from the head.
 		s.profMut = true
 		s.prof.Vacate(rs.Job.Procs, now, rs.profEnd)
 		s.prof.Add(profile.Entry{Start: now, End: rs.PlannedEnd, CPUs: rs.Job.Procs})
