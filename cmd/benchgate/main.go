@@ -18,6 +18,14 @@
 //     profile, its chunked skyline and reservation indexes and the chunked
 //     release index; chunk recycling or scratch reuse breaking there shows
 //     up as allocations.
+//   - replanning-thunder: allocs/op of the eight 1000-job LLNLThunder
+//     conservative replays (BenchmarkConservativeThunder), the repo
+//     benchmark's thunder-conservative shape, where a standing queue makes
+//     nearly every pass replan: per-reservation allocations in the
+//     replanning path (blocking records, credit queues, skyline chunks)
+//     show up here at Thunder scale. Its baseline is the newest entry's
+//     "change" row, as that benchmark's entries pair a parent and a change
+//     run.
 //   - controller: the EASY Million capped/off throughput ratio
 //     (BenchmarkControllerMillion). The capped mode runs the PI power-cap
 //     controller at CapFrac=1, where it meters and decides every pass but
@@ -31,7 +39,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'HotPathMillion|StreamingMillionHeap|ConservativeFullMillion|ControllerMillion' -benchtime 1x . | tee bench.out
+//	go test -run '^$' -bench 'HotPathMillion|StreamingMillionHeap|ConservativeFullMillion|ConservativeThunder|ControllerMillion' -benchtime 1x . | tee bench.out
 //	go run ./cmd/benchgate -bench bench.out
 package main
 
@@ -53,10 +61,16 @@ import (
 type gate struct {
 	label     string
 	benchmark string
-	jobs      int
+	// jobs names the benchmark/jobs=N sub-run and the baseline rows'
+	// job count (0 for a benchmark without sub-runs and rows without
+	// one).
+	jobs int
 	// mode is the sub-run under benchmark/jobs=N (empty for none); for a
 	// ratio gate, the numerator mode.
 	mode string
+	// row is the mode of a ceiling gate's baseline row when it differs
+	// from the sub-run's.
+	row string
 	// unit is the bench-output metric a ceiling gate reads and field the
 	// BENCH_sched.json row field holding its baseline.
 	unit, field string
@@ -72,6 +86,8 @@ var gates = []gate{
 	{label: "heap", benchmark: "BenchmarkStreamingMillionHeap", jobs: 1_000_000, mode: "streamed",
 		unit: "peak-heap-MB", field: "peak_heap_mb", allowance: 0.20},
 	{label: "replanning", benchmark: "BenchmarkConservativeFullMillion", jobs: 1_000_000,
+		unit: "allocs/op", field: "allocs_per_op", allowance: 0.20},
+	{label: "replanning-thunder", benchmark: "BenchmarkConservativeThunder", row: "change",
 		unit: "allocs/op", field: "allocs_per_op", allowance: 0.20},
 	{label: "controller", benchmark: "BenchmarkControllerMillion", jobs: 1_000_000, mode: "capped",
 		base: "off", allowance: 0.20},
@@ -117,7 +133,10 @@ func run(gs []gate, benchPath, basePath string, out io.Writer) error {
 
 // subRun names a gate's sub-run in the bench output.
 func (g gate) subRun(mode string) string {
-	s := fmt.Sprintf("%s/jobs=%d", g.benchmark, g.jobs)
+	s := g.benchmark
+	if g.jobs > 0 {
+		s += fmt.Sprintf("/jobs=%d", g.jobs)
+	}
 	if mode != "" {
 		s += "/" + mode
 	}
@@ -127,7 +146,11 @@ func (g gate) subRun(mode string) string {
 // gateCeiling holds the measured metric at most allowance above the
 // newest committed baseline row.
 func gateCeiling(out io.Writer, g gate, benchPath, basePath string) error {
-	base, err := baselineValue(basePath, g.benchmark, g.jobs, g.mode, g.field)
+	row := g.mode
+	if g.row != "" {
+		row = g.row
+	}
+	base, err := baselineValue(basePath, g.benchmark, g.jobs, row, g.field)
 	if err != nil {
 		return err
 	}

@@ -9,8 +9,9 @@ import (
 
 // The fixture baseline carries one entry per gated benchmark: 100k
 // allocs/op for the EASY Million replay, 1M allocs/op for the
-// conservative FULL Million, 10 MB streamed peak heap, and a capped/off
-// controller ratio of 0.95.
+// conservative FULL Million, 10 MB streamed peak heap, a capped/off
+// controller ratio of 0.95, and a parent/change pair of Thunder replays at
+// 9,000 and 7,000 allocs/op.
 const baselineJSON = `{
   "entries": [
     {"benchmark": "BenchmarkControllerMillion", "results": [
@@ -25,6 +26,10 @@ const baselineJSON = `{
     ]},
     {"benchmark": "BenchmarkConservativeFullMillion", "results": [
       {"jobs": 1000000, "allocs_per_op": 1000000}
+    ]},
+    {"benchmark": "BenchmarkConservativeThunder", "results": [
+      {"mode": "parent", "allocs_per_op": 9000},
+      {"mode": "change", "allocs_per_op": 7000}
     ]}
   ]
 }`
@@ -33,6 +38,7 @@ const benchOutPass = `goos: linux
 BenchmarkHotPathMillion/jobs=100000-8          	       1	 90000000 ns/op	   1100000 jobs/s	  900000 allocs/op
 BenchmarkHotPathMillion/jobs=1000000-8         	       1	900000000 ns/op	   1100000 jobs/s	  110000 allocs/op
 BenchmarkConservativeFullMillion/jobs=1000000-8	       1	5000000000 ns/op	   200000 jobs/s	 1050000 allocs/op
+BenchmarkConservativeThunder-8                 	       1	  50000000 ns/op	   160000 jobs/s	 1300000 B/op	    7200 allocs/op
 BenchmarkControllerMillion/jobs=1000000/off-8  	       1	1000000000 ns/op	   1000000 jobs/s
 BenchmarkControllerMillion/jobs=1000000/capped-8	       1	1050000000 ns/op	    950000 jobs/s
 BenchmarkStreamingMillionHeap/jobs=1000000/streamed-8	1	2000000000 ns/op	     11.0 peak-heap-MB
@@ -101,6 +107,27 @@ func TestReplanningGateFailsOnRegression(t *testing.T) {
 	}
 }
 
+// TestThunderGateReadsChangeRow holds the Thunder gate to its baseline
+// entry's change row (7,000, ceiling 8,400), not the parent's 9,000, on
+// the benchmark's bench line, which has no sub-run.
+func TestThunderGateReadsChangeRow(t *testing.T) {
+	out, err := runGates(t, baselineJSON, benchOutPass, "replanning-thunder")
+	if err != nil {
+		t.Fatalf("gate failed on a healthy run: %v", err)
+	}
+	if !strings.Contains(out, "replanning-thunder 7200.0 allocs/op; baseline 7000.0, ceiling 8400.0") {
+		t.Errorf("missing gate report, got:\n%s", out)
+	}
+	regressed := strings.Replace(benchOutPass, "7200 allocs/op", "8700 allocs/op", 1)
+	_, err = runGates(t, baselineJSON, regressed, "replanning-thunder")
+	if err == nil {
+		t.Fatal("gate passed 8,700 allocs/op against an 8,400 ceiling")
+	}
+	if !strings.Contains(err.Error(), "replanning-thunder grew 24.3%") {
+		t.Errorf("unexpected error: %v", err)
+	}
+}
+
 func TestControllerGateFailsOnRegression(t *testing.T) {
 	// capped drops to 0.70x of off against a 0.95x baseline: below the
 	// 0.76x floor.
@@ -157,7 +184,7 @@ func TestEmptyGateTableReadsNothing(t *testing.T) {
 func TestGatesReadOneBenchOutput(t *testing.T) {
 	// The whole default table evaluates against one bench invocation's
 	// output.
-	out, err := runGates(t, baselineJSON, benchOutPass, "hot-path", "heap", "replanning", "controller")
+	out, err := runGates(t, baselineJSON, benchOutPass, "hot-path", "heap", "replanning", "replanning-thunder", "controller")
 	if err != nil {
 		t.Fatalf("gates failed on a healthy run: %v", err)
 	}
@@ -165,6 +192,7 @@ func TestGatesReadOneBenchOutput(t *testing.T) {
 		"hot-path 110000.0 allocs/op",
 		"heap 11.0 peak-heap-MB",
 		"replanning 1050000.0 allocs/op",
+		"replanning-thunder 7200.0 allocs/op",
 		"controller capped/off ratio 0.95x",
 	} {
 		if !strings.Contains(out, want) {

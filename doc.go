@@ -137,7 +137,8 @@
 //     start interval). A completion does not invalidate the plan: each
 //     reservation records the violated stretches that kept it from
 //     starting earlier (profile.Blocking), a completion credits its
-//     processors to them, and the next pass keeps a credited reservation
+//     processors to them (queued, and applied by the next pass to the
+//     reservations it checks), and that pass keeps a credited reservation
 //     while replaying the sweep's rule over what is left still returns
 //     its recorded starts. A pass pays one gear-policy
 //     re-ask per retained reservation plus full replanning of the
@@ -179,24 +180,27 @@
 //   - One chunked profile skyline: the persistent profile's own
 //     structure follows the same idiom (internal/profile/skydex.go).
 //     Running jobs, completion credits and reservations share one
-//     directory of bounded chunks holding deltas with in-chunk prefix
-//     sums and prefix extrema; AddReservation pushes a delta pair into
-//     it and TruncateReservations pushes the negated pairs of the dropped
-//     journal suffix (exactly the suffix's cost; re-truncating an
-//     already-applied prefix is free). Inserts coalesce equal-time
-//     deltas in one chunk memmove and leave the chunk's prefix sums for
-//     its next reader, expiring history folds away chunk-at-a-time, and
-//     EarliestStart's feasibility sweep skips whole chunks whose
-//     extrema cannot cross the limit and searches a feasible window only
-//     up to its end. Queries resume: a version-stamped memo lets
-//     consecutive EarliestStart calls from the same time re-enter the
-//     sweep at the previous cursor; every mutation and fold bumps the
-//     version, reservation changes included. A flat sorted-slice oracle
-//     in the profile tests and FuzzProfileMatchesFlatTiers pin it.
-//     Conservative replanning behind a standing queue (eight 1000-job
-//     LLNLThunder traces, BSLD 2 / WQ 16) runs at 55.7k jobs/s against
-//     40.7k with reservations in a separate index, medians of five
-//     rounds on a 2-vCPU Intel Xeon (BENCH_sched.json).
+//     directory of bounded chunks holding deltas and their sums;
+//     AddReservation pushes a delta pair into it and TruncateReservations
+//     pushes the negated pairs of the dropped journal suffix (exactly the
+//     suffix's cost; re-truncating an already-applied prefix is free).
+//     Inserts coalesce equal-time deltas in one chunk memmove, and
+//     expiring history folds away chunk-at-a-time, so every scheduler
+//     query starts at the skyline's front. EarliestStart's feasibility
+//     sweep sums deltas as it scans and searches a feasible window only
+//     up to its end; a scan across a whole chunk leaves that chunk's
+//     prefix extrema behind (any edit clears them), so later sweeps of a
+//     large skyline skip whole chunks that cannot cross the limit while
+//     small ones pay nothing for it. The sweep also remembers where its
+//     answer window sits, and the reservation that follows it is inserted
+//     there without searching. A flat sorted-slice oracle in the profile
+//     tests and FuzzProfileMatchesFlatTiers pin it. Completion credits
+//     queue until the next pass, which applies them only to the retained
+//     reservations its reuse proof reads. Conservative replanning behind
+//     a standing queue (eight 1000-job LLNLThunder traces, BSLD 2 /
+//     WQ 16) runs at 145k jobs/s against 104k with per-chunk prefix
+//     arrays and eager credits, medians of five alternating rounds on a
+//     2-vCPU Intel Xeon (BENCH_sched.json).
 //   - Free runs as the cluster's occupancy: internal/cluster keeps only
 //     the sorted list of maximal free processor runs. First Fit takes
 //     whole runs off its low end, contiguous best fit and next fit pick

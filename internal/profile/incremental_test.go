@@ -456,11 +456,16 @@ func fuzzDur(x byte) float64 {
 // minimum), CanPlace and the base delta count. The first byte sizes the machine; each op then takes three
 // bytes (op, a, b), at most 400 ops, with op%8 selecting LoadReleases, Add, Vacate,
 // BeginPass, AddReservation or TruncateReservations (6 and 7 only query)
-// and op>>3 an extra argument. Times are small integers, so reservation
+// and op>>3 an extra argument; an AddReservation at the earliest fit may
+// have a job start or a cut between the sweep and the reservation. Times are small integers, so reservation
 // and base deltas collide and coalesce, and durations can sit one ulp
 // above an integer. The seed corpus lives under
 // testdata/fuzz/FuzzProfileMatchesFlatTiers; CI runs a short -fuzz smoke
-// on top of the seeds.
+// on top of the seeds. Its slot-* seeds reserve the earliest fit right
+// after the sweep that found it, with a job start or a cut in between,
+// and at windows of no length; four-chunks-fresh-skip grows the skyline
+// to six chunks, so later sweeps skip chunks earlier full scans left
+// fresh.
 func FuzzProfileMatchesFlatTiers(f *testing.F) {
 	f.Add([]byte{})
 	// Load, start, reserve, pass, cut: the scheduler's pass shape.
@@ -547,7 +552,21 @@ func FuzzProfileMatchesFlatTiers(f *testing.F) {
 				dur := fuzzDur(b)
 				st := now + float64(c&0x0f)
 				if c&0x10 != 0 {
+					// The earliest fit, reserved right after the sweep that
+					// found it or, by c's low bits, after a job start or a
+					// cut of the newest reservation in between.
 					st = p.EarliestStart(cpus, dur, now)
+					switch c & 0x03 {
+					case 1:
+						e := Entry{Start: now, End: now + float64(1+int(a)%7), CPUs: 1 + int(b)%(total/2)}
+						p.Add(e)
+						flat.add(e)
+						running = append(running, incJob{cpus: e.CPUs, end: e.End})
+					case 2:
+						keep := max(len(flat.resvLog)-1, 0)
+						p.TruncateReservations(keep)
+						flat.truncate(keep)
+					}
 				}
 				e := Entry{Start: st, End: st + dur, CPUs: cpus}
 				p.AddReservation(e)

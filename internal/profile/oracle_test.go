@@ -238,10 +238,10 @@ func blockedMatches(p *Profile, cpus int, dur, from, want float64, wantRec Block
 // contract: non-empty chunks below the split threshold, strictly
 // increasing times within and across chunks (equal-time deltas coalesce
 // on insert), no entry whose delta and base part are both zero, chunk
-// sums and last keys consistent with the deltas, and so are the prefix sums before a
-// chunk's stale mark and, on a fresh chunk, the extrema; the size and base
-// counts match the entries. It reads without refreshing, so a reader that
-// skipped a refresh is not masked.
+// sums and last keys consistent with the deltas, and on a fresh chunk the
+// prefix extrema; the size and base counts match the entries. A recorded
+// slot describes a positive window whose start sits on a delta and whose
+// end position is the first delta at or after it.
 func checkSkyDexInvariants(d *skyDex) error {
 	n, bases := 0, 0
 	lastT := float64(0)
@@ -252,9 +252,6 @@ func checkSkyDexInvariants(d *skyDex) error {
 		}
 		if len(c.ds) >= skyChunkMax {
 			return fmt.Errorf("chunk %d holds %d entries, max %d", ci, len(c.ds), skyChunkMax)
-		}
-		if len(c.ds) != len(c.pre) {
-			return fmt.Errorf("chunk %d: %d deltas, %d prefixes", ci, len(c.ds), len(c.pre))
 		}
 		run, mn, mx := 0, math.MaxInt, math.MinInt
 		for k, dd := range c.ds {
@@ -269,9 +266,6 @@ func checkSkyDexInvariants(d *skyDex) error {
 				bases++
 			}
 			run += dd.d
-			if k < c.stale && c.pre[k] != run {
-				return fmt.Errorf("chunk %d[%d]: pre %d, recomputed %d", ci, k, c.pre[k], run)
-			}
 			mn, mx = min(mn, run), max(mx, run)
 		}
 		if last := c.ds[len(c.ds)-1].t; c.last != last {
@@ -280,7 +274,7 @@ func checkSkyDexInvariants(d *skyDex) error {
 		if run != c.sum {
 			return fmt.Errorf("chunk %d: sum %d, recomputed %d", ci, c.sum, run)
 		}
-		if c.stale == fresh && (c.minPre != mn || c.maxPre != mx) {
+		if c.fresh && (c.minPre != mn || c.maxPre != mx) {
 			return fmt.Errorf("chunk %d: extrema [%d,%d], recomputed [%d,%d]", ci, c.minPre, c.maxPre, mn, mx)
 		}
 		n += len(c.ds)
@@ -290,6 +284,34 @@ func checkSkyDexInvariants(d *skyDex) error {
 	}
 	if bases != d.bases {
 		return fmt.Errorf("base count %d, counted %d", d.bases, bases)
+	}
+	return checkSkySlot(d)
+}
+
+// checkSkySlot verifies a recorded slot against the index it describes.
+func checkSkySlot(d *skyDex) error {
+	s := d.slot
+	if !s.ok {
+		return nil
+	}
+	if !(s.t1 > s.t0) {
+		return fmt.Errorf("slot [%v, %v) recorded for a window of no length", s.t0, s.t1)
+	}
+	if s.ci0 < 0 || s.ci0 >= len(d.chunks) || s.k0 < 0 || s.k0 >= len(d.chunks[s.ci0].ds) ||
+		d.chunks[s.ci0].ds[s.k0].t != s.t0 {
+		return fmt.Errorf("slot start (%d, %d) does not hold a delta at %v", s.ci0, s.k0, s.t0)
+	}
+	ci, k := 0, 0
+	for ci < len(d.chunks) && d.chunks[ci].last < s.t1 {
+		ci++
+	}
+	if ci < len(d.chunks) {
+		for d.chunks[ci].ds[k].t < s.t1 {
+			k++
+		}
+	}
+	if ci != s.ci1 || k != s.k1 {
+		return fmt.Errorf("slot end at (%d, %d), first delta at or after %v at (%d, %d)", s.ci1, s.k1, s.t1, ci, k)
 	}
 	return nil
 }

@@ -22,8 +22,10 @@
 // and the live delta count tracks the running and planned jobs, not the
 // history of the run. A fresh profile's horizon is −Inf, so a profile
 // that never sees BeginPass answers queries at any time. The
-// EarliestStart sweep skips whole skyline chunks per feasibility
-// transition via per-chunk prefix extrema and stops at the window's end.
+// EarliestStart sweep sums deltas as it scans, skips whole skyline chunks
+// per feasibility transition via the prefix extrema earlier full-chunk
+// scans left, and stops at the window's end; a reservation placed right
+// after the sweep that found it is inserted where the sweep stopped.
 //
 // EarliestStartBlocked has the same sweep record the violated stretches
 // it crossed (a Blocking, blocking.go). A scheduler keeping a
@@ -76,18 +78,6 @@ type Profile struct {
 	// TruncateReservations — the cost the truncate regression tests
 	// assert on.
 	truncWork int
-
-	// Query-entry memo: consecutive EarliestStart queries often share
-	// `from` over an unchanged profile (the top-gear and chosen-gear
-	// slots of one reservation, a backfill scan's CanPlace checks), so the
-	// entry position and usage at `from` are cached under a version
-	// counter bumped by every mutation and horizon fold.
-	ver      int     // bumped on every dex mutation or fold
-	memoVer  int     // ver the memo was taken at; -1 when invalid
-	memoFrom float64 // NaN when invalid
-	memoCi   int     // dex chunk of the first delta with t > memoFrom
-	memoK    int     // in-chunk offset of that delta
-	memoP    int     // dex prefix at memoFrom
 }
 
 // New returns an empty profile for a machine of total processors.
@@ -105,9 +95,6 @@ func (p *Profile) reset(total int) {
 	p.folded = 0
 	p.dex.reset()
 	p.resvLog = p.resvLog[:0]
-	p.ver++
-	p.memoVer = -1
-	p.memoFrom = math.NaN()
 }
 
 // Add records an occupancy interval in the base skyline — a job start.
@@ -135,7 +122,6 @@ func (p *Profile) Vacate(cpus int, start, end float64) {
 // pushPair records the delta pair of a (possibly negative) usage interval
 // of d processors over [start, end), b of them base usage.
 func (p *Profile) pushPair(start, end float64, d, b int) {
-	p.ver++
 	p.push(start, d, b)
 	p.push(end, -d, -b)
 }
@@ -187,13 +173,19 @@ func (p *Profile) BeginPass(now float64) {
 // AddReservation appends a planned-job reservation to the journal and its
 // delta pair to the skyline. Degenerate entries occupy nothing but still
 // consume a journal position, so journal indexes align with the
-// scheduler's queue positions.
+// scheduler's queue positions. A reservation of exactly the window the
+// latest EarliestStart found, with no mutation in between, is inserted
+// where that sweep stopped instead of searched for.
 func (p *Profile) AddReservation(e Entry) {
 	p.resvLog = append(p.resvLog, e)
 	if e.End <= e.Start || e.CPUs <= 0 {
 		return
 	}
-	p.pushPair(e.Start, e.End, e.CPUs, 0)
+	if e.Start <= p.horizon {
+		p.pushPair(e.Start, e.End, e.CPUs, 0)
+		return
+	}
+	p.dex.insertPair(e.Start, e.End, e.CPUs)
 }
 
 // Reservations returns the number of journaled reservations.
@@ -225,14 +217,9 @@ func (p *Profile) TruncateReservations(n int) {
 // count, even where they coalesce with a base delta.
 func (p *Profile) BaseDeltas() int { return p.dex.bases }
 
-// prepare folds expired leading skyline deltas behind the horizon, which
-// invalidates the query-entry memo.
+// prepare folds expired leading skyline deltas behind the horizon.
 func (p *Profile) prepare() {
-	n := p.dex.len()
 	p.folded += p.dex.foldTo(p.horizon)
-	if p.dex.len() != n {
-		p.ver++
-	}
 }
 
 // UsedAt returns the number of processors busy at time t, which must be
@@ -260,12 +247,12 @@ func (p *Profile) CanPlace(cpus int, start, dur float64) bool {
 // EarliestStart returns the earliest time t >= from at which cpus
 // processors are continuously available for dur seconds. It returns +Inf
 // when cpus exceeds the machine size. from must be at or after the
-// latest BeginPass time. The entry position and usage at `from` are
-// memoized under the version counter; the sweep (skyDex.earliest) then
-// jumps between feasibility transitions, skipping whole chunks of the
-// skyline via their prefix extrema, and searches a feasible window only
-// up to its end. It runs without a recorder; EarliestStartBlocked is the
-// same sweep with one.
+// latest BeginPass time. The sweep (skyDex.earliest) enters at `from` —
+// the skyline's front when `from` is the pass time, as it is for every
+// scheduler query — then jumps between feasibility transitions, skipping
+// whole chunks of a large skyline via the prefix extrema earlier scans
+// left, and searches a feasible window only up to its end. It runs
+// without a recorder; EarliestStartBlocked is the same sweep with one.
 func (p *Profile) EarliestStart(cpus int, dur, from float64) float64 {
 	return p.earliestStart(cpus, dur, from, nil)
 }
@@ -282,13 +269,6 @@ func (p *Profile) earliestStart(cpus int, dur, from float64, rec *Blocking) floa
 		return math.Inf(1)
 	}
 	p.prepare()
-	var ci, k, P int
-	if p.ver == p.memoVer && from == p.memoFrom {
-		ci, k, P = p.memoCi, p.memoK, p.memoP
-	} else {
-		ci, k, P = p.dex.seek(from)
-		p.memoVer, p.memoFrom = p.ver, from
-		p.memoCi, p.memoK, p.memoP = ci, k, P
-	}
+	ci, k, P := p.dex.seek(from)
 	return p.dex.earliest(ci, k, P, p.Total-cpus-p.folded, dur, from, rec)
 }

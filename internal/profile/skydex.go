@@ -8,20 +8,24 @@ import (
 // The skyline chunk index (skyDex) holds the whole profile: the usage
 // deltas of running-job occupancies, completion credits and reservations,
 // kept totally ordered and mutation-friendly in one directory of small
-// sorted chunks (the relindex.go idiom). Each chunk carries its in-chunk
-// inclusive prefix sums and their min/max. A mutation binary-searches the
-// directory and edits one chunk, O(log chunks + chunk); the chunk's
-// prefix sums and extrema are recomputed lazily by the next reader that
-// needs them, so a truncation dropping a whole reservation suffix pays
-// one recompute per touched chunk rather than one per delta. Equal-time
-// deltas coalesce and cancel on contact (an occupancy end and its
-// completion credit annihilate immediately instead of waiting for a
-// merge), so the live size tracks the running and planned jobs with no
-// deferred compaction. The EarliestStart sweep advances a (chunk, offset,
-// prefix) cursor and uses the per-chunk prefix min/max to skip whole
-// chunks that contain no feasibility crossing, scanning inside a chunk
-// only where a crossing or the window's end actually lands. The same
-// sweep can record the violated stretches it crosses (Blocking).
+// sorted chunks (the relindex.go idiom). A mutation binary-searches the
+// directory and edits one chunk, O(log chunks + chunk). Equal-time deltas
+// coalesce and cancel on contact (an occupancy end and its completion
+// credit annihilate immediately instead of waiting for a merge), so the
+// live size tracks the running and planned jobs with no deferred
+// compaction.
+//
+// The EarliestStart sweep advances a (chunk, offset, prefix) cursor,
+// summing deltas as it scans. A scan that crosses a whole chunk from its
+// first delta stores that chunk's in-chunk prefix extrema as a by-product
+// and marks it fresh (any edit clears the mark); a later sweep entering a
+// fresh chunk at its first delta skips it in O(1) when it contains no
+// feasibility crossing. Large skylines keep whole-chunk skipping, and
+// small ones, a few chunks that every edit touches, pay nothing for it.
+// The sweep stops at the window's end, can record the violated stretches
+// it crosses (Blocking), and remembers where its answer's window sits, so
+// the reservation that follows it inserts its delta pair there without
+// searching (insertPair).
 const (
 	// skyChunkMax is the split threshold: a chunk reaching this many
 	// deltas is halved.
@@ -33,57 +37,31 @@ const (
 	skyChunkFill = skyChunkMax / 2
 )
 
-// fresh marks a chunk whose prefix sums and extrema are current.
-const fresh = math.MaxInt
-
-// skyChunk is one directory entry: a sorted run of deltas with its
-// inclusive prefix sums and their extrema. pre[j] is the sum of
-// ds[:j+1]; pre[stale:] and minPre/maxPre are out of date until
-// current brings them up to date, which a reader calls first. A chunk
-// entered with absolute prefix P can then be skipped by a crossing
-// search whenever P+minPre..P+maxPre stays on one side of the level.
+// skyChunk is one directory entry: a sorted run of deltas. On a fresh
+// chunk, minPre and maxPre are the extrema of its inclusive in-chunk
+// prefix sums (Σ ds[:j+1] over j), as the last scan across the whole
+// chunk found them; a chunk entered with absolute prefix P can then be
+// skipped by a crossing search whenever P+minPre..P+maxPre stays on one
+// side of the level.
 type skyChunk struct {
 	ds     []delta
-	pre    []int
 	minPre int
 	maxPre int
 	sum    int     // Σ ds.d, kept current on every edit
 	last   float64 // ds[len(ds)-1].t, kept current on every edit
-	stale  int     // first out-of-date prefix, or fresh
+	fresh  bool    // minPre and maxPre are current; cleared by every edit
 }
 
-// touch records that the deltas from position k on changed.
-func (c *skyChunk) touch(k int) {
-	if k < c.stale {
-		c.stale = k
-	}
-}
-
-// current brings the prefix sums and extrema up to date. It is small
-// enough to inline, so an up-to-date chunk costs its readers one compare.
-func (c *skyChunk) current() {
-	if c.stale != fresh {
-		c.refresh()
-	}
-}
-
-// refresh recomputes the out-of-date prefix sums and the extrema.
-func (c *skyChunk) refresh() {
-	from := min(c.stale, len(c.ds))
-	mn, mx, run := math.MaxInt, math.MinInt, 0
-	for _, v := range c.pre[:from] {
-		mn, mx = min(mn, v), max(mx, v)
-	}
-	if from > 0 {
-		run = c.pre[from-1]
-	}
-	for j := from; j < len(c.ds); j++ {
-		run += c.ds[j].d
-		c.pre[j] = run
-		mn, mx = min(mn, run), max(mx, run)
-	}
-	c.minPre, c.maxPre = mn, mx
-	c.stale = fresh
+// skySlot is where the latest sweep's answer window [t0, t1) sits in the
+// index: (ci0, k0) is the delta at t0 the sweep dropped onto, (ci1, k1)
+// the first delta at or after t1 (ci1 = len(chunks) past the end). It is
+// recorded only for a positive window found that way, and every mutation
+// drops it.
+type skySlot struct {
+	ok      bool
+	t0, t1  float64
+	ci0, k0 int
+	ci1, k1 int
 }
 
 // skyDex is the chunked ordered skyline index over usage deltas. Every
@@ -97,8 +75,8 @@ type skyDex struct {
 	chunks []skyChunk
 	size   int
 	bases  int
-	spareD [][]delta
-	spareP [][]int
+	spare  [][]delta
+	slot   skySlot
 }
 
 // len returns the number of live deltas.
@@ -107,32 +85,24 @@ func (d *skyDex) len() int { return d.size }
 // reset empties the index, recycling chunk backings.
 func (d *skyDex) reset() {
 	for i := range d.chunks {
-		d.spareD = append(d.spareD, d.chunks[i].ds[:0])
-		d.spareP = append(d.spareP, d.chunks[i].pre[:0])
+		d.spare = append(d.spare, d.chunks[i].ds[:0])
 		d.chunks[i] = skyChunk{}
 	}
 	d.chunks = d.chunks[:0]
 	d.size = 0
 	d.bases = 0
+	d.slot.ok = false
 }
 
-// newChunk returns an empty, out-of-date chunk on recycled backings or
-// fresh ones.
+// newChunk returns an empty chunk on a recycled backing or a fresh one.
 func (d *skyDex) newChunk() skyChunk {
-	var c skyChunk // stale 0: out of date until filled and refreshed
-	if n := len(d.spareD); n > 0 {
-		c.ds = d.spareD[n-1]
-		d.spareD[n-1] = nil
-		d.spareD = d.spareD[:n-1]
+	var c skyChunk
+	if n := len(d.spare); n > 0 {
+		c.ds = d.spare[n-1]
+		d.spare[n-1] = nil
+		d.spare = d.spare[:n-1]
 	} else {
 		c.ds = make([]delta, 0, skyChunkMax)
-	}
-	if n := len(d.spareP); n > 0 {
-		c.pre = d.spareP[n-1]
-		d.spareP[n-1] = nil
-		d.spareP = d.spareP[:n-1]
-	} else {
-		c.pre = make([]int, 0, skyChunkMax)
 	}
 	return c
 }
@@ -143,8 +113,7 @@ func (d *skyDex) newChunk() skyChunk {
 // and every chunk must keep strictly increasing keys (rise and drop evaluate
 // per-entry prefixes, so an intermediate prefix inside an equal-time
 // group would masquerade as a zero-width feasibility transition). The
-// merge runs in place over ds, which is not retained; the chunks' prefix
-// sums are left for their first reader.
+// merge runs in place over ds, which is not retained.
 func (d *skyDex) load(ds []delta) {
 	d.reset()
 	w := 0
@@ -163,7 +132,6 @@ func (d *skyDex) load(ds []delta) {
 		m := min(len(ds), skyChunkFill)
 		c := d.newChunk()
 		c.ds = append(c.ds, ds[:m]...)
-		c.pre = c.pre[:m]
 		for _, dd := range ds[:m] {
 			c.sum += dd.d
 		}
@@ -188,6 +156,7 @@ func (d *skyDex) insert(t float64, dv, db int) {
 	if dv == 0 {
 		return
 	}
+	d.slot.ok = false
 	ci := 0
 	if len(d.chunks) == 0 {
 		d.chunks = append(d.chunks, d.newChunk())
@@ -195,9 +164,43 @@ func (d *skyDex) insert(t float64, dv, db int) {
 		ci--
 	}
 	c := &d.chunks[ci]
-	k := sort.Search(len(c.ds), func(i int) bool { return c.ds[i].t >= t })
+	d.place(ci, sort.Search(len(c.ds), func(i int) bool { return c.ds[i].t >= t }), t, dv, db)
+}
+
+// insertPair applies a reservation's delta pair, +dv at t0 and −dv at t1.
+// When the latest sweep's slot is exactly [t0, t1) — the reservation
+// follows the sweep that found it with no mutation in between — the pair
+// goes to the recorded positions instead of two searches: the start
+// coalesces with the delta the sweep dropped onto, which moves no other
+// entry unless the two cancel, so the end position still holds.
+func (d *skyDex) insertPair(t0, t1 float64, dv int) {
+	s := d.slot
+	if !s.ok || s.t0 != t0 || s.t1 != t1 {
+		d.insert(t0, dv, 0)
+		d.insert(t1, -dv, 0)
+		return
+	}
+	d.slot.ok = false
+	if d.place(s.ci0, s.k0, t0, dv, 0) {
+		d.insert(t1, -dv, 0)
+		return
+	}
+	ci, k := s.ci1, s.k1
+	if ci == len(d.chunks) {
+		ci--
+		k = len(d.chunks[ci].ds)
+	}
+	d.place(ci, k, t1, -dv, 0)
+}
+
+// place applies insert's delta at the position insert's searches find
+// for t: ci is the first chunk whose last key is at or after t (else the
+// last chunk) and k the first offset in it at or after t. It reports
+// whether the entry at t cancelled out and was removed.
+func (d *skyDex) place(ci, k int, t float64, dv, db int) (removed bool) {
+	c := &d.chunks[ci]
 	c.sum += dv
-	c.touch(k)
+	c.fresh = false
 	if k < len(c.ds) && c.ds[k].t == t {
 		e := &c.ds[k]
 		wasBase := e.b != 0
@@ -211,11 +214,10 @@ func (d *skyDex) insert(t float64, dv, db int) {
 			}
 		}
 		if e.d != 0 || e.b != 0 {
-			return
+			return false
 		}
 		copy(c.ds[k:], c.ds[k+1:])
 		c.ds = c.ds[:len(c.ds)-1]
-		c.pre = c.pre[:len(c.pre)-1]
 		d.size--
 		if k == len(c.ds) && k > 0 {
 			c.last = c.ds[k-1].t
@@ -226,7 +228,7 @@ func (d *skyDex) insert(t float64, dv, db int) {
 		case len(c.ds) < skyChunkMin:
 			d.mergeAt(ci)
 		}
-		return
+		return true
 	}
 	if k == len(c.ds) {
 		c.last = t
@@ -234,7 +236,6 @@ func (d *skyDex) insert(t float64, dv, db int) {
 	c.ds = append(c.ds, delta{})
 	copy(c.ds[k+1:], c.ds[k:])
 	c.ds[k] = delta{t: t, d: dv, b: db}
-	c.pre = append(c.pre, 0)
 	d.size++
 	if db != 0 {
 		d.bases++
@@ -242,6 +243,7 @@ func (d *skyDex) insert(t float64, dv, db int) {
 	if len(c.ds) >= skyChunkMax {
 		d.split(ci)
 	}
+	return false
 }
 
 // split halves the chunk at ci.
@@ -250,16 +252,14 @@ func (d *skyDex) split(ci int) {
 	c := &d.chunks[ci]
 	mid := len(c.ds) / 2
 	right.ds = append(right.ds, c.ds[mid:]...)
-	right.pre = append(right.pre, c.pre[mid:]...)
 	for _, dd := range right.ds {
 		right.sum += dd.d
 	}
 	right.last = c.last
 	c.last = c.ds[mid-1].t
 	c.ds = c.ds[:mid]
-	c.pre = c.pre[:mid]
 	c.sum -= right.sum
-	c.touch(mid)
+	c.fresh = false
 	d.chunks = append(d.chunks, skyChunk{})
 	copy(d.chunks[ci+2:], d.chunks[ci+1:])
 	d.chunks[ci+1] = right
@@ -268,8 +268,7 @@ func (d *skyDex) split(ci int) {
 // dropChunk removes the directory entry at ci; its deltas must already
 // be accounted for.
 func (d *skyDex) dropChunk(ci int) {
-	d.spareD = append(d.spareD, d.chunks[ci].ds[:0])
-	d.spareP = append(d.spareP, d.chunks[ci].pre[:0])
+	d.spare = append(d.spare, d.chunks[ci].ds[:0])
 	copy(d.chunks[ci:], d.chunks[ci+1:])
 	d.chunks[len(d.chunks)-1] = skyChunk{}
 	d.chunks = d.chunks[:len(d.chunks)-1]
@@ -290,11 +289,10 @@ func (d *skyDex) mergeAt(ci int) {
 	}
 	lo, hi := min(ci, into), max(ci, into)
 	c, h := &d.chunks[lo], &d.chunks[hi]
-	c.touch(len(c.ds))
 	c.ds = append(c.ds, h.ds...)
-	c.pre = append(c.pre, h.pre...)
 	c.sum += h.sum
 	c.last = h.last
+	c.fresh = false
 	d.dropChunk(hi)
 }
 
@@ -306,12 +304,13 @@ func (d *skyDex) foldTo(h float64) int {
 	folded := 0
 	for len(d.chunks) > 0 {
 		c := &d.chunks[0]
+		if c.ds[0].t > h {
+			break
+		}
+		d.slot.ok = false
 		j := len(c.ds)
 		if c.last > h {
 			j = sort.Search(len(c.ds), func(i int) bool { return c.ds[i].t > h })
-			if j == 0 {
-				break
-			}
 		}
 		part := 0
 		for _, dd := range c.ds[:j] {
@@ -328,9 +327,8 @@ func (d *skyDex) foldTo(h float64) int {
 		}
 		copy(c.ds, c.ds[j:])
 		c.ds = c.ds[:len(c.ds)-j]
-		c.pre = c.pre[:len(c.pre)-j]
 		c.sum -= part
-		c.stale = 0
+		c.fresh = false
 		if len(c.ds) < skyChunkMin {
 			d.mergeAt(0)
 		}
@@ -341,19 +339,29 @@ func (d *skyDex) foldTo(h float64) int {
 
 // seek positions a cursor at the first delta with time strictly after
 // `from`, returning its (chunk, offset) position and the sum of every
-// delta at or before `from`.
+// delta at or before `from`. Inside the chunk it lands in, it sums the
+// side of the offset with fewer deltas. A query from the skyline's front
+// — every scheduler query, once the horizon folded — costs one compare.
 func (d *skyDex) seek(from float64) (ci, k, sum int) {
-	for ci < len(d.chunks) {
+	for ; ci < len(d.chunks); ci++ {
 		c := &d.chunks[ci]
 		if c.last <= from {
 			sum += c.sum
-			ci++
 			continue
 		}
+		if c.ds[0].t > from {
+			return ci, 0, sum
+		}
 		k = sort.Search(len(c.ds), func(i int) bool { return c.ds[i].t > from })
-		if k > 0 {
-			c.current()
-			sum += c.pre[k-1]
+		if k <= len(c.ds)/2 {
+			for _, dd := range c.ds[:k] {
+				sum += dd.d
+			}
+		} else {
+			sum += c.sum
+			for _, dd := range c.ds[k:] {
+				sum -= dd.d
+			}
 		}
 		return ci, k, sum
 	}
@@ -381,9 +389,16 @@ func (d *skyDex) sumAt(t float64) int {
 // to. A non-nil rec receives every violated stretch the sweep crosses on
 // the way to its answer, in order, each with drop's lower bound on its
 // excess over L; a stretch the sweep starts inside begins at `from`.
+//
+// When the answer is a drop delta's time and its window [cand, cand+dur)
+// has positive length and ended at the bounded search's stop, the sweep
+// records both positions in the slot for the insertPair that follows;
+// any other answer leaves the slot empty.
 func (d *skyDex) earliest(ci, k, P, L int, dur, from float64, rec *Blocking) float64 {
+	d.slot.ok = false
 	inf := math.Inf(1)
 	cand, rose := from, from
+	dci, dk := -1, 0 // the cursor one past the delta cand dropped onto
 	for {
 		var t float64
 		var found bool
@@ -396,12 +411,15 @@ func (d *skyDex) earliest(ci, k, P, L int, dur, from float64, rec *Blocking) flo
 			if rec != nil {
 				*rec = append(*rec, Stretch{From: rose, To: t, Excess: low - L})
 			}
-			cand = t
+			cand, dci, dk = t, ci, k
 			continue
 		}
 		ci, k, P, t, found = d.rise(ci, k, P, L, cand+dur)
 		if !found {
 			if ci == len(d.chunks) || d.chunks[ci].ds[k].t-cand >= dur {
+				if dci >= 0 && cand+dur > cand {
+					d.record(cand, cand+dur, dci, dk, ci, k)
+				}
 				return cand
 			}
 			ci, k, P, t, found = d.rise(ci, k, P, L, inf)
@@ -416,15 +434,25 @@ func (d *skyDex) earliest(ci, k, P, L int, dur, from float64, rec *Blocking) flo
 	}
 }
 
+// record fills the slot with the window [t0, t1): (dci, dk) is the cursor
+// one past the delta at t0, (ci, k) the first delta at or after t1.
+func (d *skyDex) record(t0, t1 float64, dci, dk, ci, k int) {
+	if dk > 0 {
+		dk--
+	} else {
+		dci--
+		dk = len(d.chunks[dci].ds) - 1
+	}
+	d.slot = skySlot{ok: true, t0: t0, t1: t1, ci0: dci, k0: dk, ci1: ci, k1: k}
+}
+
 // rise scans forward from position (ci, k) — entered with absolute
 // prefix P, the sum of every delta strictly before it — for the first
 // delta with time before tLimit whose inclusive prefix rises above level
-// L. Whole chunks whose prefix maximum stays at or below L are skipped
-// in O(1); a chunk is scanned only when its maximum admits a rise or
-// tLimit lands inside it (the aggregate test is conservative for
-// mid-chunk entries, so a scan may come up empty — the cursor still
-// advances, so the total scan work of a sweep is bounded by the deltas
-// it traverses).
+// L. A fresh chunk entered at its first delta, wholly before tLimit, whose
+// prefix maximum stays at or below L is skipped in O(1); any other chunk
+// is scanned, and a scan that crosses a whole chunk leaves it fresh. The
+// total scan work of a sweep is thus bounded by the deltas it traverses.
 //
 // On a hit it returns the rise's time with P its inclusive prefix and
 // the cursor one past it. Otherwise found is false and the cursor lands
@@ -433,11 +461,9 @@ func (d *skyDex) earliest(ci, k, P, L int, dur, from float64, rec *Blocking) flo
 // len(chunks) implies k < len(chunks[ci].ds).
 func (d *skyDex) rise(ci, k, P, L int, tLimit float64) (nci, nk, nP int, t float64, found bool) {
 	cs := d.chunks
-	for ci < len(cs) {
+	for ; ci < len(cs); ci, k = ci+1, 0 {
 		if k == 0 {
-			// Fast path from a chunk boundary: walk the headers of fresh
-			// chunks wholly before tLimit that stay at or below L.
-			for ci < len(cs) && cs[ci].stale == fresh && cs[ci].last < tLimit && P+cs[ci].maxPre <= L {
+			for ci < len(cs) && cs[ci].fresh && cs[ci].last < tLimit && P+cs[ci].maxPre <= L {
 				P += cs[ci].sum
 				ci++
 			}
@@ -446,65 +472,41 @@ func (d *skyDex) rise(ci, k, P, L int, tLimit float64) (nci, nk, nP int, t float
 			}
 		}
 		c := &cs[ci]
-		bounded := c.last >= tLimit
-		if bounded && c.ds[k].t >= tLimit {
-			return ci, k, P, 0, false // the common bounded stop; no prefix needed
-		}
-		c.current()
-		n := len(c.ds)
-		base := P
-		if k > 0 {
-			base = P - c.pre[k-1]
-		}
-		if base+c.maxPre > L {
-			// A rise may lie in this chunk: scan for it, stopping at
-			// tLimit in the chunk it lands in.
-			j := k
-			if bounded {
-				for j < n && c.ds[j].t < tLimit && base+c.pre[j] <= L {
-					j++
-				}
-			} else {
-				for j < n && base+c.pre[j] <= L {
-					j++
-				}
+		base, mn, mx := P, math.MaxInt, math.MinInt
+		for j := k; j < len(c.ds); j++ {
+			e := &c.ds[j]
+			if e.t >= tLimit {
+				return ci, j, P, 0, false
 			}
-			if j < n {
-				if c.ds[j].t >= tLimit {
-					return ci, j, base + c.pre[j-1], 0, false
+			if P += e.d; P > L {
+				if j+1 == len(c.ds) {
+					return ci + 1, 0, P, e.t, true
 				}
-				if j+1 == n {
-					return ci + 1, 0, base + c.pre[j], c.ds[j].t, true
-				}
-				return ci, j + 1, base + c.pre[j], c.ds[j].t, true
+				return ci, j + 1, P, e.t, true
 			}
-		} else if bounded {
-			// tLimit lands in this chunk past ds[k], and no rise precedes
-			// it.
-			j := k + sort.Search(n-k, func(i int) bool { return c.ds[k+i].t >= tLimit })
-			return ci, j, base + c.pre[j-1], 0, false
+			mn, mx = min(mn, P), max(mx, P)
 		}
-		P = base + c.sum
-		ci, k = ci+1, 0
+		if k == 0 {
+			c.minPre, c.maxPre, c.fresh = mn-base, mx-base, true
+		}
 	}
 	return ci, 0, P, 0, false
 }
 
 // drop is rise's counterpart over a violated stretch: entered at (ci, k)
 // with prefix P > L, it scans forward without a time limit for the first
-// delta whose inclusive prefix is at or below L, skipping whole chunks
-// whose prefix minimum stays above it. On a hit it returns the drop's
-// time with P its inclusive prefix and the cursor one past it (found is
-// false only past the last delta). low is a lower bound on every prefix
-// of the stretch, P included: exact over the deltas drop scans, a
-// chunk's prefix minimum over one it skips (entered mid-chunk, that
-// minimum also covers deltas before the entry, so it only bounds).
+// delta whose inclusive prefix is at or below L, skipping a fresh chunk
+// entered at its first delta whose prefix minimum stays above it. On a
+// hit it returns the drop's time with P its inclusive prefix and the
+// cursor one past it (found is false only past the last delta). low is
+// the minimum of every prefix of the stretch, P included: over a chunk
+// drop skips, the chunk's prefix minimum.
 func (d *skyDex) drop(ci, k, P, L int) (nci, nk, nP int, t float64, low int, found bool) {
 	cs := d.chunks
 	low = P
-	for ci < len(cs) {
+	for ; ci < len(cs); ci, k = ci+1, 0 {
 		if k == 0 {
-			for ci < len(cs) && cs[ci].stale == fresh && P+cs[ci].minPre > L {
+			for ci < len(cs) && cs[ci].fresh && P+cs[ci].minPre > L {
 				low = min(low, P+cs[ci].minPre)
 				P += cs[ci].sum
 				ci++
@@ -514,29 +516,21 @@ func (d *skyDex) drop(ci, k, P, L int) (nci, nk, nP int, t float64, low int, fou
 			}
 		}
 		c := &cs[ci]
-		c.current()
-		n := len(c.ds)
-		base := P
-		if k > 0 {
-			base = P - c.pre[k-1]
-		}
-		if base+c.minPre <= L {
-			j := k
-			for j < n && base+c.pre[j] > L {
-				low = min(low, base+c.pre[j])
-				j++
-			}
-			if j < n {
-				if j+1 == n {
-					return ci + 1, 0, base + c.pre[j], c.ds[j].t, low, true
+		base, mn, mx := P, math.MaxInt, math.MinInt
+		for j := k; j < len(c.ds); j++ {
+			e := &c.ds[j]
+			if P += e.d; P <= L {
+				if low = min(low, mn); j+1 == len(c.ds) {
+					return ci + 1, 0, P, e.t, low, true
 				}
-				return ci, j + 1, base + c.pre[j], c.ds[j].t, low, true
+				return ci, j + 1, P, e.t, low, true
 			}
-		} else {
-			low = min(low, base+c.minPre)
+			mn, mx = min(mn, P), max(mx, P)
 		}
-		P = base + c.sum
-		ci, k = ci+1, 0
+		low = min(low, mn)
+		if k == 0 {
+			c.minPre, c.maxPre, c.fresh = mn-base, mx-base, true
+		}
 	}
 	return ci, 0, P, 0, low, false
 }

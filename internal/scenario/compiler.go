@@ -17,9 +17,10 @@ import (
 
 // Compiler compiles specs into scenarios, sharing workload arenas across
 // compilations: an SWF log is parsed once, a materialized preset is
-// generated once, and a streamed preset pays its RNG summing passes once —
-// every scenario over the same workload then replays the shared immutable
-// result through independent cursors. A Compiler is safe for concurrent
+// generated once, and a streamed preset pays its RNG summing passes and
+// its first rewind's counted attribute replay once — every scenario over
+// the same workload then replays the shared immutable result through
+// independent cursors. A Compiler is safe for concurrent
 // use; the zero value is ready.
 type Compiler struct {
 	mu     sync.Mutex

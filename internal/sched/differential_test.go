@@ -156,7 +156,10 @@ func TestCompatModesProduceIdenticalSchedules(t *testing.T) {
 // onto one instant), processors, requested time (zero included) and
 // runtime, all integers so planned ends collide. The seed corpus lives
 // under testdata/fuzz/FuzzScheduleMatchesReference; CI runs a short
-// -fuzz smoke on top of it.
+// -fuzz smoke on top of it. Its conservative-zero-length-reservation
+// seed queues zero-ReqTime jobs behind a full machine, so their sweeps
+// answer at a dropped-onto start with a window of no length, which must
+// leave no insert positions behind for a later reservation.
 func FuzzScheduleMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 5, 7, 0, 2, 0, 4, 1, 8, 2, 9})
 	f.Add([]byte{2, 0x21, 0, 8, 9, 9, 0, 1, 0, 3, 0, 4, 4, 4, 1, 2, 2, 2, 0, 8, 6, 6})

@@ -228,15 +228,21 @@ func standingQueueTrace(seed int64, n int) *workload.Trace {
 // change in the reuse proof shows up here as a count change even when
 // the schedules stay the same. Replanning every completion pass from the
 // head would drop 9,145 and 16,651 reservations on these replays.
+//
+// It also pins the Blocking.Credit calls the completion credits cost
+// (System.creditCalls). Queued until a proof reads them, they reach only
+// the positions cleanPrefix checks; crediting every retained reservation
+// at each completion would make 9,145 and 10,080 calls on these replays.
 func TestCompletionReplanWorkPinned(t *testing.T) {
 	gears := dvfs.PaperGearSet()
 	for _, c := range []struct {
-		name string
-		pol  GearPolicy
-		want int
+		name    string
+		pol     GearPolicy
+		want    int
+		credits int
 	}{
-		{"varying", varyingPolicy{gears: gears}, 6431},
-		{"parity", parityPolicy{gears: gears}, 14030},
+		{"varying", varyingPolicy{gears: gears}, 6431, 2941},
+		{"parity", parityPolicy{gears: gears}, 14030, 2766},
 	} {
 		cfg := Config{
 			CPUs: 64, Gears: gears, TimeModel: dvfs.NewTimeModel(0.5, gears),
@@ -245,6 +251,9 @@ func TestCompletionReplanWorkPinned(t *testing.T) {
 		cnt, _ := completionReplans(t, cfg, standingQueueTrace(1, 300))
 		if got := cnt.total(); got != c.want {
 			t.Errorf("%s: completion passes replanned %d reservations, want %d", c.name, got, c.want)
+		}
+		if got := cnt.sys.creditCalls; got != c.credits {
+			t.Errorf("%s: completion credits cost %d Credit calls, want %d", c.name, got, c.credits)
 		}
 	}
 }

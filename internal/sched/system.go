@@ -191,24 +191,28 @@ type System struct {
 	// profClean is how many leading entries the next pass may consider
 	// reusing; profMut notes a base mutation since they were planned that
 	// invalidates the whole prefix. A completion does not set it: it
-	// credits the retained reservations' recorded blocking (creditPlan),
-	// and cleanPrefix replays a credited blocking to prove the
-	// reservation unchanged. A gear switch sets it (its added occupancy
-	// was never validated against the plan), and so does a job start
-	// under the conservative analysis. Under the widened one (profWiden —
-	// the gear policy implements EstMonotonePolicy) a start's occupancy
-	// was feasibility-validated against the full tier including every
-	// retained reservation, so it can neither delay a retained window nor
-	// open an earlier one, and cleanPrefix instead re-asks the gear
-	// decision at both ends of the interval the top-gear estimate may
-	// have drifted across. replanned counts the reservations passes
-	// dropped to replan them.
-	resvMeta  []resvInfo
-	profLive  bool
-	profMut   bool
-	profWiden bool
-	profClean int
-	replanned int
+	// queues a credit for the retained reservations' recorded blocking
+	// (creditPlan, into credits), and cleanPrefix applies the queue to
+	// each position it checks and replays a credited blocking to prove
+	// the reservation unchanged. A gear switch sets it (its added
+	// occupancy was never validated against the plan), and so does a job
+	// start under the conservative analysis. Under the widened one
+	// (profWiden — the gear policy implements EstMonotonePolicy) a start's
+	// occupancy was feasibility-validated against the full tier including
+	// every retained reservation, so it can neither delay a retained
+	// window nor open an earlier one, and cleanPrefix instead re-asks the
+	// gear decision at both ends of the interval the top-gear estimate
+	// may have drifted across. replanned counts the reservations passes
+	// dropped to replan them, and creditCalls the Blocking.Credit calls
+	// the queued credits cost.
+	resvMeta    []resvInfo
+	credits     []credit
+	profLive    bool
+	profMut     bool
+	profWiden   bool
+	profClean   int
+	replanned   int
+	creditCalls int
 
 	// rsPool recycles RunStates after their completion callbacks ran,
 	// together with their Alloc.Runs and Phases capacity, so the steady
@@ -681,10 +685,10 @@ func (c *backfillCheck) fits(g dvfs.Gear) bool {
 // and the resulting slot start, so the next pass can prove a fresh replan
 // would reproduce the reservation verbatim before reusing it. blocked
 // holds the violated stretches the chosen gear's sweep crossed before
-// the slot, as completions since have credited them; credited notes a
-// credit since the last proof. The chosen gear's sweep has the top
-// gear's level and runs at least as far, so blocked serves the
-// top-gear estimate too.
+// the slot, as the completion credits cleanPrefix applied since have
+// left them; credited notes a credit since the last proof. The chosen
+// gear's sweep has the top gear's level and runs at least as far, so
+// blocked serves the top-gear estimate too.
 type resvInfo struct {
 	job      *workload.Job
 	est      float64
@@ -692,6 +696,13 @@ type resvInfo struct {
 	gear     dvfs.Gear
 	blocked  profile.Blocking
 	credited bool
+}
+
+// credit is one completion's hand-back, queued for the retained
+// reservations' blocking: cpus processors freed over [from, to).
+type credit struct {
+	cpus     int
+	from, to float64
 }
 
 // profilePass replans the queue against an availability profile. The
@@ -843,15 +854,14 @@ func (s *System) spareBlocking() *profile.Blocking {
 	return b
 }
 
-// creditPlan hands a completion's processors back over [from, to) to the
-// blocking of every reservation the next pass may reuse, marking the
-// reservations whose blocking it lowered for a replay.
+// creditPlan queues a completion's processors, handed back over
+// [from, to), for the blocking of every reservation the next pass may
+// reuse. cleanPrefix applies the queue, in completion order, to each
+// position it checks — the same Credit calls eager crediting would make
+// there — so a reservation the pass drops unread is never credited.
 func (s *System) creditPlan(cpus int, from, to float64) {
-	for i := range s.resvMeta[:min(s.profClean, len(s.resvMeta))] {
-		m := &s.resvMeta[i]
-		if m.blocked.Credit(cpus, from, to) {
-			m.credited = true
-		}
+	if min(s.profClean, len(s.resvMeta)) > 0 {
+		s.credits = append(s.credits, credit{cpus: cpus, from: from, to: to})
 	}
 }
 
@@ -868,19 +878,22 @@ func (s *System) creditPlan(cpus int, from, to float64) {
 // and the gear policy, re-asked at this pass's queue depth, still picks
 // the same gear.
 //
-// The blocking proof replays the sweep's rule over the stretches the
-// credits left and requires exactly the recorded est at the top gear's
-// duration and start at the chosen gear's. Credits only lower usage,
-// validated starts cannot open a window and the earlier positions are
-// reproduced, so each stretch left is still violated and the replay is
-// a lower bound on a fresh sweep's answer; the chosen gear's window at
-// start stays free, so a fresh sweep returns start again. The top-gear
-// estimate comes out the same under credits alone, but added occupancy
-// may have drifted it anywhere within [est, start] (it only delays the
-// estimate, and never past the reservation start), so under the widened
-// analysis the decision is re-asked at both interval ends — for an
-// EstMonotonePolicy, unchanged at both endpoints means unchanged across
-// the interval. The first position that fails dirties everything after
+// Each checked position first receives the completion credits queued
+// since the last pass (creditPlan), marking it for a replay when one
+// lowered its blocking; the queue is emptied when the check ends, as
+// every position past it is dropped. The blocking proof replays the
+// sweep's rule over the stretches the credits left and requires exactly
+// the recorded est at the top gear's duration and start at the chosen
+// gear's. Credits only lower usage, validated starts cannot open a
+// window and the earlier positions are reproduced, so each stretch left
+// is still violated and the replay is a lower bound on a fresh sweep's
+// answer; the chosen gear's window at start stays free, so a fresh
+// sweep returns start again. The top-gear estimate comes out the same
+// under credits alone, but added occupancy may have drifted it anywhere
+// within [est, start] (it only delays the estimate, and never past the
+// reservation start), so under the widened analysis the decision is
+// re-asked at both interval ends — for an EstMonotonePolicy, unchanged
+// at both endpoints means unchanged across the interval. The first position that fails dirties everything after
 // it, which the caller replans.
 func (s *System) cleanPrefix(now float64, maxRes int) int {
 	limit := s.profClean
@@ -905,6 +918,12 @@ func (s *System) cleanPrefix(now float64, maxRes int) int {
 		if s.queue[k] != m.job || m.est < now || m.start <= now {
 			break
 		}
+		for _, c := range s.credits {
+			if m.blocked.Credit(c.cpus, c.from, c.to) {
+				m.credited = true
+			}
+		}
+		s.creditCalls += len(s.credits)
 		if m.credited {
 			d := s.reqDur(m.job, m.gear)
 			if m.blocked.Earliest(d, now) != m.start {
@@ -924,6 +943,7 @@ func (s *System) cleanPrefix(now float64, maxRes int) int {
 		}
 		k++
 	}
+	s.credits = s.credits[:0]
 	return k
 }
 

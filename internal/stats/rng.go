@@ -17,12 +17,49 @@ import (
 // generator seeded explicitly; two RNGs built with the same seed produce
 // identical streams.
 type RNG struct {
-	src *rand.Rand
+	src   *rand.Rand
+	base  rand.Source64 // the seeded source under src, which Skip advances
+	steps *stepSource   // non-nil on a counting generator
 }
+
+// stepSource counts the steps drawn from the seeded source it wraps.
+// Every variate consumes whole source steps (Int63 or Uint64 calls, one
+// state advance each), so a count taken over a run of draws is how far
+// Skip must advance a fresh generator to stand where they left it.
+type stepSource struct {
+	rand.Source64
+	n int64
+}
+
+func (s *stepSource) Int63() int64   { s.n++; return s.Source64.Int63() }
+func (s *stepSource) Uint64() uint64 { s.n++; return s.Source64.Uint64() }
 
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{src: rand.New(rand.NewSource(seed))}
+	base := rand.NewSource(seed).(rand.Source64)
+	return &RNG{src: rand.New(base), base: base}
+}
+
+// NewCountingRNG returns a generator seeded with seed that counts the
+// source steps its draws consume (Steps). Its stream is NewRNG(seed)'s;
+// the count costs one more indirect call per step.
+func NewCountingRNG(seed int64) *RNG {
+	base := rand.NewSource(seed).(rand.Source64)
+	c := &stepSource{Source64: base}
+	return &RNG{src: rand.New(c), base: base, steps: c}
+}
+
+// Steps returns the source steps a counting generator's draws have
+// consumed.
+func (r *RNG) Steps() int64 { return r.steps.n }
+
+// Skip advances the generator by n source steps without drawing a
+// variate: a fresh generator skipped by a counting one's Steps continues
+// exactly where that one's draws left off.
+func (r *RNG) Skip(n int64) {
+	for ; n > 0; n-- {
+		r.base.Uint64()
+	}
 }
 
 // Float64 returns a uniform variate in [0, 1).

@@ -146,3 +146,43 @@ func TestZipfSkew(t *testing.T) {
 		t.Errorf("Zipf not skewed: rank0=%d rank10=%d", counts[0], counts[10])
 	}
 }
+
+// TestSkipResumesCountedDraws pins the step-counting contract: a
+// counting generator draws NewRNG's stream, and a fresh generator skipped
+// by its Steps continues exactly where its draws left off, whatever mix
+// of variates (rejection loops and the Zipf sampler included) consumed
+// the steps.
+func TestSkipResumesCountedDraws(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		counted, plain := NewCountingRNG(seed), NewRNG(seed)
+		zc, zp := counted.Zipf(1.5, 40), plain.Zipf(1.5, 40)
+		draws := func(r *RNG, z func() int, k int) []float64 {
+			var out []float64
+			for i := 0; i < k; i++ {
+				out = append(out, r.Float64(), float64(r.Intn(1+i)), r.Exp(3), r.Lognormal(1, 2),
+					r.Gamma(0.4, 2), r.Gamma(3, 1), float64(z()))
+				if r.Bernoulli(0.3) {
+					out = append(out, r.Uniform(-1, 1))
+				}
+			}
+			return out
+		}
+		want := draws(plain, zp, 50+int(seed)*20)
+		got := draws(counted, zc, 50+int(seed)*20)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: counting generator's draw %d = %v, NewRNG's %v", seed, i, got[i], want[i])
+			}
+		}
+		if counted.Steps() <= int64(len(want)) {
+			t.Fatalf("seed %d: %d draws counted only %d steps", seed, len(want), counted.Steps())
+		}
+		skipped := NewRNG(seed)
+		skipped.Skip(counted.Steps())
+		for i := 0; i < 100; i++ {
+			if a, b := skipped.Gamma(0.7, 1), counted.Gamma(0.7, 1); a != b {
+				t.Fatalf("seed %d: skipped generator's draw %d = %v, counted one's %v", seed, i, a, b)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package wgen
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -23,7 +24,10 @@ import (
 // operation identical to Generate's, so the floating point agrees exactly
 // (TestStreamMatchesGenerate pins this for every preset). The price is a
 // small constant factor of extra RNG work per generated job; the win is
-// O(1) generator memory at any trace length.
+// O(1) generator memory at any trace length. The gap cursor's fast-forward
+// replays the attribute draws once per prototype, counting the source
+// steps they consume; every later rewind, of the prototype or a clone,
+// skips a fresh generator by that count without drawing a variate.
 type Source struct {
 	m     Model // defaults applied
 	shape float64
@@ -33,10 +37,15 @@ type Source struct {
 	gapSum     float64 // Σ raw gamma gap weights
 	cycleScale float64 // span / Σ cycle-adjusted gaps (daily cycle only)
 
+	// attr is the attribute section's source-step count, shared with
+	// clones.
+	attr *attrSteps
+
 	// Emission state, built lazily on the first Next after construction
-	// or Reset: the gap-cursor fast-forward costs one attribute replay,
-	// so it must not be spent on sources that are Reset before use (the
-	// scheduler always rewinds a source it is handed).
+	// or Reset: the gap-cursor fast-forward costs an attribute replay (the
+	// prototype's first) or a skip, so it must not be spent on sources
+	// that are Reset before use (the scheduler always rewinds a source it
+	// is handed).
 	attrRNG  *stats.RNG // cursor over the job-attribute draws; nil = rewind pending
 	gapRNG   *stats.RNG // cursor fast-forwarded to the gap draws
 	drawUser func() int
@@ -51,15 +60,16 @@ var (
 )
 
 // Stream returns a lazy generator for the model. Construction costs the
-// RNG summing passes described on Source; each rewind (the first Next
-// after construction or Reset) costs one more attribute replay to
-// position the gap cursor.
+// RNG summing passes described on Source; a rewind (the first Next after
+// construction or Reset) positions the gap cursor, by one more attribute
+// replay on the first rewind of the source or any clone and by a step
+// skip after that.
 func Stream(m Model) (*Source, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	m = m.withDefaults()
-	s := &Source{m: m, shape: 1 / (m.ArrivalCV * m.ArrivalCV)}
+	s := &Source{m: m, shape: 1 / (m.ArrivalCV * m.ArrivalCV), attr: &attrSteps{}}
 
 	// Pass 1: replay attribute draws accumulating demand, then the gap
 	// draws accumulating their sum — the exact accumulation order of
@@ -111,18 +121,43 @@ func Stream(m Model) (*Source, error) {
 func (s *Source) rewind() {
 	s.attrRNG = stats.NewRNG(s.m.Seed)
 	s.drawUser = s.m.newUserDraw(s.attrRNG)
-	// The gap cursor replays the attribute section to reach the gap draws.
-	s.gapRNG = stats.NewRNG(s.m.Seed)
-	skipUser := s.m.newUserDraw(s.gapRNG)
-	for i := 0; i < s.m.Jobs; i++ {
-		s.m.drawJob(s.gapRNG, skipUser, i+1)
-	}
+	s.gapRNG = s.attr.gapCursor(s.m)
 	s.i, s.t, s.submit = 0, 0, 0
 }
 
+// attrSteps is how many source steps a model's job-attribute section
+// consumes, taken once per prototype and shared by its clones, which may
+// rewind concurrently.
+type attrSteps struct {
+	once sync.Once
+	n    int64
+}
+
+// gapCursor returns a generator for m positioned at the gap draws. The
+// first call replays the attribute section on a counting generator,
+// records its step count and returns it; later calls skip a fresh
+// generator by the count.
+func (a *attrSteps) gapCursor(m Model) *stats.RNG {
+	var rng *stats.RNG
+	a.once.Do(func() {
+		rng = stats.NewCountingRNG(m.Seed)
+		drawUser := m.newUserDraw(rng)
+		for i := 0; i < m.Jobs; i++ {
+			m.drawJob(rng, drawUser, i+1)
+		}
+		a.n = rng.Steps()
+	})
+	if rng == nil {
+		rng = stats.NewRNG(m.Seed)
+		rng.Skip(a.n)
+	}
+	return rng
+}
+
 // Clone returns an independent source over the same model. The clone
-// shares the construction-time aggregates (span, gap sum, cycle scale) —
-// so cloning is O(1) and never repeats the summing passes — and starts
+// shares the construction-time aggregates (span, gap sum, cycle scale)
+// and the attribute step count — so cloning is O(1) and never repeats the
+// summing passes, nor a counted replay the prototype made — and starts
 // rewind-pending with its own RNG cursors, making it safe to hand each
 // concurrent replay of one shared prototype its own clone.
 func (s *Source) Clone() *Source {

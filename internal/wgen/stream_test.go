@@ -2,6 +2,8 @@ package wgen
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/workload"
@@ -147,6 +149,93 @@ func TestStreamReset(t *testing.T) {
 		}
 		if g != w {
 			t.Fatalf("replay job %d: %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+// drainMatches reads src to its end and fails unless it yields exactly
+// want's jobs.
+func drainMatches(src *Source, want *workload.Trace) error {
+	for i, wj := range want.Jobs {
+		gj, ok := src.Next()
+		if !ok {
+			return fmt.Errorf("stream ended after %d jobs, want %d", i, len(want.Jobs))
+		}
+		if gj != *wj {
+			return fmt.Errorf("job %d: streamed %+v, generated %+v", i, gj, *wj)
+		}
+	}
+	if _, ok := src.Next(); ok {
+		return fmt.Errorf("stream yields more than %d jobs", len(want.Jobs))
+	}
+	return nil
+}
+
+// TestStreamRepeatedExecutionsMatchGenerate pins the rewinds after the
+// first: once a prototype's first rewind has counted the attribute
+// section's RNG steps, every later execution of a clone, and of the
+// prototype itself after Reset, positions its gap cursor by skipping a
+// fresh generator, and must still yield Generate's jobs bit for bit.
+func TestStreamRepeatedExecutionsMatchGenerate(t *testing.T) {
+	for _, m := range streamModels() {
+		t.Run(m.Name, func(t *testing.T) {
+			want, err := Generate(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proto, err := Stream(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for exec := 1; exec <= 3; exec++ {
+				if err := drainMatches(proto.Clone(), want); err != nil {
+					t.Fatalf("clone execution %d: %v", exec, err)
+				}
+			}
+			if err := proto.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			if err := drainMatches(proto, want); err != nil {
+				t.Fatalf("prototype after the clones: %v", err)
+			}
+		})
+	}
+}
+
+// TestStreamConcurrentFirstRewinds has several clones of a fresh
+// prototype take their first rewind at once, as concurrent replays of
+// one shared workload do: one of them counts the attribute section's
+// steps, the others wait for the count, and every clone yields Generate's
+// jobs. Run under -race it also checks the count's publication.
+func TestStreamConcurrentFirstRewinds(t *testing.T) {
+	m := CTC()
+	m.Name = "CTC-users"
+	m.Jobs = 2_000
+	m.Users = 50
+	m.DailyCycle = 0.3
+	want, err := Generate(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := Stream(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clones = 4
+	errs := make([]error, clones)
+	var wg sync.WaitGroup
+	for k := 0; k < clones; k++ {
+		src := proto.Clone()
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			errs[k] = drainMatches(src, want)
+		}(k)
+	}
+	wg.Wait()
+	for k, err := range errs {
+		if err != nil {
+			t.Errorf("clone %d: %v", k, err)
 		}
 	}
 }
