@@ -13,6 +13,45 @@
 //	bsldsim -workload CTC -nodvfs            # EASY baseline
 //	bsldsim -workload TenMillion -stream     # 10M jobs, O(running jobs) memory
 //	bsldsim -workload CTC -cap-frac 0.7      # closed-loop power capping at 70% of peak
+//	bsldsim -config run.json                 # a scenario.Spec document
+//
+// The paper's power and time model parameters "are platform dependent and
+// adjustable in configuration files" (§4). -config reads such a file: the
+// JSON form of scenario.Spec, the same document cmd/schedd accepts, with
+// unknown fields rejected (cmd/bsldsim/testdata/full.json sets every
+// platform field). Flags and files compile a named workload the same way,
+// so the same run reports the same scenario_hash either way. The keys of
+// the earlier sectioned config format map onto Spec as follows:
+//
+//	platform.gears [{freq_ghz, voltage_v}] → gears [{"Freq", "Voltage"}]
+//	platform.ac_running                    → power_model.ac_running
+//	platform.activity_ratio                → power_model.activity_ratio
+//	platform.static_fraction               → power_model.static_fraction
+//	platform.beta                          → beta
+//	policy.bsld_threshold                  → policy.bsld_thr
+//	policy.wq_threshold (number or "NO")   → policy.wq_thr (number or "NO")
+//	policy.short_job_threshold             → short_job_th (policy and metrics)
+//	policy.strict_backfill_bsld            → policy.strict_backfill
+//	policy.boost                           → policy.boost
+//	policy.boost_wq                        → policy.boost_wq
+//	machine.cpus                           → cpus
+//	machine.size_factor                    → size_factor
+//	machine.scheduler                      → variant
+//	machine.selection                      → selection
+//	machine.order                          → order
+//	machine.reservations                   → reservations
+//	workload.preset                        → workload
+//	workload.swf                           → workload (a path ending in .swf)
+//	workload.cpus                          → swf_cpus
+//	workload.jobs                          → jobs
+//	workload.seed                          → dropped: export the reseeded
+//	                                         preset (wgen -seed N) and run
+//	                                         the .swf file
+//	workload.clean_flurries                → dropped: the presets have no
+//	                                         flurries, and the archive
+//	                                         publishes cleaned logs
+//
+// A negative wq_threshold no longer means "NO"; it is an error.
 //
 // For performance work, -cpuprofile and -memprofile write pprof profiles
 // covering the whole run (both the policy and the no-DVFS baseline leg):
@@ -30,45 +69,60 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 
 	"repro/internal/altpolicy"
 	"repro/internal/cluster"
-	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/dvfs"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/wgen"
 	"repro/internal/workload"
 )
 
+// options are the run flags.
+type options struct {
+	workload, swf          string
+	cpus, jobs             int
+	dropFailed             bool
+	bsld                   float64
+	wq                     int
+	size, beta             float64
+	variant, sel           string
+	stream, noDVFS, strict bool
+	boost                  int
+	capCfg                 scenario.ControllerConfig
+	ecoUsers               string
+}
+
 func main() {
+	var o options
+	flag.StringVar(&o.workload, "workload", "CTC", "built-in workload model (CTC, SDSC, SDSCBlue, LLNLThunder, LLNLAtlas, Million)")
+	flag.StringVar(&o.swf, "swf", "", "read this SWF trace instead of a built-in model")
+	flag.IntVar(&o.cpus, "cpus", 0, "system size for -swf traces without a MaxProcs header; 0 = from header")
+	flag.IntVar(&o.jobs, "jobs", 0, "trace segment length for built-in models; 0 = the model's native length (5000 for the paper presets, 1000000 for Million)")
+	flag.BoolVar(&o.dropFailed, "drop-failed", false, "drop failed jobs (SWF status 0) when reading -swf traces")
+	flag.Float64Var(&o.bsld, "bsld", 2, "BSLDthreshold of the frequency assignment algorithm")
+	flag.IntVar(&o.wq, "wq", 0, "WQthreshold (jobs waiting); -1 = no limit")
+	flag.Float64Var(&o.size, "size", 1.0, "system size factor (1.2 = 20% enlarged)")
+	flag.Float64Var(&o.beta, "beta", scenario.DefaultBeta, "β of the execution time model (must be positive)")
+	flag.StringVar(&o.variant, "policy", "easy", "base scheduling policy: easy, fcfs, conservative")
+	flag.StringVar(&o.sel, "select", "firstfit", "resource selection policy: firstfit, contiguous, nextfit")
+	flag.BoolVar(&o.stream, "stream", false, "stream the workload instead of materializing it: presets generate lazily, SWF files are read incrementally — O(running jobs) memory at any trace length")
+	flag.BoolVar(&o.noDVFS, "nodvfs", false, "disable frequency scaling (baseline)")
+	flag.BoolVar(&o.strict, "strict-backfill", false, "literal Figure 2 semantics: BSLD check gates backfills even at Ftop")
+	flag.IntVar(&o.boost, "boost", -1, "dynamic boost extension: raise running reduced jobs to Ftop when more than N jobs wait; -1 disables")
+	flag.Float64Var(&o.capCfg.CapFrac, "cap-frac", 0, "power cap as a fraction of peak machine draw, in (0,1]; 0 disables the cap controller")
+	flag.Float64Var(&o.capCfg.Kp, "cap-kp", 0, "proportional gain of the cap controller (0 = default)")
+	flag.Float64Var(&o.capCfg.Ki, "cap-ki", 0, "integral gain of the cap controller (0 = default)")
+	flag.BoolVar(&o.capCfg.EcoOnly, "cap-eco", false, "cap controller only throttles jobs carrying the eco opt-in flag")
+	flag.StringVar(&o.ecoUsers, "eco-users", "", "comma-separated SWF user IDs whose jobs opt into eco mode (\"*\" = all)")
 	var (
-		wl      = flag.String("workload", "CTC", "built-in workload model (CTC, SDSC, SDSCBlue, LLNLThunder, LLNLAtlas, Million)")
-		swf     = flag.String("swf", "", "read this SWF trace instead of a built-in model")
-		cpus    = flag.Int("cpus", 0, "system size for -swf traces without a MaxProcs header; 0 = from header")
-		jobs    = flag.Int("jobs", 0, "trace segment length for built-in models; 0 = the model's native length (5000 for the paper presets, 1000000 for Million)")
-		dropF   = flag.Bool("drop-failed", false, "drop failed jobs (SWF status 0) when reading -swf traces")
-		bsldThr = flag.Float64("bsld", 2, "BSLDthreshold of the frequency assignment algorithm")
-		wqThr   = flag.Int("wq", 0, "WQthreshold (jobs waiting); -1 = no limit")
-		size    = flag.Float64("size", 1.0, "system size factor (1.2 = 20% enlarged)")
-		beta    = flag.Float64("beta", scenario.DefaultBeta, "β of the execution time model (must be positive)")
-		variant = flag.String("policy", "easy", "base scheduling policy: easy, fcfs, conservative")
-		sel     = flag.String("select", "firstfit", "resource selection policy: firstfit, contiguous, nextfit")
-		stream  = flag.Bool("stream", false, "stream the workload instead of materializing it: presets generate lazily, SWF files are read incrementally — O(running jobs) memory at any trace length")
-		noDVFS  = flag.Bool("nodvfs", false, "disable frequency scaling (baseline)")
-		strict  = flag.Bool("strict-backfill", false, "literal Figure 2 semantics: BSLD check gates backfills even at Ftop")
-		boost   = flag.Int("boost", -1, "dynamic boost extension: raise running reduced jobs to Ftop when more than N jobs wait; -1 disables")
-		capFrac = flag.Float64("cap-frac", 0, "power cap as a fraction of peak machine draw, in (0,1]; 0 disables the cap controller")
-		capKp   = flag.Float64("cap-kp", 0, "proportional gain of the cap controller (0 = default)")
-		capKi   = flag.Float64("cap-ki", 0, "integral gain of the cap controller (0 = default)")
-		capEco  = flag.Bool("cap-eco", false, "cap controller only throttles jobs carrying the eco opt-in flag")
-		ecoU    = flag.String("eco-users", "", "comma-separated SWF user IDs whose jobs opt into eco mode (\"*\" = all)")
 		verbose = flag.Bool("v", false, "print per-gear breakdown")
 		asJSON  = flag.Bool("json", false, "emit the report as JSON for downstream tooling")
-		cfgPath = flag.String("config", "", "JSON configuration file declaring platform, policy, machine and workload (overrides the other flags)")
+		cfgPath = flag.String("config", "", "JSON scenario.Spec file (the document cmd/schedd accepts) describing the whole run; replaces the run flags above")
 		dump    = flag.String("dump", "", "write per-job records (submit, wait, gear, BSLD, energy) to this CSV file")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -87,12 +141,15 @@ func main() {
 		defer f.Close()
 		defer pprof.StopCPUProfile()
 	}
+	var spec scenario.Spec
 	var err error
 	if *cfgPath != "" {
-		err = runConfig(os.Stdout, *cfgPath, *verbose, *asJSON, *dump)
+		spec, err = loadSpec(*cfgPath)
 	} else {
-		capCfg := scenario.ControllerConfig{CapFrac: *capFrac, Kp: *capKp, Ki: *capKi, EcoOnly: *capEco}
-		err = run(os.Stdout, *wl, *swf, *cpus, *jobs, *bsldThr, *wqThr, *size, *beta, *variant, *sel, *stream, *noDVFS, *strict, *dropF, *boost, capCfg, *ecoU, *verbose, *asJSON, *dump)
+		spec, err = o.spec()
+	}
+	if err == nil {
+		err = run(os.Stdout, spec, *verbose, *asJSON, *dump)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bsldsim:", err)
@@ -113,37 +170,101 @@ func main() {
 	}
 }
 
-// runConfig executes a simulation declared in a configuration file.
-func runConfig(w io.Writer, path string, verbose, asJSON bool, dump string) error {
-	f, err := config.Load(path)
-	if err != nil {
-		return err
+// spec describes the run the flags ask for. Presets and .swf logs compile
+// by name, like a -config file; an SWF log streamed from disk (-stream)
+// or named without the .swf suffix is opened here and passed in as a
+// pre-built source or trace.
+func (o options) spec() (scenario.Spec, error) {
+	spec := scenario.Spec{
+		Workload:    o.workload,
+		Jobs:        o.jobs,
+		Filter:      workload.SWFFilter{EcoUsers: o.ecoUsers},
+		Materialize: !o.stream,
+		Controller:  o.capCfg,
+		SizeFactor:  o.size,
+		Variant:     strings.ToLower(o.variant),
+		Selection:   strings.ToLower(o.sel),
+		Beta:        &o.beta,
 	}
-	spec, err := f.BuildSpec()
-	if err != nil {
-		return err
+	if !o.noDVFS {
+		wq := o.wq
+		if wq < 0 {
+			wq = core.NoWQLimit
+		}
+		spec.Policy = scenario.PolicyConfig{
+			BSLDThr: o.bsld, WQThr: wq, StrictBackfill: o.strict,
+			Boost: o.boost >= 0, BoostWQ: max(o.boost, 0),
+		}
 	}
+	log := o.swf
+	if log == "" && strings.HasSuffix(o.workload, ".swf") {
+		log = o.workload
+	}
+	if log == "" {
+		return spec, nil
+	}
+	spec.Workload, spec.Jobs = "", 0
+	spec.Filter.DropFailed = o.dropFailed
+	var err error
+	switch {
+	case o.stream:
+		spec.Source, err = workload.OpenSWFSource(log, o.cpus, spec.Filter)
+	case strings.HasSuffix(log, ".swf"):
+		spec.Workload, spec.SWFCPUs = log, o.cpus
+	default:
+		spec.Trace, err = workload.ParseSWFFile(log, o.cpus, spec.Filter)
+	}
+	return spec, err
+}
+
+// loadSpec decodes a -config file, rejecting unknown fields so a typo
+// fails instead of silently running a default.
+func loadSpec(path string) (scenario.Spec, error) {
+	var spec scenario.Spec
+	f, err := os.Open(path)
+	if err != nil {
+		return spec, err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, fmt.Errorf("%s: %w", path, err)
+	}
+	return spec, nil
+}
+
+// run compiles the spec once and executes it and its no-DVFS baseline;
+// the baseline leg reuses the compiled workload (a shared source is
+// rewound between the two sequential executions).
+func run(w io.Writer, spec scenario.Spec, verbose, asJSON bool, dump string) error {
 	spec.KeepCollector = verbose || dump != ""
-	// Compile once; the policy and baseline legs share the compiled
-	// workload arena.
 	sc, err := scenario.Compile(spec)
 	if err != nil {
 		return err
 	}
-	out, baseOut, err := sc.ExecutePair()
+	out, base, err := sc.ExecutePair()
 	if err != nil {
 		return err
-	}
-	sizeFactor := spec.SizeFactor
-	if sizeFactor == 0 {
-		sizeFactor = 1
 	}
 	if dump != "" {
 		if err := dumpRecords(dump, out); err != nil {
 			return err
 		}
 	}
-	return report(w, spec.Trace.Name, sc.Hash(), out, baseOut, spec.Variant, spec.Selection, sizeFactor, verbose, asJSON)
+	variant, err := sched.ParseVariant(spec.Variant)
+	if err != nil {
+		return err
+	}
+	selection, err := cluster.ParseSelection(spec.Selection)
+	if err != nil {
+		return err
+	}
+	size := spec.SizeFactor
+	if size == 0 {
+		size = 1
+	}
+	return report(w, sc.Workload(), sc.Hash(), out, base, variant.String(), selection.String(), size, verbose, asJSON)
 }
 
 // dumpRecords writes the per-job outcomes for offline analysis.
@@ -215,76 +336,6 @@ func capReport(out scenario.Outcome) *capStats {
 	}
 }
 
-func run(w io.Writer, wl, swf string, cpus, jobs int, bsldThr float64, wqThr int, size, beta float64,
-	variant, sel string, stream, noDVFS, strict, dropFailed bool, boost int,
-	capCfg scenario.ControllerConfig, ecoUsers string, verbose, asJSON bool, dump string) error {
-	var (
-		tr   *workload.Trace
-		src  workload.JobSource
-		name string
-		err  error
-	)
-	if stream {
-		src, err = loadSource(wl, swf, cpus, jobs, dropFailed, ecoUsers)
-		if err != nil {
-			return err
-		}
-		name = src.Name()
-	} else {
-		tr, err = loadTrace(wl, swf, cpus, jobs, dropFailed, ecoUsers)
-		if err != nil {
-			return err
-		}
-		name = tr.Name
-	}
-	v, err := sched.ParseVariant(strings.ToLower(variant))
-	if err != nil {
-		return err
-	}
-	selection, err := cluster.ParseSelection(strings.ToLower(sel))
-	if err != nil {
-		return err
-	}
-
-	spec := scenario.Spec{Trace: tr, Source: src, SizeFactor: size, Variant: v.String(), Beta: &beta,
-		Selection: selection.String(), Controller: capCfg, KeepCollector: verbose || dump != ""}
-	if !noDVFS {
-		gears := dvfs.PaperGearSet()
-		wq := wqThr
-		if wq < 0 {
-			wq = core.NoWQLimit
-		}
-		pol, err := core.NewPolicy(core.Params{
-			BSLDThreshold:      bsldThr,
-			WQThreshold:        wq,
-			StrictBackfillBSLD: strict,
-			Boost:              boost >= 0,
-			BoostWQ:            max(boost, 0),
-		}, gears, dvfs.NewTimeModel(beta, gears))
-		if err != nil {
-			return err
-		}
-		spec.GearPolicy = pol
-	}
-	// Compile the spec once into an immutable scenario; the baseline leg
-	// reuses the compiled workload (a shared source is rewound between the
-	// two sequential executions).
-	sc, err := scenario.Compile(spec)
-	if err != nil {
-		return err
-	}
-	out, base, err := sc.ExecutePair()
-	if err != nil {
-		return err
-	}
-	if dump != "" {
-		if err := dumpRecords(dump, out); err != nil {
-			return err
-		}
-	}
-	return report(w, name, sc.Hash(), out, base, spec.Variant, spec.Selection, size, verbose, asJSON)
-}
-
 // report renders the outcome in either human or JSON form.
 func report(w io.Writer, name, hash string, out, base scenario.Outcome, variant,
 	selection string, size float64, verbose, asJSON bool) error {
@@ -337,11 +388,15 @@ func report(w io.Writer, name, hash string, out, base scenario.Outcome, variant,
 			a.n++
 			a.energy += rec.Energy
 		}
+		gears := make([]dvfs.Gear, 0, len(byGear))
+		for g := range byGear {
+			gears = append(gears, g)
+		}
+		sort.Slice(gears, func(i, k int) bool { return gears[i].Freq < gears[k].Freq })
 		fmt.Fprintln(w, "per final gear:")
-		for _, g := range dvfs.PaperGearSet() {
-			if a := byGear[g]; a != nil {
-				fmt.Fprintf(w, "  %-14s %5d jobs  energy %.4g\n", g, a.n, a.energy)
-			}
+		for _, g := range gears {
+			a := byGear[g]
+			fmt.Fprintf(w, "  %-14s %5d jobs  energy %.4g\n", g, a.n, a.energy)
 		}
 		wp, err := out.Collector.WaitPercentiles()
 		if err != nil {
@@ -371,25 +426,4 @@ func report(w io.Writer, name, hash string, out, base scenario.Outcome, variant,
 		}
 	}
 	return nil
-}
-
-// loadSource resolves the workload as a streaming source: presets
-// generate jobs lazily, SWF files are read incrementally. Either way a
-// simulation holds O(running jobs) memory instead of the whole trace.
-// An explicit -swf path is loaded as a file whatever its extension;
-// otherwise wgen's shared name resolution applies.
-func loadSource(wl, swf string, cpus, jobs int, dropFailed bool, ecoUsers string) (workload.JobSource, error) {
-	filter := workload.SWFFilter{DropFailed: dropFailed, EcoUsers: ecoUsers}
-	if swf != "" {
-		return workload.OpenSWFSource(swf, cpus, filter)
-	}
-	return wgen.ResolveSource(wl, cpus, jobs, filter)
-}
-
-func loadTrace(wl, swf string, cpus, jobs int, dropFailed bool, ecoUsers string) (*workload.Trace, error) {
-	filter := workload.SWFFilter{DropFailed: dropFailed, EcoUsers: ecoUsers}
-	if swf != "" {
-		return workload.ParseSWFFile(swf, cpus, filter)
-	}
-	return wgen.ResolveTrace(wl, cpus, jobs, filter)
 }

@@ -8,7 +8,9 @@
 //	        "policy":   {"bsld_thr": 2, "wq_thr": 4}
 //	}'
 //
-// ("wq_thr": 2147483647 — core.NoWQLimit — is the paper's "NO LIMIT".)
+// ("wq_thr": "NO", or its value core.NoWQLimit = 2147483647, is the
+// paper's "NO LIMIT".) The body is the JSON form of scenario.Spec, the
+// same document bsldsim -config reads; unknown fields are rejected.
 //
 // Every request compiles to an immutable scenario whose canonical hash
 // keys an LRU result cache, so repeated questions are answered without

@@ -199,7 +199,7 @@ func (s *server) admit(spec scenario.Spec) (int, error) {
 			return http.StatusBadRequest, err
 		}
 		jobs := spec.Jobs
-		if jobs <= 0 {
+		if jobs == 0 {
 			jobs = m.Jobs
 		}
 		if jobs > s.cfg.MaxJobs {

@@ -185,6 +185,12 @@ func TestWhatifRejections(t *testing.T) {
 		{"over max jobs", `{"workload": "CTC", "jobs": 5000}`, http.StatusForbidden, "-max-jobs"},
 		{"native length over max jobs", `{"workload": "CTC"}`, http.StatusForbidden, "-max-jobs"},
 		{"bad beta", `{"workload": "CTC", "jobs": 300, "beta": 0}`, http.StatusBadRequest, "Beta"},
+		{"unknown field in policy", `{"workload": "CTC", "jobs": 300, "policy": {"bsld_thr": 2, "wq": 4}}`, http.StatusBadRequest, "unknown field"},
+		{"bad wq_thr", `{"workload": "CTC", "jobs": 300, "policy": {"bsld_thr": 2, "wq_thr": "never"}}`, http.StatusBadRequest, "wq_thr"},
+		{"negative cpus", `{"workload": "CTC", "jobs": 50, "cpus": -5}`, http.StatusBadRequest, "machine size"},
+		{"overflowing size factor", `{"workload": "CTC", "jobs": 50, "size_factor": 1e300}`, http.StatusBadRequest, "machine size"},
+		{"negative jobs", `{"workload": "CTC", "jobs": -1}`, http.StatusBadRequest, "negative jobs"},
+		{"negative swf_cpus", `{"workload": "CTC", "jobs": 50, "swf_cpus": -1}`, http.StatusBadRequest, "negative swf_cpus"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -19,24 +19,26 @@
 // # Scenarios
 //
 // Every run flows through internal/scenario: a Spec (workload name or
-// pre-built source, gear policy as data, machine size, platform
-// overrides) compiles into an immutable, goroutine-safe Scenario — the
-// workload resolved once into a shared arena (SWF logs parse once,
-// presets generate once, streamed presets clone independent RNG cursors
-// from one summed prototype), every default filled in, and a canonical
-// SHA-256 content hash identifying the run. Compile once, Execute many:
-// N goroutines executing one shared scenario produce bit-identical
-// metrics.Results (stateful gear policies clone per execution through
-// sched.PolicyCloner). Spec is the only run description: callers
-// holding resolved objects (a generated trace, a streaming source, a
-// pre-built gear policy) pass them through its escape-hatch fields, and
+// pre-built source, gear policy as data, machine size, and the platform:
+// gears, power-model constants, β and Th) compiles into an immutable,
+// goroutine-safe Scenario — the workload resolved once into a shared arena
+// (SWF logs parse once, presets generate once, streamed presets clone
+// independent RNG cursors from one summed prototype), every default filled
+// in, and a canonical SHA-256 content hash identifying the run. Compile
+// once, Execute many: N goroutines executing one shared scenario produce
+// bit-identical metrics.Results (stateful gear policies clone per
+// execution through sched.PolicyCloner). Spec is the only run description:
+// callers holding resolved objects (a generated trace, a streaming source,
+// a pre-built gear policy) pass them through its escape-hatch fields, and
 // Scenario.ExecutePair runs the no-DVFS baseline every normalized energy
-// divides by. Sweeps compile grid points through a shared Compiler so
-// arenas dedup across cells, and cmd/schedd serves what-if queries over
-// HTTP with an LRU result cache keyed by the scenario hash, in-flight
-// coalescing of identical queries, a bounded simulation worker pool and
-// graceful drain on shutdown. See examples/whatif for the pattern end to
-// end.
+// divides by. Spec's JSON is the one document that describes a run:
+// cmd/schedd accepts it over HTTP and bsldsim -config reads it from a
+// file, both with unknown fields rejected. Sweeps compile grid points
+// through a shared Compiler so arenas dedup across cells, and cmd/schedd
+// serves what-if queries over HTTP with an LRU result cache keyed by the
+// scenario hash, in-flight coalescing of identical queries, a bounded
+// simulation worker pool and graceful drain on shutdown. See
+// examples/whatif for the pattern end to end.
 //
 // # Power control
 //

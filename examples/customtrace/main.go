@@ -18,7 +18,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/dvfs"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
@@ -32,15 +31,11 @@ func main() {
 	fmt.Printf("trace %q: %d jobs on %d CPUs, %.1f CPU-hours, offered load %.2f\n\n",
 		trace.Name, st.Jobs, trace.CPUs, st.TotalCPUHours, st.Utilization)
 
-	gears := dvfs.PaperGearSet()
-	policy, err := core.NewPolicy(core.Params{
-		BSLDThreshold: 2,
-		WQThreshold:   core.NoWQLimit,
-	}, gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
-	if err != nil {
-		log.Fatal(err)
-	}
-	sc, err := scenario.Compile(scenario.Spec{Trace: trace, GearPolicy: policy, KeepCollector: true})
+	sc, err := scenario.Compile(scenario.Spec{
+		Trace:         trace,
+		Policy:        scenario.PolicyConfig{BSLDThr: 2, WQThr: core.NoWQLimit},
+		KeepCollector: true,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

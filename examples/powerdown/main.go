@@ -41,21 +41,16 @@ func main() {
 		log.Fatal(err)
 	}
 	pm := dvfs.PaperPowerModel()
-	gears := pm.Gears
-	policy, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit},
-		gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
-	if err != nil {
-		log.Fatal(err)
-	}
+	policy := scenario.PolicyConfig{BSLDThr: 2, WQThr: core.NoWQLimit}
 	shutdown := nodepower.DefaultPolicy()
 
 	// totalEnergy simulates once and returns (total energy, avg BSLD):
 	// execution energy plus either always-on idle power or the shutdown
 	// policy's idle-side energy.
-	totalEnergy := func(pol sched.GearPolicy, powerDown bool) (float64, float64) {
+	totalEnergy := func(pol scenario.PolicyConfig, powerDown bool) (float64, float64) {
 		tracker := nodepower.NewTracker(model.CPUs)
 		sc, err := scenario.Compile(scenario.Spec{
-			Trace: trace, GearPolicy: pol,
+			Trace: trace, Policy: pol,
 			ExtraRecorders: []sched.Recorder{tracker},
 		})
 		if err != nil {
@@ -75,20 +70,20 @@ func main() {
 		return out.Results.CompEnergy + rep.TotalIdleSideEnergy(), out.Results.AvgBSLD
 	}
 
-	baseline, baseBSLD := totalEnergy(nil, false)
+	baseline, baseBSLD := totalEnergy(scenario.PolicyConfig{}, false)
 	table := textplot.Table{
 		Title:  fmt.Sprintf("Total CPU energy management on %s (%d jobs, %d CPUs)", name, model.Jobs, model.CPUs),
 		Header: []string{"strategy", "total energy", "avg BSLD"},
 		Note: fmt.Sprintf("power-down: %gs idle timeout, %gs wake cost (optimistic accounting-only bound); baseline BSLD %.2f",
 			shutdown.IdleOffDelay, shutdown.WakeEnergySeconds, baseBSLD),
 	}
-	addRow := func(label string, pol sched.GearPolicy, pd bool) {
+	addRow := func(label string, pol scenario.PolicyConfig, pd bool) {
 		e, bsld := totalEnergy(pol, pd)
 		table.AddRow(label, fmt.Sprintf("%.2f%%", 100*e/baseline), fmt.Sprintf("%.2f", bsld))
 	}
 	table.AddRow("always-on, no DVFS", "100.00%", fmt.Sprintf("%.2f", baseBSLD))
-	addRow("DVFS "+policy.Name(), policy, false)
-	addRow("power-down only", nil, true)
+	addRow("DVFS "+policy.Label(), policy, false)
+	addRow("power-down only", scenario.PolicyConfig{}, true)
 	addRow("DVFS + power-down", policy, true)
 	fmt.Print(table.Render())
 }

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/dvfs"
 	"repro/internal/scenario"
 	"repro/internal/wgen"
 )
@@ -31,19 +29,12 @@ func main() {
 	// 2. The paper's frequency assignment algorithm: run a job at the
 	// lowest gear whose predicted bounded slowdown stays under 2, but
 	// only while at most 16 other jobs wait.
-	gears := dvfs.PaperGearSet()
-	policy, err := core.NewPolicy(core.Params{
-		BSLDThreshold: 2,
-		WQThreshold:   16,
-	}, gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
-	if err != nil {
-		log.Fatal(err)
-	}
+	policy := scenario.PolicyConfig{BSLDThr: 2, WQThr: 16}
 
 	// 3. Compile the run description once and simulate both schedules on
 	// the original 1152-CPU machine: the policy run and its no-DVFS
 	// baseline.
-	sc, err := scenario.Compile(scenario.Spec{Trace: trace, GearPolicy: policy})
+	sc, err := scenario.Compile(scenario.Spec{Trace: trace, Policy: policy})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +45,7 @@ func main() {
 
 	// 4. Compare.
 	b, p := baseline.Results, powerAware.Results
-	fmt.Printf("%-22s %12s %12s\n", "", "no DVFS", policy.Name())
+	fmt.Printf("%-22s %12s %12s\n", "", "no DVFS", sc.PolicyName())
 	fmt.Printf("%-22s %12.2f %12.2f\n", "average BSLD", b.AvgBSLD, p.AvgBSLD)
 	fmt.Printf("%-22s %12.0f %12.0f\n", "average wait (s)", b.AvgWait, p.AvgWait)
 	fmt.Printf("%-22s %12d %12d\n", "jobs at reduced freq", b.ReducedJobs, p.ReducedJobs)

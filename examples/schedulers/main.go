@@ -14,8 +14,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/core"
-	"repro/internal/dvfs"
 	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/wgen"
@@ -35,13 +33,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gears := dvfs.PaperGearSet()
-	policy, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: 16},
-		gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	schedulers := []struct {
 		label string
 		spec  scenario.Spec
@@ -62,7 +53,7 @@ func main() {
 	for i, row := range schedulers {
 		spec := row.spec
 		spec.Trace = trace
-		spec.GearPolicy = policy
+		spec.Policy = scenario.PolicyConfig{BSLDThr: 2, WQThr: 16}
 		spec.KeepCollector = true
 		sc, err := scenario.Compile(spec)
 		if err != nil {

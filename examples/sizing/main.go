@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/dvfs"
 	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/wgen"
@@ -47,23 +46,18 @@ func main() {
 	fmt.Printf("%s: original %d CPUs, baseline avgBSLD %.2f, avgWait %.0f s\n\n",
 		name, model.CPUs, base.Results.AvgBSLD, base.Results.AvgWait)
 
-	gears := dvfs.PaperGearSet()
-	tm := dvfs.NewTimeModel(scenario.DefaultBeta, gears)
 	sizes := []float64{1.0, 1.1, 1.2, 1.5, 1.75, 2.0, 2.25}
 
 	for _, wq := range []int{0, core.NoWQLimit} {
-		pol, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: wq}, gears, tm)
-		if err != nil {
-			log.Fatal(err)
-		}
+		pol := scenario.PolicyConfig{BSLDThr: 2, WQThr: wq}
 		table := textplot.Table{
-			Title: fmt.Sprintf("Power-aware scheduling with %s on enlarged systems", pol.Name()),
+			Title: fmt.Sprintf("Power-aware scheduling with BSLD/WQ thresholds %s on enlarged systems", pol.Label()),
 			Header: []string{"size", "CPUs", "energy(idle=0)", "energy(idle=low)",
 				"avgBSLD", "avgWait(s)", "beats baseline?"},
 			Note: "energies normalized to the original system without DVFS",
 		}
 		for _, sf := range sizes {
-			sc, err := scenario.Compile(scenario.Spec{Trace: trace, GearPolicy: pol, SizeFactor: sf})
+			sc, err := scenario.Compile(scenario.Spec{Trace: trace, Policy: pol, SizeFactor: sf})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -14,7 +14,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/dvfs"
 	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/wgen"
@@ -43,9 +42,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	gears := dvfs.PaperGearSet()
-	tm := dvfs.NewTimeModel(scenario.DefaultBeta, gears)
-
 	table := textplot.Table{
 		Title:  fmt.Sprintf("Energy-performance trade-off on %s (%d jobs, %d CPUs)", name, model.Jobs, model.CPUs),
 		Header: []string{"policy", "energy(idle=0)", "energy(idle=low)", "avgBSLD", "avgWait(s)", "reduced"},
@@ -56,11 +52,10 @@ func main() {
 	for _, thr := range []float64{1.5, 2, 3} {
 		var vals []float64
 		for _, wq := range []int{0, 4, 16, core.NoWQLimit} {
-			pol, err := core.NewPolicy(core.Params{BSLDThreshold: thr, WQThreshold: wq}, gears, tm)
-			if err != nil {
-				log.Fatal(err)
-			}
-			sc, err := scenario.Compile(scenario.Spec{Trace: trace, GearPolicy: pol})
+			sc, err := scenario.Compile(scenario.Spec{
+				Trace:  trace,
+				Policy: scenario.PolicyConfig{BSLDThr: thr, WQThr: wq},
+			})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -69,7 +64,7 @@ func main() {
 				log.Fatal(err)
 			}
 			r := out.Results
-			table.AddRow(pol.Name(),
+			table.AddRow(sc.PolicyName(),
 				fmt.Sprintf("%.2f%%", 100*r.CompEnergy/base.Results.CompEnergy),
 				fmt.Sprintf("%.2f%%", 100*r.TotalEnergyLow/base.Results.TotalEnergyLow),
 				fmt.Sprintf("%.2f", r.AvgBSLD),

@@ -21,6 +21,9 @@
 //	# … answers {"hash": "…", "cached": false, "results": {…}}; repeat
 //	# the same curl and the answer comes from the LRU cache ("cached":
 //	# true) without re-simulating.
+//
+// "wq_thr" also accepts "NO", the paper's NO LIMIT, and the same JSON
+// document runs from a file through bsldsim -config.
 package main
 
 import (

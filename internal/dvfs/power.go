@@ -39,13 +39,14 @@ func NewPowerModel(gears GearSet, acRunning, activityRatio, staticFraction float
 	if err := gears.Validate(); err != nil {
 		return nil, err
 	}
-	if acRunning <= 0 {
+	// Negated comparisons, so a NaN fails each check.
+	if !(acRunning > 0) {
 		return nil, errors.New("dvfs: ACRunning must be positive")
 	}
-	if activityRatio < 1 {
+	if !(activityRatio >= 1) {
 		return nil, errors.New("dvfs: ActivityRatio must be >= 1")
 	}
-	if staticFraction < 0 || staticFraction >= 1 {
+	if !(staticFraction >= 0 && staticFraction < 1) {
 		return nil, fmt.Errorf("dvfs: StaticFraction %v out of [0,1)", staticFraction)
 	}
 	m := &PowerModel{
@@ -63,10 +64,18 @@ func NewPowerModel(gears GearSet, acRunning, activityRatio, staticFraction float
 	return m, nil
 }
 
-// PaperPowerModel returns the model with the paper's constants: Table 2
-// gears, activity ratio 2.5, static fraction 25%, and a unit A·C product.
+// The paper's power-model constants: a unit A·C product, activity ratio
+// 2.5 and static fraction 25%.
+const (
+	PaperACRunning      = 1.0
+	PaperActivityRatio  = 2.5
+	PaperStaticFraction = 0.25
+)
+
+// PaperPowerModel returns the model with the paper's constants over the
+// Table 2 gears.
 func PaperPowerModel() *PowerModel {
-	m, err := NewPowerModel(PaperGearSet(), 1.0, 2.5, 0.25)
+	m, err := NewPowerModel(PaperGearSet(), PaperACRunning, PaperActivityRatio, PaperStaticFraction)
 	if err != nil {
 		panic("dvfs: paper power model invalid: " + err.Error())
 	}

@@ -34,10 +34,9 @@ func extTrace(s *Suite, name string) (scenario.Spec, error) {
 	return scenario.Spec{Trace: tr}, nil
 }
 
-func extPolicy(params core.Params) (sched.GearPolicy, error) {
-	gears := dvfs.PaperGearSet()
-	return core.NewPolicy(params, gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
-}
+// extPolicy is the paper's policy at BSLDthr=2, WQ=NO, the setting every
+// extension table starts from.
+var extPolicy = scenario.PolicyConfig{BSLDThr: 2, WQThr: core.NoWQLimit}
 
 // runAll compiles the specs, executes them across the sweep pool and
 // returns outcomes in spec order; the first compile or per-run failure
@@ -85,15 +84,9 @@ func ExtBoost(s *Suite) (textplot.Table, error) {
 		}
 		specs = append(specs, spec)
 		for _, boost := range []bool{false, true} {
-			pol, err := extPolicy(core.Params{
-				BSLDThreshold: 2, WQThreshold: core.NoWQLimit,
-				Boost: boost, BoostWQ: 16,
-			})
-			if err != nil {
-				return t, err
-			}
 			run := spec
-			run.GearPolicy = pol
+			run.Policy = extPolicy
+			run.Policy.Boost, run.Policy.BoostWQ = boost, 16
 			specs = append(specs, run)
 		}
 	}
@@ -121,10 +114,6 @@ func ExtPerJobBeta(s *Suite) (textplot.Table, error) {
 		Header: []string{"Workload", "energy β=0.5", "energy β~U[0.2,0.8]", "BSLD β=0.5", "BSLD β~U"},
 		Note:   "per-job β keeps the mean dilation but lets the policy favour jobs with low penalty",
 	}
-	pol, err := extPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-	if err != nil {
-		return t, err
-	}
 	// Four runs per workload: baseline and policy on the uniform-β trace,
 	// then on the per-job-β trace.
 	var specs []scenario.Spec
@@ -146,7 +135,7 @@ func ExtPerJobBeta(s *Suite) (textplot.Table, error) {
 		for _, trace := range []*workload.Trace{uniform, perJob} {
 			specs = append(specs,
 				scenario.Spec{Trace: trace},
-				scenario.Spec{Trace: trace, GearPolicy: pol})
+				scenario.Spec{Trace: trace, Policy: extPolicy})
 		}
 	}
 	outs, err := runAll(specs)
@@ -183,22 +172,16 @@ func ExtPolicyComparison(s *Suite) (textplot.Table, error) {
 		if err != nil {
 			return t, err
 		}
-		bsldPol, err := extPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-		if err != nil {
-			return t, err
-		}
 		// The utilization policy binds to its system, so each concurrent
 		// run needs a fresh instance.
 		utilPol, err := altpolicy.NewUtilizationDriven(gears, 0.3, 0.9)
 		if err != nil {
 			return t, err
 		}
-		specs = append(specs, spec)
-		for _, pol := range []sched.GearPolicy{bsldPol, utilPol} {
-			run := spec
-			run.GearPolicy = pol
-			specs = append(specs, run)
-		}
+		bsldRun, utilRun := spec, spec
+		bsldRun.Policy = extPolicy
+		utilRun.GearPolicy = utilPol
+		specs = append(specs, spec, bsldRun, utilRun)
 	}
 	outs, err := runAll(specs)
 	if err != nil {
@@ -230,10 +213,6 @@ func ExtEstimateQuality(s *Suite, workloadName string) (textplot.Table, error) {
 		return t, err
 	}
 	model.Jobs = s.jobs
-	pol, err := extPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-	if err != nil {
-		return t, err
-	}
 	variants := []struct {
 		name   string
 		mutate func(*wgen.Model)
@@ -252,7 +231,7 @@ func ExtEstimateQuality(s *Suite, workloadName string) (textplot.Table, error) {
 		}
 		specs = append(specs,
 			scenario.Spec{Trace: tr},
-			scenario.Spec{Trace: tr, GearPolicy: pol})
+			scenario.Spec{Trace: tr, Policy: extPolicy})
 	}
 	outs, err := runAll(specs)
 	if err != nil {
@@ -281,17 +260,13 @@ func ExtLoadSweep(s *Suite, workloadName string) (textplot.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	pol, err := extPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-	if err != nil {
-		return t, err
-	}
 	factors := []float64{0.6, 0.8, 1.0, 1.2, 1.4}
 	var specs []scenario.Spec
 	for _, factor := range factors {
 		scaled := workload.ScaleLoad(tr, factor)
 		specs = append(specs,
 			scenario.Spec{Trace: scaled},
-			scenario.Spec{Trace: scaled, GearPolicy: pol})
+			scenario.Spec{Trace: scaled, Policy: extPolicy})
 	}
 	outs, err := runAll(specs)
 	if err != nil {
@@ -322,10 +297,6 @@ func ExtSeedSensitivity(s *Suite, replicas int) (textplot.Table, error) {
 			"BSLD penalty mean±sd"},
 		Note: "each replica regenerates the synthetic trace with a different seed; ± is one standard deviation",
 	}
-	pol, err := extPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-	if err != nil {
-		return t, err
-	}
 	var specs []scenario.Spec
 	for _, w := range Workloads() {
 		model, err := wgen.Preset(w)
@@ -342,7 +313,7 @@ func ExtSeedSensitivity(s *Suite, replicas int) (textplot.Table, error) {
 			}
 			specs = append(specs,
 				scenario.Spec{Trace: tr},
-				scenario.Spec{Trace: tr, GearPolicy: pol})
+				scenario.Spec{Trace: tr, Policy: extPolicy})
 		}
 	}
 	outs, err := runAll(specs)
@@ -389,13 +360,10 @@ func ExtPowerCap(s *Suite, workloadName string) (textplot.Table, error) {
 	caps := []float64{0, 0.85, 0.7, 0.55}
 	var specs []scenario.Spec
 	for _, thr := range thresholds {
-		pol, err := extPolicy(core.Params{BSLDThreshold: thr, WQThreshold: core.NoWQLimit})
-		if err != nil {
-			return t, err
-		}
 		for _, capf := range caps {
 			run := spec0
-			run.GearPolicy = pol
+			run.Policy = extPolicy
+			run.Policy.BSLDThr = thr
 			if capf > 0 {
 				run.Controller = scenario.ControllerConfig{CapFrac: capf}
 			}
@@ -455,19 +423,15 @@ func ExtPowerDown(s *Suite) (textplot.Table, error) {
 		if err != nil {
 			return t, err
 		}
-		pol, err := extPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-		if err != nil {
-			return t, err
-		}
 		specs = append(specs, spec)
 		dvfsOnly := spec
-		dvfsOnly.GearPolicy = pol
+		dvfsOnly.Policy = extPolicy
 		specs = append(specs, dvfsOnly)
-		for _, tracked := range []sched.GearPolicy{nil, pol} {
+		for _, tracked := range []scenario.PolicyConfig{{}, extPolicy} {
 			tracker := nodepower.NewTracker(spec.Trace.CPUs)
 			trackers = append(trackers, tracker)
 			run := spec
-			run.GearPolicy = tracked
+			run.Policy = tracked
 			run.ExtraRecorders = []sched.Recorder{tracker}
 			specs = append(specs, run)
 		}

@@ -48,6 +48,9 @@ type arena struct {
 	err   error
 }
 
+// maxCPUs is the largest machine a spec may describe.
+const maxCPUs = math.MaxInt32
+
 // Compile resolves the spec into an immutable scenario using a throwaway
 // compiler. Callers compiling many specs over shared workloads (sweeps,
 // servers) should hold a Compiler so arenas are reused.
@@ -71,9 +74,9 @@ func (c *Compiler) Compile(spec Spec) (*Scenario, error) {
 	if err := gears.Validate(); err != nil {
 		return nil, err
 	}
-	pm := spec.PowerModel
-	if pm == nil {
-		pm = dvfs.PaperPowerModel()
+	pm, err := spec.PowerModel.build(gears)
+	if err != nil {
+		return nil, err
 	}
 	beta, err := positiveOrDefault(spec.Beta, DefaultBeta, "Beta")
 	if err != nil {
@@ -97,6 +100,12 @@ func (c *Compiler) Compile(spec Spec) (*Scenario, error) {
 	}
 	if spec.Reservations < 0 {
 		return nil, fmt.Errorf("scenario: negative reservation depth %d", spec.Reservations)
+	}
+	if spec.Jobs < 0 {
+		return nil, fmt.Errorf("scenario: negative jobs %d", spec.Jobs)
+	}
+	if spec.SWFCPUs < 0 {
+		return nil, fmt.Errorf("scenario: negative swf_cpus %d", spec.SWFCPUs)
 	}
 
 	s := &Scenario{
@@ -126,7 +135,7 @@ func (c *Compiler) Compile(spec Spec) (*Scenario, error) {
 			}
 		}
 	case !spec.Policy.Baseline():
-		pol, err := core.NewPolicy(spec.Policy.params(), gears, dvfs.NewTimeModel(beta, gears))
+		pol, err := core.NewPolicy(spec.Policy.params(shortTh), gears, dvfs.NewTimeModel(beta, gears))
 		if err != nil {
 			return nil, err
 		}
@@ -166,9 +175,10 @@ func (c *Compiler) Compile(spec Spec) (*Scenario, error) {
 	}
 
 	// Machine size: explicit override, else the workload's original system
-	// scaled by the size factor.
-	s.cpus = spec.CPUs
-	if s.cpus == 0 {
+	// scaled by the size factor. The size is checked as a float, before
+	// the conversion to int can wrap.
+	size := float64(spec.CPUs)
+	if spec.CPUs == 0 {
 		f := spec.SizeFactor
 		if f == 0 {
 			f = 1
@@ -176,8 +186,12 @@ func (c *Compiler) Compile(spec Spec) (*Scenario, error) {
 		if f <= 0 {
 			return nil, fmt.Errorf("scenario: non-positive size factor %v", spec.SizeFactor)
 		}
-		s.cpus = int(math.Round(float64(baseCPUs) * f))
+		size = math.Round(float64(baseCPUs) * f)
 	}
+	if !(size >= 1 && size <= maxCPUs) {
+		return nil, fmt.Errorf("scenario: machine size %g CPUs outside [1, %d]", size, maxCPUs)
+	}
+	s.cpus = int(size)
 
 	s.hash = s.contentHash()
 	return s, nil

@@ -30,8 +30,11 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -53,17 +56,47 @@ type PolicyConfig struct {
 	// the baseline without DVFS.
 	BSLDThr float64 `json:"bsld_thr"`
 	// WQThr is the wait-queue threshold (core.NoWQLimit = "NO LIMIT");
-	// ignored for baselines.
+	// ignored for baselines. JSON accepts a number or the string "NO".
 	WQThr int `json:"wq_thr"`
+	// StrictBackfill selects the literal Figure 2 reading, where the BSLD
+	// test gates backfills even at the top gear
+	// (core.Params.StrictBackfillBSLD).
+	StrictBackfill bool `json:"strict_backfill,omitempty"`
 	// Boost enables the §7 dynamic frequency boost above BoostWQ waiters.
 	Boost   bool `json:"boost,omitempty"`
 	BoostWQ int  `json:"boost_wq,omitempty"`
 }
 
+// UnmarshalJSON decodes the policy object, accepting "NO" (any case) for
+// wq_thr. Unknown fields are rejected here because a custom unmarshaler
+// escapes the outer decoder's DisallowUnknownFields.
+func (p *PolicyConfig) UnmarshalJSON(data []byte) error {
+	type plain PolicyConfig
+	var raw struct {
+		plain
+		WQThr json.RawMessage `json:"wq_thr"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&raw); err != nil {
+		return fmt.Errorf("policy: %w", err)
+	}
+	*p = PolicyConfig(raw.plain)
+	if raw.WQThr != nil && json.Unmarshal(raw.WQThr, &p.WQThr) != nil {
+		var no string
+		if json.Unmarshal(raw.WQThr, &no) != nil || !strings.EqualFold(no, "NO") {
+			return fmt.Errorf(`policy: wq_thr must be a number or "NO", got %s`, raw.WQThr)
+		}
+		p.WQThr = core.NoWQLimit
+	}
+	return nil
+}
+
 // Baseline reports whether the configuration runs without DVFS.
 func (p PolicyConfig) Baseline() bool { return p.BSLDThr == 0 }
 
-// Label is a compact caption ("2/NO", "1.5/4", "noDVFS").
+// Label is a compact caption ("2/NO", "1.5/4", "2/NO+strict",
+// "noDVFS").
 func (p PolicyConfig) Label() string {
 	if p.Baseline() {
 		return "noDVFS"
@@ -72,10 +105,14 @@ func (p PolicyConfig) Label() string {
 	if p.WQThr == core.NoWQLimit {
 		wq = "NO"
 	}
-	if p.Boost {
-		return fmt.Sprintf("%g/%s+boost%d", p.BSLDThr, wq, p.BoostWQ)
+	label := fmt.Sprintf("%g/%s", p.BSLDThr, wq)
+	if p.StrictBackfill {
+		label += "+strict"
 	}
-	return fmt.Sprintf("%g/%s", p.BSLDThr, wq)
+	if p.Boost {
+		label += fmt.Sprintf("+boost%d", p.BoostWQ)
+	}
+	return label
 }
 
 // Validate reports the first problem with the configuration.
@@ -83,21 +120,54 @@ func (p PolicyConfig) Validate() error {
 	if p.Baseline() {
 		return nil
 	}
-	params := core.Params{
-		BSLDThreshold: p.BSLDThr, WQThreshold: p.WQThr,
-		Boost: p.Boost, BoostWQ: p.BoostWQ,
-	}
-	return params.Validate()
+	return p.params(0).Validate()
 }
 
-// params returns the core.Params the configuration describes.
-func (p PolicyConfig) params() core.Params {
+// params returns the core.Params the configuration describes at the
+// short-job threshold th (0 selects core's default).
+func (p PolicyConfig) params(th float64) core.Params {
 	return core.Params{
-		BSLDThreshold: p.BSLDThr,
-		WQThreshold:   p.WQThr,
-		Boost:         p.Boost,
-		BoostWQ:       p.BoostWQ,
+		BSLDThreshold:      p.BSLDThr,
+		WQThreshold:        p.WQThr,
+		ShortJobThreshold:  th,
+		StrictBackfillBSLD: p.StrictBackfill,
+		Boost:              p.Boost,
+		BoostWQ:            p.BoostWQ,
 	}
+}
+
+// PowerModelConfig sets the constants of the power model
+// (dvfs.NewPowerModel), which the paper calls "platform dependent and
+// adjustable in configuration files" (§4). Each nil field selects the
+// paper's value (dvfs.PaperACRunning, PaperActivityRatio,
+// PaperStaticFraction); the model is derived over the spec's own gears.
+type PowerModelConfig struct {
+	// ACRunning is A·C of a running processor (1.0); it only sets the
+	// power unit.
+	ACRunning *float64 `json:"ac_running,omitempty"`
+	// ActivityRatio is A_running / A_idle (2.5).
+	ActivityRatio *float64 `json:"activity_ratio,omitempty"`
+	// StaticFraction is the static share of a running processor's power
+	// at the top gear (0.25).
+	StaticFraction *float64 `json:"static_fraction,omitempty"`
+}
+
+// build resolves the defaults and derives the model over gears.
+func (c *PowerModelConfig) build(gears dvfs.GearSet) (*dvfs.PowerModel, error) {
+	if c == nil {
+		c = &PowerModelConfig{}
+	}
+	return dvfs.NewPowerModel(gears, valueOr(c.ACRunning, dvfs.PaperACRunning),
+		valueOr(c.ActivityRatio, dvfs.PaperActivityRatio),
+		valueOr(c.StaticFraction, dvfs.PaperStaticFraction))
+}
+
+// valueOr is *v when set, def otherwise.
+func valueOr(v *float64, def float64) float64 {
+	if v == nil {
+		return def
+	}
+	return *v
 }
 
 // ControllerConfig selects a per-pass power controller as pure data —
@@ -138,17 +208,19 @@ func (c ControllerConfig) Label() string {
 }
 
 // Spec describes a run before compilation. The JSON-visible fields form
-// the data-level description cmd/schedd accepts over the wire and are the
-// ones the canonical hash covers; the `json:"-"` fields are escape
-// hatches for callers that already hold resolved objects (a generated
-// trace, a streaming source, a pre-built gear policy).
+// the data-level description of a run, complete down to the power model's
+// constants: it is the body cmd/schedd accepts over the wire and the file
+// bsldsim -config reads, and the canonical hash covers it. The
+// `json:"-"` fields are escape hatches for callers that already hold
+// resolved objects (a generated trace, a streaming source, a pre-built
+// gear policy or controller) and result-neutral observation knobs.
 type Spec struct {
 	// Workload names the workload: a wgen preset (CTC, Million, ...) or a
 	// path ending in .swf. Exactly one of Workload, Trace, Source and
 	// Factory must be set.
 	Workload string `json:"workload,omitempty"`
 	// Jobs overrides a preset's trace length (0 keeps the model's native
-	// length); ignored for .swf workloads.
+	// length; negative is an error); ignored for .swf workloads.
 	Jobs int `json:"jobs,omitempty"`
 	// SWFCPUs supplies the system size for .swf logs without a MaxProcs
 	// header (0 requires the header).
@@ -195,7 +267,8 @@ type Spec struct {
 	// SizeFactor scales the machine relative to the workload's original
 	// system (1.0 = original, 1.2 = "20% increased"). Zero means 1.0.
 	SizeFactor float64 `json:"size_factor,omitempty"`
-	// CPUs overrides the machine size outright when non-zero.
+	// CPUs overrides the machine size outright when non-zero. The
+	// resolved size must lie in [1, math.MaxInt32].
 	CPUs int `json:"cpus,omitempty"`
 
 	// Variant is the base scheduling policy: easy (default), fcfs or
@@ -211,8 +284,9 @@ type Spec struct {
 
 	// Gears is the DVFS gear set (nil → the paper's Table 2 set).
 	Gears dvfs.GearSet `json:"gears,omitempty"`
-	// PowerModel overrides the paper's power model.
-	PowerModel *dvfs.PowerModel `json:"-"`
+	// PowerModel sets the power model's constants (nil → the paper's);
+	// the model is derived over Gears.
+	PowerModel *PowerModelConfig `json:"power_model,omitempty"`
 	// Beta is the β of the execution time model. nil selects the paper's
 	// DefaultBeta; a set value must be positive — an explicit zero is an
 	// error, never silently the default (use nil for the default).

@@ -1,10 +1,14 @@
 package scenario
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dvfs"
 	"repro/internal/sched"
 	"repro/internal/wgen"
 	"repro/internal/workload"
@@ -56,6 +60,14 @@ func TestCompileValidation(t *testing.T) {
 	wantErr(t, s, "ShortJobTh must be a positive finite number")
 
 	s = ctcSpec()
+	s.Gears = dvfs.GearSet{{Freq: 0, Voltage: 1}}
+	wantErr(t, s, "non-positive frequency")
+	s = ctcSpec()
+	one := 1.0
+	s.PowerModel = &PowerModelConfig{StaticFraction: &one}
+	wantErr(t, s, "StaticFraction")
+
+	s = ctcSpec()
 	s.Reservations = -1
 	wantErr(t, s, "negative reservation depth")
 	s = ctcSpec()
@@ -97,6 +109,10 @@ func TestHashDeterminismAndSensitivity(t *testing.T) {
 		"resv":       func(s *Spec) { s.Reservations = 4 },
 		"beta":       func(s *Spec) { b := 0.3; s.Beta = &b },
 		"shortth":    func(s *Spec) { th := 120.0; s.ShortJobTh = &th },
+		"strict":     func(s *Spec) { s.Policy.StrictBackfill = true },
+		"acrunning":  func(s *Spec) { v := 2.0; s.PowerModel = &PowerModelConfig{ACRunning: &v} },
+		"activity":   func(s *Spec) { v := 3.0; s.PowerModel = &PowerModelConfig{ActivityRatio: &v} },
+		"static":     func(s *Spec) { v := 0.3; s.PowerModel = &PowerModelConfig{StaticFraction: &v} },
 	}
 	seen := map[string]string{base.Hash(): "base"}
 	for name, mutate := range mutations {
@@ -128,6 +144,83 @@ func TestHashDeterminismAndSensitivity(t *testing.T) {
 	s.Beta = &b
 	if h := compile(t, s).Hash(); h != base.Hash() {
 		t.Errorf("explicit default Beta moved the hash")
+	}
+	s = ctcSpec()
+	ac, ar, sf := dvfs.PaperACRunning, dvfs.PaperActivityRatio, dvfs.PaperStaticFraction
+	s.PowerModel = &PowerModelConfig{ACRunning: &ac, ActivityRatio: &ar, StaticFraction: &sf}
+	if h := compile(t, s).Hash(); h != base.Hash() {
+		t.Errorf("explicit default power model moved the hash")
+	}
+}
+
+// TestShortJobThReachesDataPolicy: Spec.ShortJobTh is Th for the
+// policy's eq. (2) as well as for the collector, so a data-level policy
+// and the same policy built by hand at that Th are one scenario: the
+// same hash and the same run.
+func TestShortJobThReachesDataPolicy(t *testing.T) {
+	th := 3000.0
+	gears := dvfs.PaperGearSet()
+	pol, err := core.NewPolicy(core.Params{BSLDThreshold: 1.5, WQThreshold: core.NoWQLimit, ShortJobThreshold: th},
+		gears, dvfs.NewTimeModel(DefaultBeta, gears))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := compile(t, Spec{Workload: "SDSCBlue", Jobs: 1000, ShortJobTh: &th,
+		Policy: PolicyConfig{BSLDThr: 1.5, WQThr: core.NoWQLimit}})
+	object := compile(t, Spec{Workload: "SDSCBlue", Jobs: 1000, ShortJobTh: &th, GearPolicy: pol})
+	if data.Hash() != object.Hash() {
+		t.Errorf("data policy hash %s, hand-built policy hash %s", data.Hash(), object.Hash())
+	}
+	a, err := data.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := object.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Results != b.Results {
+		t.Errorf("data policy ran %d reduced jobs at BSLD %.3f, hand-built %d at %.3f",
+			a.Results.ReducedJobs, a.Results.AvgBSLD, b.Results.ReducedJobs, b.Results.AvgBSLD)
+	}
+}
+
+// TestPowerModelOverSpecGears: the power model is derived over the
+// spec's gear set, so idle power is taken at the set's lowest gear and α
+// from its top gear.
+func TestPowerModelOverSpecGears(t *testing.T) {
+	top3 := dvfs.PaperGearSet()[3:]
+	sc := compile(t, Spec{Workload: "CTC", Jobs: 50, Gears: top3})
+	if !reflect.DeepEqual(sc.pm.Gears, top3) {
+		t.Fatalf("power model gears %v, want the spec's %v", sc.pm.Gears, top3)
+	}
+	want, err := dvfs.NewPowerModel(top3, dvfs.PaperACRunning, dvfs.PaperActivityRatio, dvfs.PaperStaticFraction)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.pm.Idle() != want.Idle() || sc.pm.Static(top3.Top()) != want.Static(top3.Top()) {
+		t.Errorf("idle %v static %v, want %v and %v",
+			sc.pm.Idle(), sc.pm.Static(top3.Top()), want.Idle(), want.Static(top3.Top()))
+	}
+}
+
+// TestCompileRejectsImpossibleMachines: a machine size that resolves
+// non-positive or past int range, and negative workload lengths, fail
+// at compile time instead of compiling to a hash that cannot run.
+func TestCompileRejectsImpossibleMachines(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		spec   Spec
+		substr string
+	}{
+		{"negative cpus", Spec{Workload: "CTC", Jobs: 50, CPUs: -5}, "machine size -5"},
+		{"cpus past int32", Spec{Workload: "CTC", Jobs: 50, CPUs: math.MaxInt32 + 1}, "machine size"},
+		{"overflowing size factor", Spec{Workload: "CTC", Jobs: 50, SizeFactor: 1e300}, "machine size"},
+		{"vanishing size factor", Spec{Workload: "CTC", Jobs: 50, SizeFactor: 1e-9}, "machine size 0"},
+		{"negative jobs", Spec{Workload: "CTC", Jobs: -1}, "negative jobs"},
+		{"negative swf_cpus", Spec{Workload: "CTC", Jobs: 50, SWFCPUs: -1}, "negative swf_cpus"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { wantErr(t, tc.spec, tc.substr) })
 	}
 }
 

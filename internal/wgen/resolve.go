@@ -6,46 +6,16 @@ import (
 	"repro/internal/workload"
 )
 
-// The CLI tools (bsldsim, sweep, ...) all resolve a workload name the
-// same way: names ending in .swf load as SWF trace files, anything else
-// is a built-in preset. ResolveTrace and ResolveSource are that shared
-// resolution for the materialized and the streaming pipeline
-// respectively, so the tools cannot drift apart on filter or override
-// semantics.
-
-// ResolveTrace materializes the named workload. cpus supplies the system
-// size for SWF logs without a MaxProcs header (0 requires the header);
-// jobs overrides a preset's trace length (0 keeps the model's native
-// length). The filter's status cleaning applies to SWF logs only, but
-// its EcoUsers hook tags presets too: "*" opts in every generated job,
-// user IDs match when the model assigns a user pool (Model.Users).
-func ResolveTrace(name string, cpus, jobs int, filter workload.SWFFilter) (*workload.Trace, error) {
-	if strings.HasSuffix(name, ".swf") {
-		return workload.ParseSWFFile(name, cpus, filter)
-	}
-	m, err := Preset(name)
-	if err != nil {
-		return nil, err
-	}
-	if jobs > 0 {
-		m.Jobs = jobs
-	}
-	eco, err := filter.EcoSet()
-	if err != nil {
-		return nil, err
-	}
-	tr, err := Generate(m)
-	if err != nil {
-		return nil, err
-	}
-	eco.Tag(tr.Jobs)
-	return tr, nil
-}
-
-// ResolveSource streams the named workload: presets generate lazily
-// (Stream), SWF logs are read incrementally (workload.OpenSWFSource).
-// Parameters are those of ResolveTrace, including the preset EcoUsers
-// semantics. Every call returns an independent source, so concurrent
+// ResolveSource streams the named workload the way the scenario compiler
+// names it: a name ending in .swf is an SWF log, read incrementally
+// (workload.OpenSWFSource); anything else is a preset, generated lazily
+// (Stream).
+// cpus supplies the system size for SWF logs without a MaxProcs header
+// (0 requires the header); jobs overrides a preset's trace length (0
+// keeps the model's native length). The filter's status cleaning applies
+// to SWF logs only, but its EcoUsers hook tags presets too: "*" opts in
+// every generated job, user IDs match when the model assigns a user pool
+// (Model.Users). Every call returns an independent source, so concurrent
 // runs never share a cursor.
 func ResolveSource(name string, cpus, jobs int, filter workload.SWFFilter) (workload.JobSource, error) {
 	if strings.HasSuffix(name, ".swf") {

@@ -12,7 +12,7 @@ import (
 // silently tagging nothing.
 func TestResolvePresetEcoUsers(t *testing.T) {
 	const jobs = 200
-	plain, err := ResolveTrace("CTC", 0, jobs, workload.SWFFilter{})
+	plain, err := resolveTrace("CTC", jobs, workload.SWFFilter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestResolvePresetEcoUsers(t *testing.T) {
 	}
 
 	star := workload.SWFFilter{EcoUsers: "*"}
-	tr, err := ResolveTrace("CTC", 0, jobs, star)
+	tr, err := resolveTrace("CTC", jobs, star)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestResolvePresetEcoUsers(t *testing.T) {
 
 	// User-ID entries parse fine but cannot match a preset without a
 	// user pool: every paper preset leaves Job.User at -1.
-	ids, err := ResolveTrace("CTC", 0, jobs, workload.SWFFilter{EcoUsers: "1,7"})
+	ids, err := resolveTrace("CTC", jobs, workload.SWFFilter{EcoUsers: "1,7"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,32 @@ func TestResolvePresetEcoUsers(t *testing.T) {
 	}
 
 	bad := workload.SWFFilter{EcoUsers: "seven"}
-	if _, err := ResolveTrace("CTC", 0, jobs, bad); err == nil {
+	if _, err := resolveTrace("CTC", jobs, bad); err == nil {
 		t.Error("ResolveTrace accepted a malformed EcoUsers hook")
 	}
 	if _, err := ResolveSource("CTC", 0, jobs, bad); err == nil {
 		t.Error("ResolveSource accepted a malformed EcoUsers hook")
 	}
+}
+
+// resolveTrace is ResolveSource's materialized counterpart for presets:
+// the generated trace with the EcoUsers hook applied.
+func resolveTrace(name string, jobs int, filter workload.SWFFilter) (*workload.Trace, error) {
+	m, err := Preset(name)
+	if err != nil {
+		return nil, err
+	}
+	m.Jobs = jobs
+	eco, err := filter.EcoSet()
+	if err != nil {
+		return nil, err
+	}
+	tr, err := Generate(m)
+	if err != nil {
+		return nil, err
+	}
+	eco.Tag(tr.Jobs)
+	return tr, nil
 }
 
 // A user-pool model resolved with an ID hook tags exactly the listed

@@ -1,9 +1,8 @@
 package wgen
 
 import (
+	"sort"
 	"testing"
-
-	"repro/internal/workload"
 )
 
 func TestGenerateUsers(t *testing.T) {
@@ -95,9 +94,9 @@ func TestValidateBetaRange(t *testing.T) {
 	}
 }
 
-// Users + flurry cleaning integration: generated traces survive the
-// cleaning pass unchanged at archive-scale thresholds (the generator
-// produces no flurries by construction).
+// Generated traces have no flurries by construction: at the archive's
+// cleaning scale (more than a hundred jobs by one user within an hour)
+// almost no job is part of a burst.
 func TestGeneratedTracesAreFlurryFree(t *testing.T) {
 	m := SDSC()
 	m.Jobs = 2000
@@ -106,9 +105,25 @@ func TestGeneratedTracesAreFlurryFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, removed := workload.RemoveFlurries(tr, workload.DefaultCleanConfig())
-	if removed > m.Jobs/100 {
-		t.Errorf("cleaning removed %d jobs from a synthetic trace", removed)
+	submits := map[int][]float64{}
+	for _, j := range tr.Jobs {
+		submits[j.User] = append(submits[j.User], j.Submit)
+	}
+	burst := 0
+	for _, s := range submits {
+		sort.Float64s(s)
+		lo := 0
+		for i := range s {
+			for s[i]-s[lo] > 3600 {
+				lo++
+			}
+			if i-lo >= 100 {
+				burst++
+			}
+		}
+	}
+	if burst > m.Jobs/100 {
+		t.Errorf("%d jobs of a synthetic trace are flurry members", burst)
 	}
 }
 
